@@ -16,11 +16,10 @@ from .covariance import (IbfModel, FlowConstants, ModelError, make_model,
 from .bessel import bessel_j, bessel_j_ratio
 from .rkhs import (SphereRule, ConditionReport, bessel_zeros, check_condition,
                    sphere_rule, mean_inward_field, squeeze_functional)
-from .field_sampler import (DriftField, IncrementSampler, DegenerateCloudError,
-                            DriftEvaluationError, build_sampler,
-                            sample_increment, eval_drift, drift_none,
+from .field_sampler import (DriftField, CovarianceFactorError,
+                            DriftEvaluationError, eval_drift, drift_none,
                             drift_linear, drift_radial_rkhs, drift_custom_table,
-                            covariance_matrix)
+                            covariance_matrix_batch, pivoted_cholesky_batch)
 from .flow_engine import (PointCloud, PathRecord, ExperimentReport,
                           LyapunovResult, TrackingResult, PairCollapseError,
                           euler_flow, ode_flow, containment, diameter,

@@ -7,7 +7,8 @@ draws entropy from the environment, so a config plus a seed pins every
 emitted byte. CSV cells use 17 significant digits and re-parse to the
 exact written values.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure.
+Exit codes: 0 success, 2 for a config rejected while parsing, 3 for a
+failure while running. The phase picks the code, not the exception type.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import numpy as np
 from ._version import __version__
 from . import covariance, flow_engine, rkhs
 from .covariance import IbfModel, ModelError
-from .field_sampler import (DegenerateCloudError, DriftEvaluationError,
-                            DriftField, drift_from_config)
-from .flow_engine import (PairCollapseError, PointCloud, _model_config,
-                          drift_config)
-from .spectral import KernelEvaluationError, MeasureError, SpectralMeasure
+from .field_sampler import DriftField, drift_from_config, drift_radial_rkhs
+from .flow_engine import PointCloud, _model_config, drift_config
+from .spectral import MeasureError, SpectralMeasure
 
 COMMANDS = ("covariance", "check-condition", "verify-identity", "lyapunov",
             "squeeze", "expand", "track-control", "length-decay")
@@ -40,9 +39,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_NUMERIC_ERRORS = (DegenerateCloudError, PairCollapseError,
-                   KernelEvaluationError, DriftEvaluationError,
-                   np.linalg.LinAlgError, FloatingPointError)
+# Failures a run reports (numeric breakdowns, invalid values met while
+# computing, output that cannot be written); any other exception is a
+# defect and keeps its traceback.
+_RUNTIME_ERRORS = (ArithmeticError, ValueError, RuntimeError, OSError)
 
 
 class ConfigError(ValueError):
@@ -330,6 +330,8 @@ def parse_config(text, command: str | None = None) -> RunConfig:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed: a mandatory integer seed is required "
                           "(the tool never draws entropy itself)")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
     output = doc.get("output", {})
     if output is None:
@@ -542,14 +544,15 @@ def _run_track_control(cfg: RunConfig, out_dir: Path, jobs: int):
     t0 = time.perf_counter()
     p = cfg.params
     x0 = PointCloud(positions=p["x0"])
+    v_field = drift_radial_rkhs(cfg.model, p["rho"], scale=1.0)
     rows = []
     means = []
     per_c = {}
     for c in p["cs"]:
         res = flow_engine.tilted_tracking_error(
             cfg.model, rho=p["rho"], c=c, x0=x0, T=p["T"], dt=p["dt"],
-            n_paths=p["n_paths"], seed=cfg.seed, snapshot_stride=p["stride"],
-            jobs=jobs)
+            n_paths=p["n_paths"], seed=cfg.seed, v_field=v_field,
+            snapshot_stride=p["stride"], jobs=jobs)
         means.append(res.mean)
         per_c[str(c)] = {"mean": res.mean, "se": res.standard_error}
         rows.extend((c, i, dev) for i, dev in enumerate(res.sup_deviations))
@@ -639,15 +642,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text, command=args.command)
-        code, _ = run_command(args.command, cfg, jobs=args.jobs,
-                              out_dir=args.out, quiet=args.quiet)
-        return code
     except (ConfigError, MeasureError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    try:
+        code, _ = run_command(args.command, cfg, jobs=args.jobs,
+                              out_dir=args.out, quiet=args.quiet)
+    except _RUNTIME_ERRORS as exc:
+        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return code
 
 
 if __name__ == "__main__":

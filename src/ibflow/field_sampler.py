@@ -2,16 +2,14 @@
 
 For Euler stepping only the increment law on the tracked points matters,
 and on a finite point set that law is exactly N(0, C * dt) with block
-covariance C[i][j] = b(x_i - x_j). Sampling it through a Cholesky factor
-is free of any truncation error. Nearly coincident tracers (they arise
-under contraction) make C numerically rank-deficient; an escalating
-diagonal jitter keeps runs alive, and the jitter actually used is
-reported, never hidden.
+covariance C[i][j] = b(x_i - x_j). C is routinely singular (a band-limited
+field has few degrees of freedom on a small or dense cloud), so it is
+factored by a rank-revealing pivoted Cholesky: a degenerate law is
+sampled exactly, and the rank and the dropped trace are reported.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,36 +17,29 @@ import numpy as np
 from . import rkhs
 from .covariance import IbfModel, ModelError
 
-JITTER_BASE = 1e-12   # first rung is JITTER_BASE * n_points
-JITTER_CAP = 1e-6
 DRIFT_KINDS = ("none", "linear", "radial_rkhs", "custom_table")
+_EPS = np.finfo(float).eps
+# Kernel scalars served from the spline profile are accurate to about
+# 1e-12, so an assembled C can have eigenvalues near -1e-12 (-5.7e-13
+# measured on a 128 x 128 shell covariance), and pivots just above the
+# stop tolerance amplify that in the residual diagonal (-7.8e-11 measured
+# on a contracting 24-point circle). Only a residual diagonal below
+# -sqrt(eps) max diag(C) is taken to mean C is not PSD.
+_PSD_SLACK = float(np.sqrt(_EPS))
 
 
-class DegenerateCloudError(RuntimeError):
-    """Covariance factorization failed even at maximal jitter."""
+class CovarianceFactorError(np.linalg.LinAlgError):
+    """An increment covariance that is non-finite or not PSD."""
 
-    def __init__(self, pair: tuple[int, int], distance: float,
-                 path_index: int | None = None):
-        self.pair = pair
-        self.distance = distance
+    def __init__(self, path_index: int, step: int | None, problem: str):
         self.path_index = path_index
-        where = "" if path_index is None else f" (path {path_index})"
-        super().__init__(
-            f"covariance factorization failed at maximal jitter {JITTER_CAP}"
-            f"{where}; most-duplicated point pair {pair} at distance "
-            f"{distance:.3e}")
+        self.step = step
+        where = f"path {path_index}" + ("" if step is None else f", step {step}")
+        super().__init__(f"{where}: increment covariance {problem}")
 
 
 class DriftEvaluationError(RuntimeError):
     """Drift queried outside its domain of definition."""
-
-
-def _positions(points) -> np.ndarray:
-    pos = getattr(points, "positions", points)
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("point positions must be finite")
-    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +168,9 @@ def _eval_radial(v: DriftField, pts: np.ndarray) -> np.ndarray:
     return v.scale * g[..., None] * unit
 
 
-def eval_drift(v: DriftField, x, model_ctx=None, t: float = 0.0) -> np.ndarray:
-    """Evaluate the drift at x (vectorized over leading axes).
-
-    model_ctx = (model, rule) supplies the binding for a radial field
-    built without one (config round-trips). Every kind is autonomous;
-    the time argument is reserved in the interface and ignored.
-    """
-    del t
+def eval_drift(v: DriftField, x) -> np.ndarray:
+    """Evaluate the drift at x (vectorized over leading axes). Every kind
+    is autonomous."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     flat = pts.reshape(-1, pts.shape[-1])
@@ -194,12 +180,9 @@ def eval_drift(v: DriftField, x, model_ctx=None, t: float = 0.0) -> np.ndarray:
         out = flat @ v.matrix.T
     elif v.kind == "radial_rkhs":
         if v._profile is None:
-            if model_ctx is None:
-                raise ModelError("unbound radial drift needs model_ctx")
-            model, rule = model_ctx
-            out = v.scale * rkhs.mean_inward_field(model, v.rho, rule, flat)
-        else:
-            out = _eval_radial(v, flat)
+            raise ModelError(
+                "unbound radial drift: build it with drift_radial_rkhs")
+        out = _eval_radial(v, flat)
     elif v.kind == "custom_table":
         if not np.all(np.isfinite(flat)):
             raise DriftEvaluationError("custom_table queried at non-finite point")
@@ -242,13 +225,7 @@ def drift_from_config(spec: dict, model: IbfModel) -> DriftField:
 
 
 # ---------------------------------------------------------------------------
-# covariance assembly and sampling
-
-def covariance_matrix(model: IbfModel, points) -> np.ndarray:
-    """Dense (N d) x (N d) block covariance C[i][j] = b(x_i - x_j)."""
-    pos = _positions(points)
-    return covariance_matrix_batch(model, pos[None, :, :])[0]
-
+# covariance assembly and factorization
 
 def covariance_matrix_batch(model: IbfModel, positions: np.ndarray) -> np.ndarray:
     """Batched assembly for positions of shape (B, N, d) -> (B, Nd, Nd).
@@ -261,6 +238,8 @@ def covariance_matrix_batch(model: IbfModel, positions: np.ndarray) -> np.ndarra
 
     pos = np.asarray(positions, dtype=float)
     nb, n, d = pos.shape
+    if d != model.d:
+        raise ModelError(f"points must have dimension d = {model.d}")
     diffs = pos[:, :, None, :] - pos[:, None, :, :]
     s = np.linalg.norm(diffs, axis=-1)
     b_l, b_n = covariance_scalars(model, s)
@@ -276,91 +255,72 @@ def covariance_matrix_batch(model: IbfModel, positions: np.ndarray) -> np.ndarra
     return out
 
 
-def _closest_pair(pos: np.ndarray) -> tuple[tuple[int, int], float]:
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    return (int(i), int(j)), float(dist[i, j])
+def pivoted_cholesky_batch(covs: np.ndarray, path_offset: int = 0,
+                           step: int | None = None):
+    """Rank-revealing factors of a batch of PSD matrices of shape (B, m, m).
 
+    Diagonally pivoted, left-looking Cholesky (Higham 1990; Hammarling,
+    Higham and Lucas 2007), one vectorised update across the batch per
+    pivot. Matrix b stops once its largest remaining Schur diagonal is
+    <= m * eps * max diag(C_b), so a singular C is factored as it is,
+    not perturbed. Returns (F, rank, dropped): F has shape (B, m, m)
+    with zero columns from rank[b] on, and F F^T = C up to the dropped
+    trace, the residual diagonal clipped at 0.
 
-def cholesky_with_jitter(cov: np.ndarray, n_points: int) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating diagonal jitter on failure."""
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(cov.shape[0])
-    jitter = JITTER_BASE * n_points
-    while jitter <= JITTER_CAP:
-        try:
-            return np.linalg.cholesky(cov + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise np.linalg.LinAlgError("not positive definite at maximal jitter")
+    Each matrix's pivots and arithmetic are its own, so a batch factors
+    bitwise as its matrices would one at a time. F keeps all m columns
+    because a product over the batch's largest rank would round a
+    path's increment differently with the ranks of its batch-mates.
 
-
-def factor_covariance(model: IbfModel, points) -> tuple[np.ndarray, float]:
-    pos = _positions(points)
-    try:
-        return cholesky_with_jitter(covariance_matrix(model, pos), pos.shape[0])
-    except np.linalg.LinAlgError:
-        pair, dist = _closest_pair(pos)
-        raise DegenerateCloudError(pair, dist) from None
-
-
-def cholesky_with_jitter_batch(
-        covs: np.ndarray, n_points: int, positions: np.ndarray | None = None,
-        path_offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Batched factorization; falls back to per-matrix jitter on failure.
-
-    path_offset translates the in-batch index to the experiment's path
-    index in error reports.
+    Raises CovarianceFactorError, naming path path_offset + b and the
+    step, when C_b is not finite or a residual diagonal falls below
+    -sqrt(eps) * max diag(C_b) (C_b is not PSD).
     """
-    try:
-        return np.linalg.cholesky(covs), np.zeros(covs.shape[0])
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(covs)
-    jit = np.zeros(covs.shape[0])
-    for k in range(covs.shape[0]):
-        try:
-            out[k], jit[k] = cholesky_with_jitter(covs[k], n_points)
-        except np.linalg.LinAlgError:
-            if positions is not None:
-                pair, dist = _closest_pair(positions[k])
-                raise DegenerateCloudError(pair, dist,
-                                           path_index=path_offset + k) from None
-            raise
-    return out, jit
-
-
-@dataclass(eq=False)
-class IncrementSampler:
-    """Frozen factorization of the increment covariance on a point set."""
-
-    model: IbfModel
-    positions: np.ndarray
-    chol: np.ndarray
-    jitter_used: float
-
-
-def build_sampler(model: IbfModel, points) -> IncrementSampler:
-    """Assemble and factor the block covariance of the generating field."""
-    pos = _positions(points)
-    if pos.shape[0] < 1:
-        raise ValueError("need at least one point")
-    if pos.shape[1] != model.d:
-        raise ModelError(f"points must have dimension d = {model.d}")
-    chol, jitter = factor_covariance(model, pos)
-    return IncrementSampler(model=model, positions=pos.copy(), chol=chol,
-                            jitter_used=jitter)
-
-
-def sample_increment(sampler: IncrementSampler, dt: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One joint spatial increment over a step of length dt: sqrt(dt) L z."""
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
-    n, d = sampler.positions.shape
-    z = rng.standard_normal(n * d)
-    return (math.sqrt(dt) * (sampler.chol @ z)).reshape(n, d)
+    covs = np.ascontiguousarray(covs, dtype=float)
+    nb, m, _ = covs.shape
+    if not np.isfinite(covs).all():
+        finite = np.isfinite(covs).all(axis=(1, 2))
+        raise CovarianceFactorError(path_offset + int(np.argmin(finite)), step,
+                                    "is not finite")
+    diag = np.diagonal(covs, axis1=1, axis2=2)
+    scale = diag.max(axis=1, initial=0.0)
+    tol = m * _EPS * scale
+    resid = diag.copy()          # Schur diagonal, -inf once pivoted
+    keep = np.ones((nb, m))      # 0 on pivoted rows: their later entries are 0
+    factor = np.zeros((nb, m, m))
+    c_rows = covs.reshape(nb * m, m)
+    f_rows = factor.reshape(nb * m, m)
+    flat_resid = resid.reshape(-1)
+    flat_keep = keep.reshape(-1)
+    base = np.arange(nb) * m
+    for k in range(m):
+        idx = base + resid.argmax(axis=1)
+        top = flat_resid[idx]
+        going = top > tol
+        if going.all():
+            root = np.sqrt(top)
+            done = idx
+        elif going.any():
+            root = np.sqrt(np.where(going, top, np.inf))  # a stopped column is 0
+            done = idx[going]
+        else:
+            break
+        # column k from row p of C (C is symmetric) and the columns so far
+        col = c_rows[idx]
+        if k:
+            col -= (factor[:, :, :k] @ f_rows[idx, :k, None])[..., 0]
+        col *= keep
+        col = np.divide(col, root[:, None], out=factor[:, :, k])
+        resid -= col * col
+        flat_resid[done] = -np.inf
+        flat_keep[done] = 0.0
+    rank = m - np.count_nonzero(keep, axis=1)
+    left = np.where(keep > 0.0, resid, 0.0)
+    worst = left.min(axis=1, initial=0.0)
+    bad = worst < -_PSD_SLACK * scale
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise CovarianceFactorError(
+            path_offset + b, step,
+            f"is not positive semidefinite (residual diagonal {worst[b]:.3e})")
+    return factor, rank, np.maximum(left, 0.0).sum(axis=1)

@@ -1,12 +1,12 @@
 """Point-cloud flow integration and the Monte-Carlo experiments.
 
 The flow is advanced by Euler steps x <- x + dM + v(x) dt, where dM is
-an exact joint-Gaussian increment on the tracked points (the sampler is
-rebuilt every step because the points move). Weak order one is all the
+an exact joint-Gaussian increment on the tracked points (the covariance
+is factored again every step because the points move). Weak order one is all the
 frequency and exponent estimates need. Paths are embarrassingly
-parallel: path i draws from its own generator seeded experiment_seed
-XOR i, so reports are bitwise reproducible for a given config and seed
-regardless of scheduling.
+parallel: path i draws from its own generator, seeded by
+SeedSequence([seed, i]), so reports are bitwise reproducible for a given
+config and seed regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import numpy as np
 from ._version import __version__
 from .covariance import IbfModel, ModelError
 from .field_sampler import (DriftField, covariance_matrix_batch,
-                            cholesky_with_jitter_batch, drift_radial_rkhs,
-                            eval_drift)
+                            drift_radial_rkhs, eval_drift,
+                            pivoted_cholesky_batch)
 
 DEFAULT_STRIDE = 10
 _CHUNK = 64  # paths per batch; fixed so results never depend on --jobs
 _COLLAPSE_FLOOR = 1e-14
+_DRAW_CAP = 1 << 16  # normals pre-drawn per chunk: 512 KiB
 
 
 class PairCollapseError(RuntimeError):
@@ -57,14 +58,22 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Per-path observable time series."""
+    """Per-path observable time series.
+
+    stream names the path's random stream; rank_min and rank_max bound
+    the numerical rank of its increment covariance over the steps, and
+    dropped_trace_max is the largest covariance trace the factorization
+    left out at one step.
+    """
 
     times: tuple[float, ...]
     diameters: tuple[float, ...]
     lengths: tuple[float, ...] | None = None
     containment_flags: tuple[bool, ...] | None = None
-    seed: int = 0
-    jitter_max: float = 0.0
+    stream: str = ""
+    rank_min: int = 0
+    rank_max: int = 0
+    dropped_trace_max: float = 0.0
 
     def __post_init__(self):
         n = len(self.times)
@@ -200,33 +209,39 @@ def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
 
     observer(t, X) fires at t0, after every stride-th step, and at t1
     (the final partial step lands exactly on t1). Returns per-path
-    maximal jitter used by the covariance factorization.
+    (rank_min, rank_max, dropped_trace_max) of the increment covariance
+    over the steps; rank_min stays N d under zero_noise.
     """
     x = np.array(x0, dtype=float, copy=True)
     b, n_pts, d = x.shape
     hs, times = _step_sizes(t0, t1, dt)
     snaps = set(_snapshot_steps(len(hs), stride))
-    jitter_max = np.zeros(b)
+    rank_min = np.full(b, n_pts * d)
+    rank_max = np.zeros(b, dtype=int)
+    dropped_max = np.zeros(b)
+    normals = None if zero_noise else _step_normals(gens, len(hs), n_pts * d)
     if observer is not None:
         observer(times[0], x)
     for k, h in enumerate(hs):
         delta = np.zeros_like(x)
         if drift is not None:
-            delta += h * eval_drift(drift, x, t=times[k])
+            delta += h * eval_drift(drift, x)
         if extra_drift is not None:
-            delta += (h * extra_scale) * eval_drift(extra_drift, x, t=times[k])
-        if not zero_noise:
+            delta += (h * extra_scale) * eval_drift(extra_drift, x)
+        if normals is not None:
             covs = covariance_matrix_batch(model, x)
-            chols, jit = cholesky_with_jitter_batch(
-                covs, n_pts, x, path_offset=path_offset)
-            np.maximum(jitter_max, jit, out=jitter_max)
-            z = np.stack([g.standard_normal(n_pts * d) for g in gens])
-            inc = (chols @ z[:, :, None])[:, :, 0].reshape(b, n_pts, d)
+            factor, rank, dropped = pivoted_cholesky_batch(
+                covs, path_offset=path_offset, step=k)
+            np.minimum(rank_min, rank, out=rank_min)
+            np.maximum(rank_max, rank, out=rank_max)
+            np.maximum(dropped_max, dropped, out=dropped_max)
+            z = next(normals)
+            inc = (factor @ z[:, :, None])[:, :, 0].reshape(b, n_pts, d)
             delta += (noise_scale * math.sqrt(h)) * inc
         x += delta
         if observer is not None and (k + 1) in snaps:
             observer(times[k + 1], x)
-    return jitter_max
+    return rank_min, rank_max, dropped_max
 
 
 def euler_flow(model: IbfModel, cloud: PointCloud, t0: float, t1: float,
@@ -282,8 +297,33 @@ def ode_flow(drift: DriftField, x0, t1: float, dt: float):
 # ---------------------------------------------------------------------------
 # experiment scaffolding
 
+def _stream(seed: int, i: int) -> str:
+    return f"SeedSequence([{seed}, {i}])"
+
+
 def _path_gens(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(seed ^ i) for i in range(lo, hi)]
+    """Path i's generator, seeded by SeedSequence([seed, i]): distinct
+    (seed, path) pairs never share a stream (NEP 19)."""
+    return [np.random.default_rng(np.random.SeedSequence([seed, i]))
+            for i in range(lo, hi)]
+
+
+def _step_normals(gens, n_steps: int, width: int):
+    """Yield each step's (B, width) standard normals, row i from gens[i].
+
+    Each path's normals are drawn for a block of steps at once into one
+    buffer of at most _DRAW_CAP values; a block draw equals the same
+    per-step draws bitwise. A yielded array is overwritten by the next
+    block, so use it before taking the next step's.
+    """
+    block = max(1, min(n_steps, _DRAW_CAP // (len(gens) * width)))
+    buf = np.empty((len(gens), block, width))
+    for lo in range(0, n_steps, block):
+        steps = min(block, n_steps - lo)
+        for g, row in zip(gens, buf):
+            g.standard_normal(out=row[:steps])
+        for j in range(steps):
+            yield buf[:, j]
 
 
 def _chunks(n: int) -> list[tuple[int, int]]:
@@ -315,6 +355,25 @@ def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
         return radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     from .rkhs import sphere_rule
     return radius * sphere_rule(d, n, mc_seed=0).nodes
+
+
+def _join_numerics(results: list[dict]) -> tuple[np.ndarray, ...]:
+    """Per-path (rank_min, rank_max, dropped_trace_max) over all chunks."""
+    return tuple(np.concatenate(part)
+                 for part in zip(*(r["numerics"] for r in results)))
+
+
+def _path_numerics(numerics, i: int) -> dict:
+    rank_min, rank_max, dropped = numerics
+    return {"rank_min": int(rank_min[i]), "rank_max": int(rank_max[i]),
+            "dropped_trace_max": float(dropped[i])}
+
+
+def _aggregate_numerics(numerics) -> dict:
+    """What the factorization did over every path and step."""
+    rank_min, rank_max, dropped = numerics
+    return {"rank_min": int(rank_min.min()), "rank_max": int(rank_max.max()),
+            "dropped_trace_max": float(dropped.max())}
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -389,17 +448,18 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
             diams.append(_diam_batch(x))
             flags.append(flags_of(x))
 
-        jit = _simulate(model, x0, 0.0, T2, dt, gens=_path_gens(seed, lo, hi),
-                        drift=drift, stride=snapshot_stride, observer=observer,
-                        path_offset=lo)
+        numerics = _simulate(model, x0, 0.0, T2, dt,
+                             gens=_path_gens(seed, lo, hi), drift=drift,
+                             stride=snapshot_stride, observer=observer,
+                             path_offset=lo)
         return {"times": np.array(times), "diams": np.column_stack(diams),
-                "flags": np.column_stack(flags), "jitter": jit}
+                "flags": np.column_stack(flags), "numerics": numerics}
 
     results = _run_chunks(worker, n_paths, jobs)
     times = results[0]["times"]
     diams = np.vstack([r["diams"] for r in results])
     flags = np.vstack([r["flags"] for r in results])
-    jitter = np.concatenate([r["jitter"] for r in results])
+    numerics = _join_numerics(results)
 
     window = (times >= T1 - 1e-12) & (times <= T2 + 1e-12)
     success = np.all(flags[:, window], axis=1)
@@ -410,7 +470,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
     paths = [
         PathRecord(times=tuple(times), diameters=tuple(diams[i]),
                    containment_flags=tuple(bool(f) for f in flags[i]),
-                   seed=seed ^ i, jitter_max=float(jitter[i]))
+                   stream=_stream(seed, i), **_path_numerics(numerics, i))
         for i in range(n_paths)
     ]
     config = {
@@ -427,7 +487,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
         "wilson_high": hi_w,
         "terminal_diameter_mean": term_mean,
         "terminal_diameter_se": term_se,
-        "jitter_max": float(jitter.max()) if len(jitter) else 0.0,
+        **_aggregate_numerics(numerics),
         "caveat": ("event estimated on a finite tracer shell at snapshot "
                    "times; a necessary-condition reading of the continuum "
                    "statement"),
@@ -464,11 +524,11 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
         x[:, 1, :] = renorm_eps * u
         acc = np.zeros(b)
         hs, _ = _step_sizes(0.0, T, dt)
-        for h in hs:
+        normals = _step_normals(gens, len(hs), 2 * d)
+        for k, (h, z) in enumerate(zip(hs, normals)):
             covs = covariance_matrix_batch(model, x)
-            chols, _ = cholesky_with_jitter_batch(covs, 2, x, path_offset=lo)
-            z = np.stack([g.standard_normal(2 * d) for g in gens])
-            x += math.sqrt(h) * (chols @ z[:, :, None])[:, :, 0].reshape(b, 2, d)
+            factor, _, _ = pivoted_cholesky_batch(covs, path_offset=lo, step=k)
+            x += math.sqrt(h) * (factor @ z[:, :, None])[:, :, 0].reshape(b, 2, d)
             sep = x[:, 1, :] - x[:, 0, :]
             r = np.linalg.norm(sep, axis=1)
             if np.any(r < _COLLAPSE_FLOOR):
@@ -566,22 +626,27 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
             dia = _diam_batch(x)
             ln = _length_batch(x, closed)
             # vertex gaps cannot exceed the polyline length
-            assert np.all(dia <= ln * (1.0 + 1e-12) + 1e-12)
+            broken = ~(dia <= ln * (1.0 + 1e-12) + 1e-12)
+            if broken.any():
+                i = int(np.argmax(broken))
+                raise FloatingPointError(
+                    f"path {lo + i}, t = {t:.17g}: diameter {dia[i]:.17g} "
+                    f"exceeds polyline length {ln[i]:.17g}")
             diams.append(dia)
             lens.append(ln)
 
-        jit = _simulate(model, np.broadcast_to(pts, (b,) + pts.shape), 0.0, T,
-                        dt, gens=_path_gens(seed, lo, hi), drift=None,
-                        stride=snapshot_stride, observer=observer,
-                        path_offset=lo)
+        numerics = _simulate(model, np.broadcast_to(pts, (b,) + pts.shape),
+                             0.0, T, dt, gens=_path_gens(seed, lo, hi),
+                             drift=None, stride=snapshot_stride,
+                             observer=observer, path_offset=lo)
         return {"times": np.array(times), "diams": np.column_stack(diams),
-                "lens": np.column_stack(lens), "jitter": jit}
+                "lens": np.column_stack(lens), "numerics": numerics}
 
     results = _run_chunks(worker, n_paths, jobs)
     times = results[0]["times"]
     diams = np.vstack([r["diams"] for r in results])
     lens = np.vstack([r["lens"] for r in results])
-    jitter = np.concatenate([r["jitter"] for r in results])
+    numerics = _join_numerics(results)
 
     terminal_rate = np.log(lens[:, -1] / len0) / T
     shrunk = diams[:, -1] < 0.1 * diam0
@@ -590,8 +655,8 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
 
     paths = [
         PathRecord(times=tuple(times), diameters=tuple(diams[i]),
-                   lengths=tuple(lens[i]), seed=seed ^ i,
-                   jitter_max=float(jitter[i]))
+                   lengths=tuple(lens[i]), stream=_stream(seed, i),
+                   **_path_numerics(numerics, i))
         for i in range(n_paths)
     ]
     config = {
@@ -610,7 +675,7 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
         "shrunk_terminal_rate_se": sub_se,
         "terminal_rates": [float(v) for v in terminal_rate],
         "shrunk_flags": [bool(v) for v in shrunk],
-        "jitter_max": float(jitter.max()) if len(jitter) else 0.0,
+        **_aggregate_numerics(numerics),
         "note": ("rates are (1/T) log(L_T / L_0); the shrink event uses the "
                  "finite-T surrogate diam(T) < diam(0)/10"),
     }

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from ibflow import cli
+from ibflow import cli, flow_engine
 from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         main, parse_config, run_command)
-from ibflow.field_sampler import DegenerateCloudError
+from ibflow.field_sampler import CovarianceFactorError
 
 from conftest import J1_FIRST_ZERO
 
@@ -62,6 +62,8 @@ class TestParseConfig:
         doc["seed"] = 1.5
         with pytest.raises(ConfigError, match="seed"):
             parse_config(doc)
+        with pytest.raises(ConfigError, match="seed: must be >= 0"):
+            parse_config(atom_config(seed=-1))
 
     def test_command_mismatch(self):
         with pytest.raises(ConfigError, match="config says"):
@@ -152,14 +154,23 @@ class TestRunCommands:
         assert rows[0] == "pair,estimate"
         assert len(rows) == 5
 
-    def test_track_control_emits_slope(self, tmp_path):
+    def test_track_control_emits_slope(self, tmp_path, monkeypatch):
         doc = atom_config(
             command="track-control",
             params={"rho": 1.0, "cs": [4.0, 16.0], "T": 0.3, "dt": 0.01,
                     "n_paths": 4, "x0": [[0.5, 0.0]]})
         cfg = parse_config(doc)
+        real, builds = cli.drift_radial_rkhs, []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "drift_radial_rkhs", counted)
+        monkeypatch.setattr(flow_engine, "drift_radial_rkhs", counted)
         code, _ = run_command("track-control", cfg, out_dir=tmp_path, quiet=True)
         assert code == EXIT_OK
+        assert len(builds) == 1  # one radial drift serves every c
         report = json.loads((tmp_path / "track-control_report.json").read_text())
         assert "slope" in report["aggregate"]
 
@@ -247,10 +258,26 @@ class TestMainExitCodes:
 
     def test_numeric_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, out_dir, jobs):
-            raise DegenerateCloudError((0, 1), 0.0)
+            raise CovarianceFactorError(3, 17, "is not finite")
 
         monkeypatch.setitem(cli._RUNNERS, "covariance", boom)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
         assert main(["covariance", "--config", str(path)]) == EXIT_NUMERIC
-        assert "numeric failure" in capsys.readouterr().err
+        assert "path 3, step 17" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [ValueError("argument must be finite"),
+                                     np.linalg.LinAlgError("singular"),
+                                     FloatingPointError("overflow")])
+    def test_runtime_errors_exit_3_by_phase(self, tmp_path, monkeypatch,
+                                            capsys, exc):
+        # a ValueError raised while running is a runtime failure, not a
+        # config error
+        def boom(cfg, out_dir, jobs):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "covariance", boom)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
+        assert main(["covariance", "--config", str(path)]) == EXIT_NUMERIC
+        assert "runtime failure" in capsys.readouterr().err

@@ -1,105 +1,148 @@
-"""Increment sampler assembly, jitter ladder, drift field evaluation."""
+"""Covariance assembly, the rank-revealing factor, drift field evaluation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ibflow import (DriftEvaluationError, ModelError, PointCloud,
-                    build_sampler, covariance_matrix, covariance_tensor,
+from ibflow import (CovarianceFactorError, DriftEvaluationError, ModelError,
+                    PointCloud, covariance_matrix_batch, covariance_tensor,
                     drift_custom_table, drift_linear, drift_none,
-                    drift_radial_rkhs, eval_drift, mean_inward_field,
-                    psd_probe, sample_increment, sphere_rule)
-from ibflow.field_sampler import (DegenerateCloudError, cholesky_with_jitter,
-                                  covariance_matrix_batch)
+                    drift_radial_rkhs, euler_flow, eval_drift,
+                    mean_inward_field, pivoted_cholesky_batch, psd_probe,
+                    sphere_rule)
 
 from conftest import J1_AT_1, random_rotation
 
 
+def factor_one(model, pts):
+    """Covariance, factor, rank and dropped trace of one point set."""
+    cov = covariance_matrix_batch(model, np.asarray(pts, dtype=float)[None])
+    f, rank, dropped = pivoted_cholesky_batch(cov)
+    return cov[0], f[0], int(rank[0]), float(dropped[0])
+
+
+def increment(f, dt, z):
+    """The Euler step's joint increment sqrt(dt) F z, one row per point."""
+    return (math.sqrt(dt) * (f @ z)).reshape(-1, 2)
+
+
 class TestBuildSampler:
     def test_single_point_identity(self, d2_mixed):
-        s = build_sampler(d2_mixed, np.zeros((1, 2)))
-        assert np.array_equal(s.chol, np.eye(2))
-        assert s.jitter_used == 0.0
+        _, f, rank, dropped = factor_one(d2_mixed, np.zeros((1, 2)))
+        assert np.array_equal(f, np.eye(2))
+        assert rank == 2 and dropped == 0.0
 
-    def test_duplicate_points_need_jitter(self, d2_mixed):
-        s = build_sampler(d2_mixed, np.zeros((2, 2)))
-        assert s.jitter_used > 0.0
-        inc = sample_increment(s, 1.0, np.random.default_rng(0))
-        assert np.max(np.abs(inc[0] - inc[1])) < 5.0 * math.sqrt(s.jitter_used)
+    def test_coincident_points_identical_increments(self, d2_mixed):
+        # a duplicated tracer adds no rank: its rows of F equal its twin's,
+        # so the two move together exactly
+        pts = np.array([[0.3, -0.2], [0.3, -0.2], [1.0, 0.5]])
+        _, f, rank, _ = factor_one(d2_mixed, pts)
+        assert rank == 4
+        assert np.array_equal(f[0:2], f[2:4])
+        inc = increment(f, 0.7, np.random.default_rng(0).standard_normal(6))
+        assert np.array_equal(inc[0], inc[1])
+        assert not np.array_equal(inc[0], inc[2])
 
     def test_offdiagonal_block_is_covariance_tensor(self, d2_mixed):
         pts = np.array([[0.0, 0.0], [1.3, 0.4]])
-        cov = covariance_matrix(d2_mixed, pts)
+        cov = covariance_matrix_batch(d2_mixed, pts[None])[0]
         block = covariance_tensor(d2_mixed, pts[0] - pts[1])
         assert np.array_equal(cov[0:2, 2:4], block)
         assert np.array_equal(cov[0:2, 0:2], np.eye(2))
 
     def test_cloud_dimension_checked(self, d3_mixed):
         with pytest.raises(ModelError):
-            build_sampler(d3_mixed, np.zeros((2, 2)))
+            covariance_matrix_batch(d3_mixed, np.zeros((1, 2, 2)))
 
-    def test_accepts_point_cloud(self, d2_mixed):
-        cloud = PointCloud(positions=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        s = build_sampler(d2_mixed, cloud)
-        assert s.positions.shape == (2, 2)
+    def test_indefinite_covariance_names_path_and_step(self):
+        bad = np.stack([np.eye(2), np.diag([1.0, -5.0])])
+        with pytest.raises(CovarianceFactorError,
+                           match="path 8, step 3: .*not positive semidefinite"):
+            pivoted_cholesky_batch(bad, path_offset=7, step=3)
+        # indefinite through an off-diagonal entry, positive diagonal
+        swap = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(CovarianceFactorError) as exc:
+            pivoted_cholesky_batch(swap, step=0)
+        assert (exc.value.path_index, exc.value.step) == (0, 0)
+        nan = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(CovarianceFactorError,
+                           match="path 12, step 5: .*not finite"):
+            pivoted_cholesky_batch(nan, path_offset=10, step=5)
 
-    def test_degenerate_error_reports_pair(self):
-        # an indefinite matrix defeats every jitter rung
-        bad = np.diag([1.0, -5.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky_with_jitter(bad, 1)
-
-    def test_factor_reconstructs_jittered_covariance(self, d2_mixed):
-        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5]])
-        s = build_sampler(d2_mixed, pts)
-        assert s.jitter_used > 0.0
-        cov = covariance_matrix(d2_mixed, pts)
-        recon = s.chol @ s.chol.T
-        target = cov + s.jitter_used * np.eye(6)
-        assert np.max(np.abs(recon - target)) < 1e-8
-        assert np.max(np.abs(cov - cov.T)) == 0.0
+    def test_factor_reconstructs_covariance(self, d2_mixed, d3_mixed,
+                                            trivial_model):
+        rng = np.random.default_rng(11)
+        clouds = [
+            (d2_mixed, np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5]])),
+            (d2_mixed, 0.01 * rng.normal(size=(12, 2))),   # near-collapse
+            (d2_mixed, rng.normal(size=(9, 2))),
+            (d3_mixed, rng.normal(size=(7, 3))),
+            (trivial_model, rng.normal(size=(5, 2))),
+        ]
+        for model, pts in clouds:
+            cov, f, rank, dropped = factor_one(model, pts)
+            m = cov.shape[0]
+            assert np.max(np.abs(f @ f.T - cov)) < 1e-12 * np.max(np.diag(cov))
+            assert not f[:, rank:].any()
+            assert 0.0 <= dropped <= m * m * np.finfo(float).eps
+            assert np.max(np.abs(cov - cov.T)) == 0.0
+        # a rigid translation has rank d, whatever the number of points
+        assert factor_one(trivial_model, rng.normal(size=(5, 2)))[2] == 2
 
     def test_batch_matches_single(self, d2_mixed):
+        # point sets of different ranks share a batch; each one's
+        # covariance and factor are bitwise those it has on its own
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(4, 5, 2))
+        pts[1, 1] = pts[1, 0]
+        pts[2] *= 0.01
         batch = covariance_matrix_batch(d2_mixed, pts)
+        f, rank, dropped = pivoted_cholesky_batch(batch)
+        assert len(set(rank.tolist())) > 1
         for k in range(4):
-            assert np.allclose(batch[k], covariance_matrix(d2_mixed, pts[k]),
-                               rtol=1e-13, atol=1e-15)
+            one = covariance_matrix_batch(d2_mixed, pts[k:k + 1])
+            assert np.array_equal(batch[k], one[0])
+            f1, r1, d1 = pivoted_cholesky_batch(one)
+            assert np.array_equal(f[k], f1[0])
+            assert (rank[k], dropped[k]) == (r1[0], d1[0])
 
 
 class TestSampleIncrement:
     def test_trivial_model_common_translation(self, trivial_model):
-        s = build_sampler(trivial_model, np.array([[0., 0.], [1., 0.], [0., 2.]]))
+        _, f, rank, _ = factor_one(trivial_model,
+                                   np.array([[0., 0.], [1., 0.], [0., 2.]]))
+        assert rank == 2
         rng = np.random.default_rng(1)
         for _ in range(10):
-            inc = sample_increment(s, 1.0, rng)
-            spread = np.max(np.abs(inc - inc[0]))
-            assert spread < 5.0 * math.sqrt(2.0 * s.jitter_used)
+            inc = increment(f, 1.0, rng.standard_normal(6))
+            assert np.array_equal(inc, np.broadcast_to(inc[0], inc.shape))
 
     def test_dt_guard(self, d2_mixed):
-        s = build_sampler(d2_mixed, np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            sample_increment(s, 0.0, np.random.default_rng(0))
+        cloud = PointCloud(positions=np.zeros((1, 2)))
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                euler_flow(d2_mixed, cloud, 0.0, 1.0, dt,
+                           rng=np.random.default_rng(0))
 
     def test_brownian_scaling(self, d2_mixed):
-        s = build_sampler(d2_mixed, np.zeros((1, 2)))
+        _, f, _, _ = factor_one(d2_mixed, np.zeros((1, 2)))
         rng = np.random.default_rng(2)
         n = 20000
-        small = np.array([sample_increment(s, 1e-4, rng) for _ in range(n)])
-        big = np.array([sample_increment(s, 1.0, rng) for _ in range(n)])
+        small = np.array([increment(f, 1e-4, rng.standard_normal(2))
+                          for _ in range(n)])
+        big = np.array([increment(f, 1.0, rng.standard_normal(2))
+                        for _ in range(n)])
         ratio = big.std() / small.std()
         assert ratio == pytest.approx(100.0, rel=0.05)
 
     def test_empirical_covariance_two_points(self, d2_potential_atom):
         pts = np.array([[0.0, 0.0], [0.9, 0.3]])
-        s = build_sampler(d2_potential_atom, pts)
-        cov = covariance_matrix(d2_potential_atom, pts)
+        cov, f, _, _ = factor_one(d2_potential_atom, pts)
         rng = np.random.default_rng(4)
         n = 200000
         z = rng.standard_normal((n, 4))
-        draws = z @ s.chol.T  # dt = 1
+        draws = z @ f.T  # dt = 1
         emp = draws.T @ draws / n
         # entrywise within 5 standard errors of the exact covariance
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
@@ -108,32 +151,28 @@ class TestSampleIncrement:
     def test_exchangeability_bitwise(self, d2_mixed):
         pts = np.array([[0.0, 0.0], [1.0, 0.2], [-0.4, 0.8]])
         perm = [2, 0, 1]
-        a = sample_increment(build_sampler(d2_mixed, pts), 0.5,
-                             np.random.default_rng(7))
-        b = sample_increment(build_sampler(d2_mixed, pts[perm]), 0.5,
-                             np.random.default_rng(7))
-        # same seed, permuted points: the joint law is exchangeable but the
-        # draw is not the permuted draw; check the law via covariance instead
-        cov_a = covariance_matrix(d2_mixed, pts)
-        cov_b = covariance_matrix(d2_mixed, pts[perm])
+        cov_a, f_a, _, _ = factor_one(d2_mixed, pts)
+        cov_b, f_b, _, _ = factor_one(d2_mixed, pts[perm])
+        # permuting the points permutes the covariance bitwise; the draw
+        # itself is not the permuted draw, so the law is checked instead
         idx = np.concatenate([[2 * p, 2 * p + 1] for p in perm])
-        assert np.allclose(cov_b, cov_a[np.ix_(idx, idx)], atol=1e-15)
-        assert a.shape == b.shape
+        assert np.array_equal(cov_b, cov_a[np.ix_(idx, idx)])
+        assert np.max(np.abs(f_b @ f_b.T - (f_a @ f_a.T)[np.ix_(idx, idx)])) \
+            < 1e-12
 
     def test_isotropy_in_law(self, d2_potential_atom):
         # rotating the points rotates the increment law: second moments match
         rng = np.random.default_rng(8)
         pts = np.array([[0.0, 0.0], [1.1, -0.3]])
         rot = random_rotation(2, rng)
-        cov = covariance_matrix(d2_potential_atom, pts)
-        cov_rot = covariance_matrix(d2_potential_atom, pts @ rot.T)
+        cov, _, _, _ = factor_one(d2_potential_atom, pts)
+        cov_rot, f, _, _ = factor_one(d2_potential_atom, pts @ rot.T)
         big_rot = np.kron(np.eye(2), rot)
         exact = big_rot @ cov @ big_rot.T
         assert np.allclose(cov_rot, exact, atol=1e-12)
         n = 100000
-        s = build_sampler(d2_potential_atom, pts @ rot.T)
         z = rng.standard_normal((n, 4))
-        draws = z @ s.chol.T
+        draws = z @ f.T
         emp = draws.T @ draws / n
         se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n)
         assert np.all(np.abs(emp - exact) < 5.0 * se)
@@ -143,8 +182,11 @@ class TestSampleIncrement:
         pts = rng.normal(size=(6, 2))
         dirs = rng.normal(size=(6, 2))
         assert psd_probe(d2_mixed, pts, dirs) >= -1e-9
-        cov = covariance_matrix(d2_mixed, pts)
+        cov, f, _, _ = factor_one(d2_mixed, pts)
         assert dirs.ravel() @ cov @ dirs.ravel() >= -1e-9
+        # the quadratic form through the factor is a sum of squares
+        assert np.isclose(np.sum((f.T @ dirs.ravel()) ** 2),
+                          dirs.ravel() @ cov @ dirs.ravel(), atol=1e-12)
 
 
 class TestDriftFields:

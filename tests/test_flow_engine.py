@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ibflow import (PathRecord, PointCloud, containment, curve_length,
-                    diameter, drift_linear, drift_none, drift_radial_rkhs,
-                    euler_flow, length_decay_experiment, lyapunov_estimate,
-                    ode_flow, squeeze_experiment, tilted_tracking_error,
-                    wilson_interval)
+from ibflow import (PathRecord, PointCloud, containment,
+                    covariance_matrix_batch, curve_length, diameter,
+                    drift_linear, drift_none, drift_radial_rkhs, euler_flow,
+                    flow_engine, length_decay_experiment, lyapunov_estimate,
+                    ode_flow, pivoted_cholesky_batch, squeeze_experiment,
+                    tilted_tracking_error, wilson_interval)
 
 from conftest import random_rotation
 
@@ -83,9 +84,10 @@ class TestEulerFlow:
         traj = euler_flow(trivial_model, cloud, 0.0, 1.0, 0.01,
                           rng=np.random.default_rng(4))
         d0 = diameter(traj[0])
-        # rigid up to the documented jitter floor of the factorization
+        # every point gets the same increment, so only the rounding of
+        # the position updates moves the diameter
         for snap in traj:
-            assert diameter(snap) == pytest.approx(d0, abs=1e-4)
+            assert diameter(snap) == pytest.approx(d0, abs=1e-12)
 
     def test_zero_noise_linear_drift_decays(self, d2_potential_atom):
         cloud = PointCloud(positions=np.array([[1.0, 0.0]]))
@@ -162,8 +164,8 @@ class TestLyapunov:
     def test_trivial_model_estimate_vanishes(self, trivial_model):
         res = lyapunov_estimate(trivial_model, T=2.0, dt=1e-2, n_pairs=8,
                                 renorm_eps=1e-3, seed=0)
-        # common increments cancel up to the jitter floor
-        assert abs(res.estimate) < 1e-2
+        # common increments cancel up to the rounding of the positions
+        assert abs(res.estimate) < 1e-8
 
     def test_reproducible(self, d2_potential_atom):
         a = lyapunov_estimate(d2_potential_atom, T=0.5, dt=1e-2, n_pairs=6, seed=3)
@@ -184,6 +186,60 @@ class TestLyapunov:
             with pytest.raises(ValueError):
                 lyapunov_estimate(d2_potential_atom, T=1.0, dt=0.1,
                                   n_pairs=2, renorm_eps=eps)
+
+
+class TestStreams:
+    def test_block_and_per_step_draws_agree_bitwise(self, d2_potential_atom,
+                                                    monkeypatch):
+        gens = flow_engine._path_gens(9, 0, 3)
+        blocks = [z.copy() for z in flow_engine._step_normals(gens, 12, 4)]
+        gens = flow_engine._path_gens(9, 0, 3)
+        steps = [np.stack([g.standard_normal(4) for g in gens])
+                 for _ in range(12)]
+        assert np.array_equal(np.array(blocks), np.array(steps))
+
+        ring = 0.3 * np.column_stack([np.cos(np.arange(6.0)),
+                                      np.sin(np.arange(6.0))])
+        runs = []
+        for cap in (flow_engine._DRAW_CAP, 1):  # cap 1: one step per draw
+            monkeypatch.setattr(flow_engine, "_DRAW_CAP", cap)
+            rep = length_decay_experiment(
+                d2_potential_atom, PointCloud(positions=ring), T=0.2,
+                dt=1e-2, n_paths=3, seed=4, closed=True)
+            lyap = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
+                                     n_pairs=3, seed=4)
+            runs.append((rep.paths, lyap.pair_estimates))
+        assert runs[0] == runs[1]
+
+    def test_path_independent_of_batch_and_position(self, d2_mixed):
+        # fixed covariances of different ranks: path 3's factor and
+        # increments must not see how many paths run or where its chunk
+        # starts
+        rng = np.random.default_rng(5)
+        clouds = rng.normal(size=(7, 4, 2))
+        clouds[2, 1] = clouds[2, 0]
+        clouds[5] *= 1e-3
+        covs = covariance_matrix_batch(d2_mixed, clouds)
+
+        def path3(lo, hi):
+            f, rank, _ = pivoted_cholesky_batch(covs[lo:hi], path_offset=lo)
+            normals = flow_engine._step_normals(
+                flow_engine._path_gens(4, lo, hi), 5, 8)
+            incs = [(f @ z[:, :, None])[3 - lo, :, 0] for z in normals]
+            return rank, f[3 - lo], np.array(incs)
+
+        ranks, f_ref, inc_ref = path3(0, 7)
+        assert len(set(ranks.tolist())) > 1
+        for lo, hi in ((0, 4), (3, 4), (2, 6), (3, 7)):
+            _, f, inc = path3(lo, hi)
+            assert np.array_equal(f, f_ref)
+            assert np.array_equal(inc, inc_ref)
+
+    def test_streams_distinct_across_seed_and_path(self):
+        # under seed XOR path, (5, 1) and (6, 2) shared one stream
+        a = flow_engine._path_gens(5, 1, 2)[0].standard_normal(4)
+        b = flow_engine._path_gens(6, 2, 3)[0].standard_normal(4)
+        assert not np.array_equal(a, b)
 
 
 class TestTracking:
@@ -221,6 +277,12 @@ class TestSqueezeExperiment:
         assert 0.0 <= rep1.aggregate["success_frequency"] <= 1.0
         assert rep1.aggregate["n_paths"] == 6
         assert len(rep1.paths) == 6
+        assert rep1.paths[4].stream == "SeedSequence([42, 4])"
+        # 16 tracers on a shell of radius 1.1: C is 32 x 32 and singular
+        ag = rep1.aggregate
+        assert 2 <= ag["rank_min"] <= ag["rank_max"] < 32
+        assert 0.0 <= ag["dropped_trace_max"] < 1e-9
+        assert ag["rank_max"] == max(p.rank_max for p in rep1.paths)
         lo, hi = rep1.aggregate["wilson_low"], rep1.aggregate["wilson_high"]
         assert 0.0 <= lo <= rep1.aggregate["success_frequency"] <= hi <= 1.0
 
@@ -286,6 +348,15 @@ class TestLengthDecay:
                                     n_paths=3, seed=8)
         assert a.paths == b.paths
         assert a.aggregate["terminal_rates"] == b.aggregate["terminal_rates"]
+
+    def test_broken_length_invariant_raises(self, d2_solenoidal_atom,
+                                            monkeypatch):
+        monkeypatch.setattr(flow_engine, "_length_batch",
+                            lambda x, closed: np.zeros(x.shape[0]))
+        seg = PointCloud(positions=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(FloatingPointError, match="path 0, t = 0"):
+            length_decay_experiment(d2_solenoidal_atom, seg, T=0.1, dt=1e-2,
+                                    n_paths=2, seed=0)
 
     def test_needs_two_vertices(self, d2_solenoidal_atom):
         with pytest.raises(ValueError):
