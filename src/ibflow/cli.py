@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import dataclass
@@ -34,15 +35,18 @@ from .spectral import MeasureError, SpectralMeasure
 
 COMMANDS = ("covariance", "check-condition", "verify-identity", "lyapunov",
             "squeeze", "expand", "track-control", "length-decay")
+# the commands that apply model.drift; every other one rejects it
+DRIFT_COMMANDS = ("squeeze", "expand")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # Failures a run reports (numeric breakdowns, invalid values met while
-# computing, output that cannot be written); any other exception is a
-# defect and keeps its traceback.
-_RUNTIME_ERRORS = (ArithmeticError, ValueError, RuntimeError, OSError)
+# computing, a run too large for memory, output that cannot be written);
+# any other exception is a defect and keeps its traceback.
+_RUNTIME_ERRORS = (ArithmeticError, ValueError, RuntimeError, MemoryError,
+                   OSError)
 
 
 class ConfigError(ValueError):
@@ -78,7 +82,7 @@ def _no_extras(mapping: dict, allowed: set[str], path: str):
 def _as_number(value, path: str, *, minimum=None, maximum=None,
                exclusive_min=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
+        raise ConfigError(f"{path}: must be a number, got {reprlib.repr(value)}")
     val = float(value)
     if not math.isfinite(val):
         raise ConfigError(f"{path}: must be finite")
@@ -93,7 +97,8 @@ def _as_number(value, path: str, *, minimum=None, maximum=None,
 
 def _as_int(value, path: str, *, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+        raise ConfigError(
+            f"{path}: must be an integer, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
@@ -109,6 +114,9 @@ def _parse_measure(spec, path: str) -> SpectralMeasure | None:
     _no_extras(spec, {"atoms", "density"}, path)
     atoms = spec.get("atoms", [])
     density = spec.get("density", [])
+    for key, value in (("atoms", atoms), ("density", density)):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}.{key}: must be a list")
     for i, atom in enumerate(atoms):
         if not (isinstance(atom, (list, tuple)) and len(atom) == 2):
             raise ConfigError(f"{path}.atoms[{i}]: must be [location, weight]")
@@ -127,7 +135,8 @@ def _parse_measure(spec, path: str) -> SpectralMeasure | None:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_model(spec, path: str = "model") -> tuple[IbfModel, DriftField | None]:
+def _parse_model(spec, command: str,
+                 path: str = "model") -> tuple[IbfModel, DriftField | None]:
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be an object")
     _no_extras(spec, {"d", "mu0", "mu1", "mu2", "m_p", "m_s", "drift",
@@ -150,14 +159,69 @@ def _parse_model(spec, path: str = "model") -> tuple[IbfModel, DriftField | None
         raise ConfigError(f"{path}: {exc}") from None
     drift = None
     if spec.get("drift") is not None:
-        drift_spec = spec["drift"]
-        if not isinstance(drift_spec, dict):
-            raise ConfigError(f"{path}.drift: must be an object")
+        if command not in DRIFT_COMMANDS:
+            raise ConfigError(
+                f"{path}.drift: {command} applies no drift (only "
+                f"{' and '.join(DRIFT_COMMANDS)} do); remove the field")
+        drift_spec = _validate_drift(spec["drift"], model.d, f"{path}.drift")
         try:
             drift = drift_from_config(drift_spec, model)
-        except (ModelError, KeyError) as exc:
+        except ModelError as exc:
             raise ConfigError(f"{path}.drift: {exc}") from None
     return model, drift
+
+
+_DRIFT_FIELDS = {"none": set(), "linear": {"matrix"},
+                 "radial_rkhs": {"rho", "scale", "resolution"},
+                 "custom_table": {"axes", "values"}}
+
+
+def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
+    """An ndim-dimensional rectangular array from nested lists of numbers."""
+    def numbers(node, where, level):
+        if level == ndim:
+            return _as_number(node, where)
+        if not isinstance(node, list):
+            raise ConfigError(f"{where}: must be a list")
+        return [numbers(v, f"{where}[{i}]", level + 1)
+                for i, v in enumerate(node)]
+
+    try:
+        return np.array(numbers(value, path, 0), dtype=float)
+    except ValueError:
+        raise ConfigError(f"{path}: must be a rectangular array") from None
+
+
+def _validate_drift(spec, d: int, path: str) -> dict:
+    """A drift spec checked field by field, in drift_from_config form."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: must be an object")
+    kind = spec.get("kind")
+    if not (isinstance(kind, str) and kind in _DRIFT_FIELDS):
+        raise ConfigError(f"{path}.kind: must be one of {sorted(_DRIFT_FIELDS)}")
+    _no_extras(spec, {"kind"} | _DRIFT_FIELDS[kind], path)
+    out: dict = {"kind": kind}
+    if kind == "linear":
+        matrix = _parse_vectors(_need(spec, "matrix", path), d, f"{path}.matrix")
+        if matrix.shape[0] != d:
+            raise ConfigError(f"{path}.matrix: must be {d} x {d}")
+        out["matrix"] = matrix
+    elif kind == "radial_rkhs":
+        out["rho"] = _as_number(_need(spec, "rho", path), f"{path}.rho",
+                                exclusive_min=0.0)
+        out["scale"] = _as_number(spec.get("scale", 1.0), f"{path}.scale")
+        if spec.get("resolution") is not None:
+            out["resolution"] = _as_int(spec["resolution"],
+                                        f"{path}.resolution", minimum=1)
+    elif kind == "custom_table":
+        axes = _need(spec, "axes", path)
+        if not (isinstance(axes, list) and len(axes) == d):
+            raise ConfigError(f"{path}.axes: must be a list of {d} axes")
+        out["axes"] = [_numeric_array(a, f"{path}.axes[{k}]", 1)
+                       for k, a in enumerate(axes)]
+        out["values"] = _numeric_array(_need(spec, "values", path),
+                                       f"{path}.values", d + 1)
+    return out
 
 
 def _parse_vectors(value, d: int, path: str) -> np.ndarray:
@@ -308,6 +372,8 @@ def parse_config(text, command: str | None = None) -> RunConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError("config is nested too deeply to parse") from None
     else:
         doc = text
     if not isinstance(doc, dict):
@@ -318,12 +384,13 @@ def parse_config(text, command: str | None = None) -> RunConfig:
     if cfg_command is None:
         raise ConfigError("command: missing (give it in the config or CLI)")
     if cfg_command not in COMMANDS:
-        raise ConfigError(f"command: unknown command {cfg_command!r}")
+        raise ConfigError(
+            f"command: unknown command {reprlib.repr(cfg_command)}")
     if command is not None and cfg_command != command:
         raise ConfigError(
             f"command: config says {cfg_command!r} but CLI invoked {command!r}")
 
-    model, drift = _parse_model(_need(doc, "model", "config"))
+    model, drift = _parse_model(_need(doc, "model", "config"), cfg_command)
     params = _validate_params(cfg_command, doc.get("params", {}), model)
 
     seed = doc.get("seed")

@@ -12,6 +12,7 @@ identity.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,22 +127,6 @@ def _c_norm(d: int) -> float:
     return 2.0 ** (0.5 * (d - 2)) * math.gamma(0.5 * d)
 
 
-def _kernel(d: int, kind: str, z: np.ndarray) -> np.ndarray:
-    """Pointwise covariance kernel evaluated at z = s * r."""
-    c = _c_norm(d)
-    if kind == "PN":
-        return c * bessel_j_ratio(d / 2.0, z)
-    if kind == "PL":
-        return c * (bessel_j_ratio(d / 2.0, z)
-                    - z * z * bessel_j_ratio((d + 2) / 2.0, z))
-    if kind == "SL":
-        return (d - 1.0) * c * bessel_j_ratio(d / 2.0, z)
-    if kind == "SN":
-        return c * (bessel_j_ratio((d - 2) / 2.0, z)
-                    - bessel_j_ratio(d / 2.0, z))
-    raise ModelError(f"kind must be one of {_KINDS}, got {kind!r}")
-
-
 def _measure_for(model: IbfModel, kind: str) -> SpectralMeasure:
     if kind not in _KINDS:
         raise ModelError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -152,116 +137,270 @@ def _measure_for(model: IbfModel, kind: str) -> SpectralMeasure:
     return m
 
 
-def b_scalar(model: IbfModel, kind: str, s):
-    """Longitudinal/transverse covariance scalar of one component.
-
-    Vectorized over s; s = 0 returns the analytic limit 1 exactly
-    rather than quadrature across the removable singularity.
-    """
-    measure = _measure_for(model, kind)
+def _checked_separations(s) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(s, dtype=float)
     flat = np.atleast_1d(arr).ravel()
     if np.any(flat < 0.0):
         raise ModelError("separation must be >= 0")
-    locs, wts = _nodes(measure)
-    vals = (_kernel(model.d, kind, flat[:, None] * locs[None, :]) * wts).sum(axis=-1)
-    vals = np.where(flat == 0.0, 1.0, vals)
+    return arr, flat
+
+
+def b_scalar(model: IbfModel, kind: str, s):
+    """Longitudinal/transverse covariance scalar of one component.
+
+    Vectorized over s and always evaluated by quadrature; s = 0 returns
+    the analytic limit 1 exactly rather than quadrature across the
+    removable singularity.
+    """
+    measure = _measure_for(model, kind)
+    arr, flat = _checked_separations(s)
+    b_l, b_n = _component_scalars(model.d, measure, kind[0] == "P", flat)
+    vals = np.where(flat == 0.0, 1.0, b_l if kind[1] == "L" else b_n)
     if arr.ndim == 0:
         return float(vals[0])
     return vals.reshape(arr.shape)
 
 
 def _component_scalars(d: int, measure: SpectralMeasure, potential: bool,
-                       s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B_L, B_N) of one component on a flat array of separations,
-    sharing the midrange Bessel ratio between the two scalars."""
+                       s: np.ndarray, slopes: bool = False) -> list[np.ndarray]:
+    """[B_L, B_N] of one component on a flat array of separations, with
+    [dB_L/ds, dB_N/ds] appended when slopes is set. Bessel ratios are
+    shared between the scalars; the slopes use
+    d/dz (J_nu(z) / z^nu) = -z J_(nu+1)(z) / z^(nu+1) and d/ds = r d/dz.
+    """
     locs, wts = _nodes(measure)
     z = s[:, None] * locs[None, :]
     c = _c_norm(d)
-    jr_mid = bessel_j_ratio(d / 2.0, z)
+    ratios = {}
 
-    def against_measure(vals):
+    def jr(order):
+        if order not in ratios:
+            ratios[order] = bessel_j_ratio(order, z)
+        return ratios[order]
+
+    def against_measure(vals, weights=wts):
         # row-wise pairwise sum: result independent of the batch shape,
         # so single and batched evaluations agree bitwise
-        return (vals * wts).sum(axis=-1)
+        return (vals * weights).sum(axis=-1)
 
+    mid = d / 2.0
     if potential:
-        b_n = c * against_measure(jr_mid)
-        b_l = c * against_measure(
-            jr_mid - z * z * bessel_j_ratio((d + 2) / 2.0, z))
+        out = [c * against_measure(jr(mid) - z * z * jr(mid + 1.0)),
+               c * against_measure(jr(mid))]
     else:
-        b_l = (d - 1.0) * c * against_measure(jr_mid)
-        b_n = c * against_measure(bessel_j_ratio((d - 2) / 2.0, z) - jr_mid)
-    return b_l, b_n
+        out = [(d - 1.0) * c * against_measure(jr(mid)),
+               c * against_measure(jr(mid - 1.0) - jr(mid))]
+    if slopes:
+        rw = locs * wts
+        zjr = z * jr(mid + 1.0)
+        if potential:
+            out += [c * against_measure(z ** 3 * jr(mid + 2.0) - 3.0 * zjr, rw),
+                    -c * against_measure(zjr, rw)]
+        else:
+            out += [-(d - 1.0) * c * against_measure(zjr, rw),
+                    c * against_measure(zjr - z * jr(mid), rw)]
+    return out
 
 
-def _scalars_exact(model: IbfModel, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    b_l = np.full(flat.shape, model.mu0, dtype=float)
-    b_n = np.full(flat.shape, model.mu0, dtype=float)
-    if model.mu1 > 0.0:
-        pl, pn = _component_scalars(model.d, model.m_p, True, flat)
-        b_l += model.mu1 * pl
-        b_n += model.mu1 * pn
-    if model.mu2 > 0.0:
-        sl, sn = _component_scalars(model.d, model.m_s, False, flat)
-        b_l += model.mu2 * sl
-        b_n += model.mu2 * sn
-    b_l = np.where(flat == 0.0, 1.0, b_l)
-    b_n = np.where(flat == 0.0, 1.0, b_n)
-    return b_l, b_n
+def _scalars_exact(model: IbfModel, flat: np.ndarray,
+                   slopes: bool = False) -> list[np.ndarray]:
+    """[B_L, B_N] by quadrature, then [dB_L/ds, dB_N/ds] if slopes is set."""
+    out = [np.full(flat.shape, model.mu0, dtype=float) for _ in range(2)]
+    out += [np.zeros(flat.shape) for _ in range(2 if slopes else 0)]
+    for mu, m, potential in ((model.mu1, model.m_p, True),
+                             (model.mu2, model.m_s, False)):
+        if mu > 0.0:
+            for acc, part in zip(out, _component_scalars(model.d, m, potential,
+                                                         flat, slopes)):
+                acc += mu * part
+    out[0] = np.where(flat == 0.0, 1.0, out[0])
+    out[1] = np.where(flat == 0.0, 1.0, out[1])
+    return out
 
 
-_PROFILE_LO = 0.05
+# ---------------------------------------------------------------------------
+# the kernel route: series below s0, profile on [s0, 64], quadrature beyond
+
 _PROFILE_HI = 64.0
-_PROFILE_MIN_SIZE = 4096  # small batches stay on the exact path
+_SERIES_DEGREE = 4  # in s^2: needs moments up to order 8, all exact
+_SERIES_TOL = 0.25 * float(np.finfo(float).eps)
+_BLOCK = 256  # profile pieces built together
+
+
+def _jr_coefficient(nu: float, k: int) -> float:
+    """Coefficient of z^(2k) in J_nu(z) / z^nu (zero for k < 0)."""
+    if k < 0:
+        return 0.0
+    return (-1.0) ** k / (2.0 ** (nu + 2 * k) * math.factorial(k)
+                          * math.gamma(nu + k + 1.0))
+
+
+def _kernel_coefficients(d: int, potential: bool, k: int) -> tuple[float, float]:
+    """Coefficients of z^(2k) in the (L, N) kernels of one component,
+    so that B_L(s) = sum_k coef_L(k) * moment(m, 2k) * s^(2k)."""
+    c = _c_norm(d)
+    mid = _jr_coefficient(d / 2.0, k)
+    if potential:
+        return c * (mid - _jr_coefficient((d + 2) / 2.0, k - 1)), c * mid
+    return ((d - 1.0) * c * mid,
+            c * (_jr_coefficient((d - 2) / 2.0, k) - mid))
+
+
+@dataclass(frozen=True)
+class SmallSeries:
+    """(B_L, B_N) near 0 as polynomials of degree 4 in s^2.
+
+    coef_l[k], coef_n[k] multiply s^(2k); the constant term is the
+    normalization B(0) = 1, set exactly, so s = 0 evaluates to 1. s0 is
+    where a bound on the first omitted term, its kernel coefficient
+    times mass * support_max^10 (for the moment of order 10) times
+    s^10, reaches eps/4. Terms fall off like (s r)^2 / (4 k (k + d/2))
+    there, so the whole remainder stays within a hair of that term.
+    """
+
+    s0: float
+    coef_l: tuple[float, ...]
+    coef_n: tuple[float, ...]
+
+    def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = s * s
+        return _horner(self.coef_l, t), _horner(self.coef_n, t)
+
+
+def _horner(coef: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    out = np.full(t.shape, coef[-1])
+    for c in coef[-2::-1]:
+        out *= t
+        out += c
+    return out
 
 
 @lru_cache(maxsize=32)
-def _scalar_profile(model: IbfModel):
-    """Dense cubic-spline profile of (B_L, B_N) on [0.05, 64].
+def _small_s_series(model: IbfModel) -> SmallSeries:
+    """The model's moment series (Baxendale & Harris, "Isotropic
+    stochastic flows", Ann. Probab. 1986) and its range [0, s0)."""
+    parts = [(mu, m, potential) for mu, m, potential in
+             ((model.mu1, model.m_p, True), (model.mu2, model.m_s, False))
+             if mu > 0.0]
+    coef_l = [1.0] + [0.0] * _SERIES_DEGREE
+    coef_n = list(coef_l)
+    tail_l = tail_n = 0.0
+    top = max((m.support_max() for _, m, _ in parts), default=1.0)
+    for mu, m, potential in parts:
+        for k in range(1, _SERIES_DEGREE + 1):
+            kl, kn = _kernel_coefficients(model.d, potential, k)
+            mom = spectral.moment(m, 2 * k)
+            coef_l[k] += mu * kl * mom
+            coef_n[k] += mu * kn * mom
+        kl, kn = _kernel_coefficients(model.d, potential, _SERIES_DEGREE + 1)
+        # tails in units of top^10, which cannot overflow
+        bound = mu * spectral.total_mass(m) * (m.support_max() / top) ** 10
+        tail_l += abs(kl) * bound
+        tail_n += abs(kn) * bound
+    tail = max(tail_l, tail_n)
+    s0 = (_SERIES_TOL / tail) ** 0.1 / top if tail > 0.0 else math.inf
+    return SmallSeries(s0=s0, coef_l=tuple(coef_l), coef_n=tuple(coef_n))
 
-    The scalars are one-dimensional and smooth, so a spline over a grid
-    refined past the measure's support scale reproduces them to ~1e-12,
-    orders below every tolerance in play, at a fraction of the
-    quadrature cost. Separations outside the grid fall back to exact
-    evaluation.
+
+class ScalarProfile:
+    """(B_L, B_N) on [lo, 64] as piecewise cubics on a uniform grid.
+
+    Each piece is the cubic Hermite interpolant of the exact values and
+    slopes at its two knots, so its interpolation error is at most
+    h^4/384 times the fourth derivative; with h refined past the
+    measure's support scale that stays below the rounding of the
+    quadrature itself (up to ~1e-12 where the Bessel series cancel).
+    Pieces are built in blocks of _BLOCK the first time a separation
+    lands in the block's span, always from the same knots: a run pays
+    only for the range it meets, and a value never depends on which run
+    built it.
     """
-    from scipy.interpolate import CubicSpline
 
+    def __init__(self, model: IbfModel, lo: float, h: float, pieces: int):
+        self._model = model
+        self.lo = lo
+        self.h = h
+        # table[k] holds the coefficient of u^(k % 4), u = s - knot, of
+        # every piece: B_L for k < 4, B_N after
+        self.table = np.empty((8, pieces))
+        self._built = np.zeros(-(-pieces // _BLOCK), dtype=bool)
+        self._lock = threading.Lock()
+
+    def _build(self, block: int) -> None:
+        first = block * _BLOCK
+        stop = min(first + _BLOCK, self.table.shape[1])
+        knots = self.lo + np.arange(first, stop + 1) * self.h
+        b_l, b_n, d_l, d_n = _scalars_exact(self._model, knots, slopes=True)
+        h = self.h
+        rows = []
+        for f, g in ((b_l, d_l), (b_n, d_n)):
+            secant = np.diff(f) / h
+            rows += [f[:-1], g[:-1], (3.0 * secant - 2.0 * g[:-1] - g[1:]) / h,
+                     (g[:-1] + g[1:] - 2.0 * secant) / (h * h)]
+        self.table[:, first:stop] = rows
+
+    def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        piece = np.minimum(((s - self.lo) / self.h).astype(np.intp),
+                           self.table.shape[1] - 1)
+        span = slice(piece.min() // _BLOCK, piece.max() // _BLOCK + 1)
+        if not self._built[span].all():
+            with self._lock:
+                for block in range(span.start, span.stop):
+                    if not self._built[block]:
+                        self._build(block)
+                        self._built[block] = True
+        u = s - (self.lo + piece * self.h)
+        out = []
+        for first in (0, 4):
+            val = self.table[first + 3][piece]
+            for k in (2, 1, 0):
+                val *= u
+                val += self.table[first + k][piece]
+            out.append(val)
+        return out[0], out[1]
+
+
+@lru_cache(maxsize=32)
+def _scalar_profile(model: IbfModel) -> ScalarProfile:
+    """The model's profile on [s0, 64], with a grid step refined past
+    the support scale of its measures."""
+    lo = _small_s_series(model).s0
     loc_max = max(
         [m.support_max() for m in (model.m_p, model.m_s) if m is not None],
         default=1.0)
     step = 2.5e-3 / max(1.0, loc_max / 2.0)
-    n = min(1 + int((_PROFILE_HI - _PROFILE_LO) / step), 262144)
-    grid = np.linspace(_PROFILE_LO, _PROFILE_HI, n)
-    b_l, b_n = _scalars_exact(model, grid)
-    return CubicSpline(grid, np.column_stack([b_l, b_n]))
+    n = min(max(2, 1 + int((_PROFILE_HI - lo) / step)), 262144)
+    return ScalarProfile(model, lo, (_PROFILE_HI - lo) / (n - 1), n - 1)
 
 
 def covariance_scalars(model: IbfModel, s):
     """Full-model (B_L, B_N) at separations s.
 
     The constant mu0 component contributes mu0 to both scalars at every
-    separation (its tensor is mu0 * identity everywhere). Large batches
-    are served from the model's spline profile on the mid range; small
-    batches and out-of-range separations evaluate the quadrature exactly.
+    separation (its tensor is mu0 * identity everywhere). Each
+    separation's route depends on the model and s alone, never on the
+    batch: the moment series for s < s0 (s = 0 gives exactly 1), the
+    piecewise-cubic profile on [s0, 64], exact quadrature beyond 64.
     """
-    arr = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(arr).ravel()
-    if np.any(flat < 0.0):
-        raise ModelError("separation must be >= 0")
-    mid = (flat >= _PROFILE_LO) & (flat <= _PROFILE_HI)
-    if flat.size > _PROFILE_MIN_SIZE and np.any(mid):
+    arr, flat = _checked_separations(s)
+    series = _small_s_series(model)
+    lo = flat.min(initial=math.inf)
+    hi = flat.max(initial=-math.inf)
+    if hi < series.s0:
+        b_l, b_n = series(flat)
+    elif lo >= series.s0 and hi <= _PROFILE_HI:
+        b_l, b_n = _scalar_profile(model)(flat)
+    else:
         b_l = np.empty_like(flat)
         b_n = np.empty_like(flat)
-        both = _scalar_profile(model)(flat[mid])
-        b_l[mid] = both[:, 0]
-        b_n[mid] = both[:, 1]
-        rest = ~mid
-        if np.any(rest):
-            b_l[rest], b_n[rest] = _scalars_exact(model, flat[rest])
-    else:
-        b_l, b_n = _scalars_exact(model, flat)
+        small = flat < series.s0
+        far = ~(small | (flat <= _PROFILE_HI))  # NaN too, as before
+        routes = ((small, series),
+                  (~(small | far), lambda x: _scalar_profile(model)(x)),
+                  (far, lambda x: _scalars_exact(model, x)))
+        for mask, route in routes:
+            if mask.any():
+                b_l[mask], b_n[mask] = route(flat[mask])
     if arr.ndim == 0:
         return float(b_l[0]), float(b_n[0])
     return b_l.reshape(arr.shape), b_n.reshape(arr.shape)

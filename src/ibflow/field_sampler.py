@@ -19,8 +19,8 @@ from .covariance import IbfModel, ModelError
 
 DRIFT_KINDS = ("none", "linear", "radial_rkhs", "custom_table")
 _EPS = np.finfo(float).eps
-# Kernel scalars served from the spline profile are accurate to about
-# 1e-12, so an assembled C can have eigenvalues near -1e-12 (-5.7e-13
+# Kernel scalars served from the mid-range profile are accurate to about
+# 1e-12, so an assembled C can have eigenvalues near -1e-12 (-4.5e-13
 # measured on a 128 x 128 shell covariance), and pivots just above the
 # stop tolerance amplify that in the residual diagonal (-7.8e-11 measured
 # on a contracting 24-point circle). Only a residual diagonal below
@@ -230,9 +230,11 @@ def drift_from_config(spec: dict, model: IbfModel) -> DriftField:
 def covariance_matrix_batch(model: IbfModel, positions: np.ndarray) -> np.ndarray:
     """Batched assembly for positions of shape (B, N, d) -> (B, Nd, Nd).
 
-    Fills the interleaved matrix by component slices; entries match
-    tensor_field bitwise (same operation order), without materializing
-    the five-dimensional block array.
+    Kernel scalars are evaluated once per unordered pair i < j and
+    mirrored; the diagonal blocks are the identity b(0) = I. Entries
+    match tensor_field bitwise (same operation order), and the matrix is
+    filled by component slices from per-component difference arrays,
+    without materializing the five-dimensional block array.
     """
     from .covariance import covariance_scalars
 
@@ -240,18 +242,31 @@ def covariance_matrix_batch(model: IbfModel, positions: np.ndarray) -> np.ndarra
     nb, n, d = pos.shape
     if d != model.d:
         raise ModelError(f"points must have dimension d = {model.d}")
-    diffs = pos[:, :, None, :] - pos[:, None, :, :]
-    s = np.linalg.norm(diffs, axis=-1)
+    diffs = [pos[:, :, None, a] - pos[:, None, :, a] for a in range(d)]
+    iu, ju = np.triu_indices(n, 1)
+    pair = [dx[:, iu, ju] for dx in diffs]
+    s2 = pair[0] * pair[0]
+    for dx in pair[1:]:
+        s2 += dx * dx
+    s = np.sqrt(s2)  # as np.linalg.norm sums the squares in tensor_field
     b_l, b_n = covariance_scalars(model, s)
     s2 = s * s
-    coef = np.divide(b_l - b_n, s2, out=np.zeros_like(s2), where=s2 > 0.0)
+    upper = np.zeros((nb, n, n))
+    upper[:, iu, ju] = np.divide(b_l - b_n, s2, out=np.zeros_like(s2),
+                                 where=s2 > 0.0)
+    coef = upper + upper.transpose(0, 2, 1)  # exact: the lower half is 0
+    upper[:, iu, ju] = b_n
+    b_nn = upper + upper.transpose(0, 2, 1)
+    b_nn[:, np.arange(n), np.arange(n)] = 1.0
     out = np.empty((nb, n * d, n * d))
     for a in range(d):
-        for c in range(d):
-            block = coef * (diffs[..., a] * diffs[..., c])
+        for c in range(a, d):
+            block = coef * (diffs[a] * diffs[c])
             if a == c:
-                block = block + b_n
+                block += b_nn
             out[:, a::d, c::d] = block
+            if a != c:
+                out[:, c::d, a::d] = block
     return out
 
 

@@ -61,9 +61,10 @@ class SpectralMeasure:
         mass = total_mass(self)
         if not (math.isfinite(mass) and mass > 0.0):
             raise MeasureError(f"total mass must be finite and > 0, got {mass!r}")
-        m4 = moment(self, 4)
-        if not math.isfinite(m4):
-            raise MeasureError("4th moment must be finite")
+        # the small-separation kernel series uses every moment up to this
+        # order, and a finite top moment bounds the lower ones
+        if not math.isfinite(moment(self, MAX_MOMENT)):
+            raise MeasureError(f"moment of order {MAX_MOMENT} must be finite")
 
     def support_max(self) -> float:
         """Largest point carrying mass."""
@@ -80,13 +81,17 @@ def total_mass(m: SpectralMeasure) -> float:
 
 
 def moment(m: SpectralMeasure, k: int) -> float:
-    """Exact k-th moment, k <= 8; pieces integrate s^k in closed form."""
+    """Exact k-th moment, k <= 8; pieces integrate s^k in closed form.
+    A moment too large for a float is inf."""
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_MOMENT):
         raise MeasureError(f"moment order must be an integer in [0, {MAX_MOMENT}]")
-    total = sum(w * s**k for s, w in m.atoms)
-    total += sum(
-        h * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-        for lo, hi, h in m.density_pieces)
+    try:
+        total = sum(w * s**k for s, w in m.atoms)
+        total += sum(
+            h * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            for lo, hi, h in m.density_pieces)
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
     return float(total)
 
 

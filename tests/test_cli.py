@@ -1,10 +1,17 @@
 """Config validation, command execution, emission, exit codes."""
 
+import copy
 import csv
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ibflow import cli, flow_engine
 from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
@@ -12,6 +19,10 @@ from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
 from ibflow.field_sampler import CovarianceFactorError
 
 from conftest import J1_FIRST_ZERO
+
+
+SQUEEZE_PARAMS = {"R": 1.0, "delta": 0.1, "T1": 0.1, "T2": 0.2, "dt": 0.005,
+                  "n_paths": 4, "n_boundary": 16}
 
 
 def atom_config(command="covariance", params=None, seed=7, **model_extra):
@@ -76,6 +87,37 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope")
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            parse_config("[" * 100000 + "]" * 100000)
+
+    def test_deeply_nested_values_named(self):
+        # a message quoting a value deep enough to exhaust repr's
+        # recursion must still come out as a config error
+        deep = json.loads("[" * 900 + "1" + "]" * 900)
+        doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
+                          drift={"kind": "custom_table",
+                                 "axes": [[0.0, 1.0], [0.0, 1.0]],
+                                 "values": deep})
+        with pytest.raises(ConfigError, match="model.drift.values"):
+            parse_config(doc)
+        doc = atom_config(command=deep)
+        with pytest.raises(ConfigError, match="unknown command"):
+            parse_config(doc)
+        doc = atom_config(seed=deep)
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(doc)
+        doc = atom_config(params={"s_max": deep})
+        with pytest.raises(ConfigError, match="params.s_max: must be a number"):
+            parse_config(doc)
+
+    def test_overflowing_measure_exit_2(self, tmp_path, capsys):
+        doc = atom_config()
+        doc["model"]["m_p"]["atoms"] = [[1e80, 1.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["covariance", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "model.m_p: moment of order 8" in capsys.readouterr().err
 
     def test_physical_params_required(self):
         doc = atom_config(command="lyapunov", params={"T": 1.0})
@@ -95,16 +137,36 @@ class TestParseConfig:
             parse_config(doc)
 
     def test_drift_spec_parsed(self):
-        doc = atom_config(drift={"kind": "radial_rkhs", "rho": 1.0,
+        doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
+                          drift={"kind": "radial_rkhs", "rho": 1.0,
                                  "scale": 2.0, "resolution": 32})
         cfg = parse_config(doc)
         assert cfg.drift is not None and cfg.drift.kind == "radial_rkhs"
         assert cfg.echo["model"]["drift"]["scale"] == 2.0
 
     def test_drift_unknown_kind(self):
-        doc = atom_config(drift={"kind": "warp"})
-        with pytest.raises(ConfigError, match="drift"):
+        doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
+                          drift={"kind": "warp"})
+        with pytest.raises(ConfigError, match="model.drift.kind: must be one of"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("command", ["covariance", "check-condition",
+                                         "verify-identity", "lyapunov",
+                                         "track-control", "length-decay"])
+    def test_drift_rejected_where_ignored(self, tmp_path, command, capsys):
+        # only squeeze and expand apply model.drift; elsewhere it would be
+        # echoed into the report without having run
+        doc = atom_config(command=command,
+                          drift={"kind": "linear",
+                                 "matrix": [[-50.0, 0.0], [0.0, -50.0]]})
+        with pytest.raises(ConfigError, match="model.drift: " + command):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "model.drift" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestRunCommands:
@@ -268,7 +330,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("exc", [ValueError("argument must be finite"),
                                      np.linalg.LinAlgError("singular"),
-                                     FloatingPointError("overflow")])
+                                     FloatingPointError("overflow"),
+                                     MemoryError("Unable to allocate")])
     def test_runtime_errors_exit_3_by_phase(self, tmp_path, monkeypatch,
                                             capsys, exc):
         # a ValueError raised while running is a runtime failure, not a
@@ -281,3 +344,147 @@ class TestMainExitCodes:
         path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
         assert main(["covariance", "--config", str(path)]) == EXIT_NUMERIC
         assert "runtime failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main: any JSON document exits 0, 2 or 3 and never raises
+
+_FIELDS = ["model", "command", "params", "output", "seed", "d", "mu0", "mu1",
+           "mu2", "m_p", "m_s", "drift", "allow_trivial", "atoms", "density",
+           "kind", "matrix", "rho", "scale", "resolution", "axes", "values",
+           "s_max", "n_points", "tol", "rhos", "T", "dt", "n_pairs",
+           "renorm_eps", "R", "delta", "T1", "T2", "n_paths", "n_boundary",
+           "stride", "cs", "x0", "curve", "radius", "n_vertices", "center",
+           "positions", "closed", "dir"]
+
+# Magnitudes stay small (no tiny positive step, no huge count) so that an
+# accepted config runs in well under a second; exit codes are the subject
+_NUMBERS = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 2.0, 3, 8]),
+    st.integers(-3, 40), st.integers(-160, 160).map(lambda k: k / 8),
+    st.sampled_from([-0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]))
+_WORDS = st.sampled_from(_FIELDS + list(cli.COMMANDS) + [
+    "", "none", "linear", "radial_rkhs", "custom_table", "circle", "points"])
+# deep enough that quoting one in a message would exhaust repr's recursion
+_DEEP = st.integers(20, 500).map(lambda n: json.loads("[" * n + "]" * n))
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, _WORDS,
+                     st.text(max_size=3), _DEEP)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), kids,
+                        max_size=4)),
+    max_leaves=10)
+
+_ATOM = {"d": 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
+         "m_p": {"atoms": [[1.0, 1.0]], "density": []}}
+_MIXED = {"d": 2, "mu0": 0.2, "mu1": 0.5, "mu2": 0.3,
+          "m_p": {"atoms": [[1.0, 1.0]], "density": [[0.5, 1.5, 0.4]]},
+          "m_s": {"atoms": [[2.0, 0.7]], "density": []}}
+_TEMPLATES = [
+    {"model": _MIXED, "command": "covariance",
+     "params": {"s_max": 3.0, "n_points": 7}, "seed": 1},
+    {"model": _ATOM, "command": "check-condition",
+     "params": {"rho": 1.0, "tol": 1e-8}, "seed": 1},
+    {"model": _MIXED, "command": "verify-identity",
+     "params": {"rhos": [0.5], "resolution": 16}, "seed": 1},
+    {"model": _ATOM, "command": "lyapunov",
+     "params": {"T": 0.2, "dt": 0.05, "n_pairs": 2}, "seed": 1},
+    {"model": dict(_ATOM, drift={"kind": "linear",
+                                 "matrix": [[-1.0, 0.0], [0.0, -1.0]]}),
+     "command": "squeeze",
+     "params": {"R": 1.0, "delta": 0.1, "T1": 0.1, "T2": 0.2, "dt": 0.05,
+                "n_paths": 2, "n_boundary": 8}, "seed": 1},
+    {"model": dict(_ATOM, drift={"kind": "custom_table",
+                                 "axes": [[0.0, 1.0], [0.0, 1.0]],
+                                 "values": [[[0.0, 0.0], [0.0, 0.0]],
+                                            [[0.0, 0.0], [0.0, 0.0]]]}),
+     "command": "expand",
+     "params": {"R": 1.0, "delta": 0.1, "T1": 0.1, "T2": 0.2, "dt": 0.05,
+                "n_paths": 2, "n_boundary": 8}, "seed": 1},
+    {"model": _ATOM, "command": "track-control",
+     "params": {"rho": 1.0, "cs": [4.0], "T": 0.1, "dt": 0.05, "n_paths": 2,
+                "x0": [[0.5, 0.0]]}, "seed": 1},
+    {"model": _ATOM, "command": "length-decay",
+     "params": {"T": 0.2, "dt": 0.05, "n_paths": 2,
+                "curve": {"kind": "circle", "radius": 0.5, "n_vertices": 4}},
+     "seed": 1},
+    {"model": _ATOM, "command": "length-decay",
+     "params": {"T": 0.2, "dt": 0.05, "n_paths": 2,
+                "curve": {"kind": "points", "closed": True,
+                          "positions": [[0.0, 0.0], [0.3, 0.1]]}},
+     "seed": 1},
+]
+
+
+def _locations(node, prefix=()):
+    """Every key path into a JSON document, containers first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    yield prefix
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _locations(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid config with up to three fields replaced, deleted or added;
+    a number is often replaced by another number, so that many mutants
+    pass validation and run."""
+    doc = copy.deepcopy(draw(st.sampled_from(_TEMPLATES)))
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(sorted(set(_locations(doc)), key=repr)))
+        if not where:
+            return draw(_JSON)
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        old = parent[where[-1]]
+        action = draw(st.sampled_from(["similar", "similar", "replace",
+                                       "delete", "add"]))
+        if action == "add" and isinstance(old, dict):
+            old[draw(st.sampled_from(_FIELDS))] = draw(_JSON)
+        elif action == "add" and isinstance(old, list):
+            old.append(draw(_JSON))
+        elif action == "delete":
+            del parent[where[-1]]
+        elif action == "similar" and isinstance(old, (int, float)):
+            parent[where[-1]] = draw(_NUMBERS)
+        elif action == "similar" and isinstance(old, str):
+            parent[where[-1]] = draw(_WORDS)
+        else:
+            parent[where[-1]] = draw(_JSON)
+    return doc
+
+
+def _exit_code(doc, command) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return main([command, "--config", str(path),
+                         "--out", str(Path(tmp) / "out"), "--quiet"])
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=_mutated_configs(), command=st.sampled_from(cli.COMMANDS))
+    def test_mutated_configs_exit_cleanly(self, doc, command):
+        if isinstance(doc, dict) and doc.get("command") in cli.COMMANDS:
+            command = doc["command"]
+        assert _exit_code(doc, command) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(doc=_JSON | st.text(max_size=12),
+           command=st.sampled_from(cli.COMMANDS))
+    def test_any_document_exits_cleanly(self, doc, command):
+        assert _exit_code(doc, command) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)

@@ -1,11 +1,16 @@
 """Covariance scalars, tensor assembly, flow constants, positivity."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from ibflow import (IbfModel, ModelError, SpectralMeasure, b_scalar,
                     covariance_scalars, covariance_tensor, flow_constants,
                     make_model, psd_probe, tensor_field)
+
+from ibflow.covariance import _scalar_profile, _scalars_exact, _small_s_series
 
 from conftest import J1_AT_1, J1_FIRST_ZERO, random_model, random_rotation
 
@@ -91,6 +96,95 @@ class TestScalars:
         bl_big, bn_big = covariance_scalars(d2_mixed, s_big)
         assert np.max(np.abs(bl_big[:17] - bl_small)) < 1e-11
         assert np.max(np.abs(bn_big[:17] - bn_small)) < 1e-11
+
+
+class TestKernelRoute:
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
+                                      "d3_mixed"])
+    def test_route_matches_quadrature(self, name, request):
+        # a dense grid crossing both seams, s0 and 64, with points on them
+        model = request.getfixturevalue(name)
+        s0 = _small_s_series(model).s0
+        seams = np.array([s0, 64.0])[:, None] * (1.0 + np.array([-1e-12, 0.0,
+                                                                 1e-12]))
+        grid = np.concatenate([np.linspace(0.0, 80.0, 16001), seams.ravel()])
+        b_l, b_n = covariance_scalars(model, grid)
+        e_l, e_n = _scalars_exact(model, grid)
+        assert np.max(np.abs(b_l - e_l)) < 1e-11
+        assert np.max(np.abs(b_n - e_n)) < 1e-11
+        # a separation's route depends on s alone: one at a time is bitwise
+        # the same as inside the batch
+        for k in list(range(0, grid.size, 331)) + list(range(16001, grid.size)):
+            assert covariance_scalars(model, grid[k]) == (b_l[k], b_n[k])
+
+    def test_zero_separation_is_exactly_one(self, d2_mixed, d3_mixed,
+                                            trivial_model):
+        for model in (d2_mixed, d3_mixed, trivial_model):
+            assert covariance_scalars(model, 0.0) == (1.0, 1.0)
+            b_l, b_n = covariance_scalars(model, np.array([0.0, 0.5, 100.0]))
+            assert b_l[0] == 1.0 and b_n[0] == 1.0
+
+    def test_series_remainder_bound_at_s0(self, d2_potential_atom, d2_mixed,
+                                          d3_mixed):
+        eps = np.finfo(float).eps
+        # d = 2, unit atom, mass 2: the first omitted term of B_L is
+        # (1 / (2^11 5! 6!) + 1 / (2^10 4! 6!)) * 2 * s^10, the larger of the
+        # two scalars', and s0 is where it reaches eps / 4
+        tail = 2.0 * (1.0 / (2**11 * 120 * 720) + 1.0 / (2**10 * 24 * 720))
+        s0 = _small_s_series(d2_potential_atom).s0
+        assert tail * s0**10 == pytest.approx(eps / 4, rel=1e-12)
+        assert s0 == pytest.approx(0.1161, abs=1e-4)
+        assert _small_s_series(d3_mixed).s0 == pytest.approx(0.0523, abs=1e-4)
+        for model in (d2_potential_atom, d2_mixed, d3_mixed):
+            series = _small_s_series(model)
+            # the s^2 terms are -beta/2, from the exact second moments
+            fc = flow_constants(model)
+            assert series.coef_l[1] == pytest.approx(-fc.beta_l / 2, rel=1e-14)
+            assert series.coef_n[1] == pytest.approx(-fc.beta_n / 2, rel=1e-14)
+            # just below s0 the truncated series is as good as quadrature
+            s = np.array([series.s0 * (1.0 - 1e-9)])
+            for got, want in zip(series(s), _scalars_exact(model, s)):
+                assert abs(got[0] - want[0]) <= 4 * eps
+
+    def test_profile_blocks_build_safely_under_threads(self):
+        # worker threads share a model's profile and build its blocks on
+        # first use; a reader must never see a block half built
+        model = make_model(2, 0.0, 0.7, 0.3,
+                           m_p=SpectralMeasure(atoms=((1.7, 1.0),)),
+                           m_s=SpectralMeasure(atoms=((0.9, 1.0),)))
+        # threads in pairs on narrow ranges, so one of a pair can come
+        # for a block while the other is building it
+        grids = [np.linspace(1.0 + 2.0 * (k // 2), 1.3 + 2.0 * (k // 2), 2001)
+                 for k in range(16)]
+        results = [None] * len(grids)
+
+        def work(k):
+            results[k] = covariance_scalars(model, grids[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                _scalar_profile.cache_clear()
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(len(grids))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                _scalar_profile.cache_clear()  # a fresh profile, one thread
+                for grid, got in zip(grids, results):
+                    want = covariance_scalars(model, grid)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_trivial_model_is_all_series(self, trivial_model):
+        assert _small_s_series(trivial_model).s0 == np.inf
+        b_l, b_n = covariance_scalars(trivial_model, np.linspace(0, 100, 11))
+        assert np.all(b_l == 1.0) and np.all(b_n == 1.0)
 
 
 class TestTensor:

@@ -235,6 +235,31 @@ class TestStreams:
             assert np.array_equal(f, f_ref)
             assert np.array_equal(inc, inc_ref)
 
+    @pytest.mark.parametrize("shape", ["shell", "circle"])
+    def test_path_record_independent_of_chunk_mates(self, d2_potential_atom,
+                                                    shape):
+        # the real kernel: the radius-1.1 shell's separations reach the
+        # spline range, the radius-0.005 circle's stay in the series range.
+        # Path 0 alone or with 7 others, and path 64 as the first path of
+        # a second chunk holding 1 or 8 paths, keep every bit of their record
+        ring = 0.005 * np.column_stack([np.cos(2 * np.pi * np.arange(24) / 24),
+                                        np.sin(2 * np.pi * np.arange(24) / 24)])
+
+        def record(n_paths, i):
+            if shape == "shell":
+                rep = squeeze_experiment(
+                    d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
+                    n_boundary=64, dt=2e-3, n_paths=n_paths, seed=3)
+            else:
+                rep = length_decay_experiment(
+                    d2_potential_atom, PointCloud(positions=ring), T=0.2,
+                    dt=1e-2, n_paths=n_paths, seed=3, closed=True)
+            p = rep.paths[i]
+            return p.diameters, p.rank_min, p.rank_max, p.dropped_trace_max
+
+        assert record(1, 0) == record(8, 0)
+        assert record(65, 64) == record(72, 64)
+
     def test_streams_distinct_across_seed_and_path(self):
         # under seed XOR path, (5, 1) and (6, 2) shared one stream
         a = flow_engine._path_gens(5, 1, 2)[0].standard_normal(4)

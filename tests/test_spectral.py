@@ -125,6 +125,15 @@ class TestValidation:
         with pytest.raises(MeasureError):
             SpectralMeasure(atoms=((float("inf"), 1.0),))
 
+    def test_overflowing_moment_rejected(self):
+        # s**8 overflows a float here; the kernel series needs that moment
+        for measure in (dict(atoms=((1e40, 1.0),)),
+                        dict(density_pieces=((1.0, 1e80, 1.0),))):
+            with pytest.raises(MeasureError, match="moment of order 8"):
+                SpectralMeasure(**measure)
+        assert moment(SpectralMeasure(atoms=((1e30, 1.0),)), 8) == pytest.approx(
+            1e240, rel=1e-15)
+
     def test_immutable(self):
         m = SpectralMeasure(atoms=((1.0, 1.0),))
         with pytest.raises(AttributeError):
