@@ -265,6 +265,10 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["resolution"] = _as_int(p.get("resolution", default_res),
                                     f"{path}.resolution", minimum=1)
     elif command == "lyapunov":
+        if model.is_trivial:
+            raise ConfigError(
+                "model: lyapunov needs mu1 or mu2 > 0; the trivial model "
+                "(mu0 = 1) has no flow constants to compare against")
         _no_extras(p, {"T", "dt", "n_pairs", "renorm_eps"}, path)
         out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
         out["dt"] = _as_number(_need(p, "dt", path), f"{path}.dt",

@@ -302,6 +302,48 @@ def _small_s_series(model: IbfModel) -> SmallSeries:
     return SmallSeries(s0=s0, coef_l=tuple(coef_l), coef_n=tuple(coef_n))
 
 
+@dataclass(frozen=True, eq=False)
+class CubicTable:
+    """Piecewise cubics on the uniform grid lo + k h, k = 0 .. pieces.
+
+    rows[4 j + k] holds the coefficient of u^k, u = s - knot, of every
+    piece of the j-th function; hi is the last knot. A point s is served
+    by piece floor((s - lo) / h), the last piece also past hi, by direct
+    index and Horner's rule.
+    """
+
+    rows: np.ndarray
+    lo: float
+    h: float
+    hi: float
+
+    def piece(self, s: np.ndarray) -> np.ndarray:
+        return np.minimum(((s - self.lo) / self.h).astype(np.intp),
+                          self.rows.shape[1] - 1)
+
+    def __call__(self, s: np.ndarray, piece: np.ndarray | None = None
+                 ) -> list[np.ndarray]:
+        if piece is None:
+            piece = self.piece(s)
+        u = s - (self.lo + piece * self.h)
+        out = []
+        for first in range(0, self.rows.shape[0], 4):
+            val = self.rows[first + 3][piece]
+            for k in (2, 1, 0):
+                val *= u
+                val += self.rows[first + k][piece]
+            out.append(val)
+        return out
+
+
+def hermite_rows(f: np.ndarray, g: np.ndarray, h) -> list[np.ndarray]:
+    """CubicTable rows of the cubic Hermite interpolant of values f and
+    slopes g at knots h apart (one step, or one per piece)."""
+    secant = np.diff(f) / h
+    return [f[:-1], g[:-1], (3.0 * secant - 2.0 * g[:-1] - g[1:]) / h,
+            (g[:-1] + g[1:] - 2.0 * secant) / (h * h)]
+
+
 class ScalarProfile:
     """(B_L, B_N) on [lo, 64] as piecewise cubics on a uniform grid.
 
@@ -318,30 +360,22 @@ class ScalarProfile:
 
     def __init__(self, model: IbfModel, lo: float, h: float, pieces: int):
         self._model = model
-        self.lo = lo
-        self.h = h
-        # table[k] holds the coefficient of u^(k % 4), u = s - knot, of
-        # every piece: B_L for k < 4, B_N after
-        self.table = np.empty((8, pieces))
+        # B_L in rows 0-3, B_N in rows 4-7
+        self.cubics = CubicTable(np.empty((8, pieces)), lo, h, _PROFILE_HI)
         self._built = np.zeros(-(-pieces // _BLOCK), dtype=bool)
         self._lock = threading.Lock()
 
     def _build(self, block: int) -> None:
+        table = self.cubics
         first = block * _BLOCK
-        stop = min(first + _BLOCK, self.table.shape[1])
-        knots = self.lo + np.arange(first, stop + 1) * self.h
+        stop = min(first + _BLOCK, table.rows.shape[1])
+        knots = table.lo + np.arange(first, stop + 1) * table.h
         b_l, b_n, d_l, d_n = _scalars_exact(self._model, knots, slopes=True)
-        h = self.h
-        rows = []
-        for f, g in ((b_l, d_l), (b_n, d_n)):
-            secant = np.diff(f) / h
-            rows += [f[:-1], g[:-1], (3.0 * secant - 2.0 * g[:-1] - g[1:]) / h,
-                     (g[:-1] + g[1:] - 2.0 * secant) / (h * h)]
-        self.table[:, first:stop] = rows
+        table.rows[:, first:stop] = (hermite_rows(b_l, d_l, table.h)
+                                     + hermite_rows(b_n, d_n, table.h))
 
     def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        piece = np.minimum(((s - self.lo) / self.h).astype(np.intp),
-                           self.table.shape[1] - 1)
+        piece = self.cubics.piece(s)
         span = slice(piece.min() // _BLOCK, piece.max() // _BLOCK + 1)
         if not self._built[span].all():
             with self._lock:
@@ -349,15 +383,8 @@ class ScalarProfile:
                     if not self._built[block]:
                         self._build(block)
                         self._built[block] = True
-        u = s - (self.lo + piece * self.h)
-        out = []
-        for first in (0, 4):
-            val = self.table[first + 3][piece]
-            for k in (2, 1, 0):
-                val *= u
-                val += self.table[first + k][piece]
-            out.append(val)
-        return out[0], out[1]
+        b_l, b_n = self.cubics(s, piece)
+        return b_l, b_n
 
 
 @lru_cache(maxsize=32)

@@ -10,12 +10,13 @@ sampled exactly, and the rank and the dropped trace are reported.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rkhs
-from .covariance import IbfModel, ModelError
+from .covariance import CubicTable, IbfModel, ModelError, hermite_rows
 
 DRIFT_KINDS = ("none", "linear", "radial_rkhs", "custom_table")
 _EPS = np.finfo(float).eps
@@ -65,7 +66,6 @@ class DriftField:
     table: np.ndarray | None = None
     _profile: object = field(default=None, repr=False)
     _rule: object = field(default=None, repr=False)
-    _interp: object = field(default=None, repr=False)
 
     def lipschitz_constant(self) -> float:
         if self.kind == "none":
@@ -73,13 +73,18 @@ class DriftField:
         if self.kind == "linear":
             return float(np.linalg.norm(self.matrix, 2))
         if self.kind == "radial_rkhs":
-            spline = self._profile
-            if spline is None:
+            table = self._profile
+            if table is None:
                 raise ModelError(
                     "unbound radial drift: build it with drift_radial_rkhs")
-            grid = spline.x
-            slope = np.max(np.abs(spline(grid, 1)))
-            secant = np.max(np.abs(spline(grid[1:]) / grid[1:]))
+            _, c1, c2, c3 = table.rows
+            # knot slopes: each piece's at its first knot, the last
+            # piece's at hi
+            u = table.hi - (table.lo + (c1.size - 1) * table.h)
+            end = c1[-1] + u * (2.0 * c2[-1] + 3.0 * u * c3[-1])
+            slope = max(np.max(np.abs(c1)), abs(end))
+            grid = np.linspace(table.lo, table.hi, c1.size + 1)[1:]
+            secant = np.max(np.abs(table(grid)[0] / grid))
             return abs(self.scale) * float(max(slope, secant))
         if self.kind == "custom_table":
             worst = 0.0
@@ -114,14 +119,18 @@ def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0,
     """Drift scale * V with V the mean inward field at radius rho.
 
     V is radially symmetric, so its radial profile is precomputed once
-    by sphere quadrature on a dense grid and interpolated with a cubic
-    spline (interpolation error is far below quadrature error); queries
-    beyond the grid fall back to direct quadrature.
+    by sphere quadrature at grid_points evenly spaced radii on
+    [0, r_max] (12 rho by default) and interpolated by the not-a-knot
+    cubic spline through them (interpolation error is far below
+    quadrature error). The spline is stored as a CubicTable, one cubic
+    per interval, and evaluated by the same direct-index Horner code as
+    the kernel's profile; queries beyond r_max fall back to direct
+    quadrature.
     """
-    from scipy.interpolate import CubicSpline
-
     if rho <= 0.0:
         raise ModelError("rho must be > 0")
+    if grid_points < 4:
+        raise ModelError("the drift profile needs at least 4 grid points")
     res = resolution if resolution is not None else _default_rule_resolution(model.d)
     rule = rkhs.sphere_rule(model.d, res)
     r_top = r_max if r_max is not None else 12.0 * rho
@@ -130,10 +139,47 @@ def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0,
     probe[:, 0] = grid
     g = rkhs.mean_inward_field(model, rho, rule, probe)[:, 0]
     g[0] = 0.0  # exact by symmetry of the sphere average
-    spline = CubicSpline(grid, g)
+    rows = hermite_rows(g, _not_a_knot_slopes(grid, g), np.diff(grid))
+    table = CubicTable(np.array(rows), 0.0, grid[1], r_top)
     return DriftField(kind="radial_rkhs", model=model, rho=float(rho),
                       scale=float(scale), resolution=res,
-                      _profile=spline, _rule=rule)
+                      _profile=table, _rule=rule)
+
+
+def _not_a_knot_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through (x, f), at
+    least 4 knots: continuous second derivatives at interior knots and
+    a continuous third derivative at the second and the next-to-last
+    knot (de Boor, "A Practical Guide to Splines", ch. IV), each row in
+    units of the knot spacings, solved by forward elimination and back
+    substitution.
+    """
+    dx = np.diff(x).tolist()
+    secant = (np.diff(f) / np.diff(x)).tolist()
+    n = len(x)
+    lower, diag, upper, rhs = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    for i in range(1, n - 1):
+        lower[i] = dx[i]
+        diag[i] = 2.0 * (dx[i - 1] + dx[i])
+        upper[i] = dx[i - 1]
+        rhs[i] = 3.0 * (dx[i] * secant[i - 1] + dx[i - 1] * secant[i])
+    span = x[2] - x[0]
+    diag[0], upper[0] = dx[1], span
+    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * secant[0]
+              + dx[0] ** 2 * secant[1]) / span
+    span = x[-1] - x[-3]
+    lower[-1], diag[-1] = span, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * secant[-2]
+               + (2.0 * span + dx[-1]) * dx[-2] * secant[-1]) / span
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    g = [0.0] * n
+    g[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        g[i] = (rhs[i] - upper[i] * g[i + 1]) / diag[i]
+    return np.array(g)
 
 
 def drift_custom_table(axes, values) -> DriftField:
@@ -151,12 +197,33 @@ def drift_custom_table(axes, values) -> DriftField:
     return DriftField(kind="custom_table", axes=axes, table=table)
 
 
+def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray,
+                 pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of table (grid shape plus a trailing
+    component axis) at points pts of shape (m, d) inside the grid: per
+    axis the cell below each coordinate and its fraction across it,
+    then the 2^d cell corners weighted by products of fractions."""
+    cells, fracs = [], []
+    for a, x in zip(axes, pts.T):
+        cell = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
+        cells.append(cell)
+        fracs.append((x - a[cell]) / (a[cell + 1] - a[cell]))
+    out = np.zeros((pts.shape[0], table.shape[-1]))
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        weight = np.ones(pts.shape[0])
+        for up, t in zip(corner, fracs):
+            weight *= t if up else 1.0 - t
+        out += weight[:, None] * table[tuple(c + up for c, up in
+                                             zip(cells, corner))]
+    return out
+
+
 def _eval_radial(v: DriftField, pts: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(pts, axis=-1)
-    spline = v._profile
-    inside = r <= spline.x[-1]
+    table = v._profile
+    inside = r <= table.hi
     g = np.empty_like(r)
-    g[inside] = spline(r[inside])
+    g[inside] = table(r[inside])[0]
     if np.any(~inside):
         far = pts[~inside]
         g[~inside] = np.einsum(
@@ -186,13 +253,10 @@ def eval_drift(v: DriftField, x) -> np.ndarray:
     elif v.kind == "custom_table":
         if not np.all(np.isfinite(flat)):
             raise DriftEvaluationError("custom_table queried at non-finite point")
-        if v._interp is None:
-            from scipy.interpolate import RegularGridInterpolator
-            v._interp = RegularGridInterpolator(v.axes, v.table)
         clipped = np.column_stack([
             np.clip(flat[:, k], v.axes[k][0], v.axes[k][-1])
             for k in range(len(v.axes))])
-        out = v._interp(clipped)
+        out = _multilinear(v.axes, v.table, clipped)
     else:
         raise ModelError(f"unknown drift kind {v.kind!r}")
     out = out.reshape(pts.shape)

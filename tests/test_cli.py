@@ -168,6 +168,22 @@ class TestParseConfig:
         assert "model.drift" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_lyapunov_rejects_trivial_model(self, tmp_path, capsys):
+        # a pure translation has no flow constants: rejected before any
+        # pair runs, not after all of them
+        doc = {"model": {"d": 2, "mu0": 1.0, "mu1": 0.0, "mu2": 0.0,
+                         "allow_trivial": True},
+               "command": "lyapunov",
+               "params": {"T": 0.5, "dt": 0.01, "n_pairs": 4}, "seed": 1}
+        with pytest.raises(ConfigError, match="^model: lyapunov"):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lyapunov", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "model: lyapunov" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestRunCommands:
     def test_covariance_csv_schema_and_roundtrip(self, tmp_path):

@@ -1,10 +1,18 @@
 """Covariance assembly, the rank-revealing factor, drift field evaluation."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
+import ibflow
 from ibflow import (CovarianceFactorError, DriftEvaluationError, ModelError,
                     PointCloud, covariance_matrix_batch, covariance_tensor,
                     drift_custom_table, drift_linear, drift_none,
@@ -249,3 +257,84 @@ class TestDriftFields:
         for v in (drift_none(), drift_linear(np.eye(2) * 3),
                   drift_radial_rkhs(d2_potential_atom, 1.0)):
             assert math.isfinite(v.lipschitz_constant())
+
+
+class TestDriftOracles:
+    """The numpy drift interpolators against the scipy ones they replace."""
+
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d3_mixed"])
+    def test_radial_profile_is_the_not_a_knot_spline(self, name, request):
+        model = request.getfixturevalue(name)
+        v = drift_radial_rkhs(model, 1.0)
+        grid = np.linspace(0.0, 12.0, 2048)
+        probe = np.zeros((grid.size, model.d))
+        probe[:, 0] = grid
+        g = mean_inward_field(model, 1.0, v._rule, probe)[:, 0]
+        g[0] = 0.0
+        spline = CubicSpline(grid, g)
+        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(g))
+        table = v._profile
+        mids = np.random.default_rng(12).uniform(0.0, 12.0, 5000)
+        for r in (grid, mids):
+            assert np.max(np.abs(table(r)[0] - spline(r))) <= tol
+        assert np.max(np.abs(table.rows[1] - spline(grid[:-1], 1))) <= tol
+        slope = np.max(np.abs(spline(grid, 1)))
+        secant = np.max(np.abs(spline(grid[1:]) / grid[1:]))
+        assert v.lipschitz_constant() == pytest.approx(max(slope, secant),
+                                                       rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_custom_table_is_multilinear(self, d):
+        rng = np.random.default_rng(20 + d)
+        axes = tuple(np.sort(rng.uniform(-2.0, 2.0, n)) for n in (5, 4, 3)[:d])
+        values = rng.normal(size=tuple(a.size for a in axes) + (d,))
+        v = drift_custom_table(axes, values)
+        oracle = RegularGridInterpolator(axes, values)
+        lo = np.array([a[0] for a in axes])
+        hi = np.array([a[-1] for a in axes])
+        interior = rng.uniform(lo, hi, size=(500, d))
+        knots = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
+        outside = rng.uniform(lo - 3.0, hi + 3.0, size=(500, d))
+        for pts in (interior, knots, outside):
+            want = oracle(np.clip(pts, lo, hi))
+            got = eval_drift(v, pts)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values))
+        assert np.array_equal(eval_drift(v, knots), values.reshape(-1, d))
+
+
+def test_no_run_imports_scipy(tmp_path):
+    # the runtime depends on numpy alone: a squeeze run under a radial
+    # drift and a custom-table evaluation leave no scipy module loaded
+    config = {
+        "model": {"d": 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
+                  "m_p": {"atoms": [[1.0, 1.0]], "density": []},
+                  "drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 4.0,
+                            "resolution": 32}},
+        "command": "squeeze",
+        "params": {"R": 1.0, "delta": 0.1, "T1": 0.05, "T2": 0.1,
+                   "dt": 0.01, "n_paths": 2, "n_boundary": 8},
+        "seed": 3}
+    path = tmp_path / "squeeze.json"
+    path.write_text(json.dumps(config))
+    script = textwrap.dedent(f"""
+        import json, sys
+        import numpy as np
+        from ibflow import cli, drift_custom_table, eval_drift
+        code = cli.main(["squeeze", "--config", {str(path)!r},
+                         "--out", {str(tmp_path)!r}, "--quiet"])
+        axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+        v = drift_custom_table(axes, np.ones((2, 3, 2)))
+        eval_drift(v, np.array([[0.5, 0.5], [3.0, -1.0]]))
+        print(json.dumps([code, sorted(m for m in sys.modules
+                                       if m.startswith("scipy"))]))
+    """)
+    src = str(Path(ibflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "squeeze.csv").exists()
