@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# Euler steps one sampling run may take: the step sizes and times are
+# allocated before the first step, so a larger T/dt is refused while parsing
+MAX_STEPS = 10 ** 7
+
 # Failures a run reports (numeric breakdowns, invalid values met while
 # computing, a run too large for memory, output that cannot be written);
 # any other exception is a defect and keeps its traceback.
@@ -236,6 +240,16 @@ def _parse_vectors(value, d: int, path: str) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def _as_step(p: dict, span: float, path: str) -> float:
+    """params.dt: in (0, span], and at most MAX_STEPS steps over span."""
+    dt = _as_number(_need(p, "dt", path), f"{path}.dt", exclusive_min=0.0,
+                    maximum=span)
+    if span / dt > MAX_STEPS:
+        raise ConfigError(f"{path}.dt: {span!r}/{dt!r} asks for more than "
+                          f"{MAX_STEPS} steps")
+    return dt
+
+
 def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
     path = "params"
     if not isinstance(params, dict):
@@ -271,8 +285,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
                 "(mu0 = 1) has no flow constants to compare against")
         _no_extras(p, {"T", "dt", "n_pairs", "renorm_eps"}, path)
         out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
-        out["dt"] = _as_number(_need(p, "dt", path), f"{path}.dt",
-                               exclusive_min=0.0, maximum=out["T"])
+        out["dt"] = _as_step(p, out["T"], path)
         out["n_pairs"] = _as_int(_need(p, "n_pairs", path), f"{path}.n_pairs",
                                  minimum=2)
         out["renorm_eps"] = _as_number(p.get("renorm_eps", 1e-4),
@@ -290,8 +303,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
                                exclusive_min=0.0)
         out["T2"] = _as_number(_need(p, "T2", path), f"{path}.T2",
                                exclusive_min=out["T1"])
-        out["dt"] = _as_number(_need(p, "dt", path), f"{path}.dt",
-                               exclusive_min=0.0, maximum=out["T2"])
+        out["dt"] = _as_step(p, out["T2"], path)
         out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
                                  minimum=1)
         out["n_boundary"] = _as_int(p.get("n_boundary", 64),
@@ -307,8 +319,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["cs"] = [_as_number(c, f"{path}.cs[{i}]", minimum=1.0)
                      for i, c in enumerate(cs)]
         out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
-        out["dt"] = _as_number(_need(p, "dt", path), f"{path}.dt",
-                               exclusive_min=0.0, maximum=out["T"])
+        out["dt"] = _as_step(p, out["T"], path)
         out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
                                  minimum=2)
         out["x0"] = _parse_vectors(_need(p, "x0", path), model.d, f"{path}.x0")
@@ -316,8 +327,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
     elif command == "length-decay":
         _no_extras(p, {"T", "dt", "n_paths", "curve", "stride"}, path)
         out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
-        out["dt"] = _as_number(_need(p, "dt", path), f"{path}.dt",
-                               exclusive_min=0.0, maximum=out["T"])
+        out["dt"] = _as_step(p, out["T"], path)
         out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
                                  minimum=1)
         curve = _need(p, "curve", path)
@@ -577,6 +587,9 @@ def _run_lyapunov(cfg: RunConfig, out_dir: Path, jobs: int):
         "analytic_lambda": fc.lam,
         "beta_l": fc.beta_l,
         "beta_n": fc.beta_n,
+        "rank_min": res.rank_min,
+        "rank_max": res.rank_max,
+        "dropped_trace_max": res.dropped_trace_max,
     }
     report_path = out_dir / "lyapunov_report.json"
     write_report(report_path, report)
@@ -619,11 +632,13 @@ def _run_track_control(cfg: RunConfig, out_dir: Path, jobs: int):
     rows = []
     means = []
     per_c = {}
+    results = []
     for c in p["cs"]:
         res = flow_engine.tilted_tracking_error(
             cfg.model, rho=p["rho"], c=c, x0=x0, T=p["T"], dt=p["dt"],
             n_paths=p["n_paths"], seed=cfg.seed, v_field=v_field,
             snapshot_stride=p["stride"], jobs=jobs)
+        results.append(res)
         means.append(res.mean)
         per_c[str(c)] = {"mean": res.mean, "se": res.standard_error}
         rows.extend((c, i, dev) for i, dev in enumerate(res.sup_deviations))
@@ -633,7 +648,11 @@ def _run_track_control(cfg: RunConfig, out_dir: Path, jobs: int):
     csv_path = out_dir / "track-control.csv"
     write_csv(csv_path, ["c", "path", "sup_deviation"], rows)
     report = _report_skeleton(cfg, t0)
-    report["aggregate"] = {"per_c": per_c, "slope": slope}
+    report["aggregate"] = {
+        "per_c": per_c, "slope": slope,
+        "rank_min": min(res.rank_min for res in results),
+        "rank_max": max(res.rank_max for res in results),
+        "dropped_trace_max": max(res.dropped_trace_max for res in results)}
     report_path = out_dir / "track-control_report.json"
     write_report(report_path, report)
     summary = f"track-control: log-log slope = {slope:.3f} over c = {p['cs']}"

@@ -47,7 +47,6 @@ class IbfModel:
     mu2: float
     m_p: SpectralMeasure | None = None
     m_s: SpectralMeasure | None = None
-    drift: object | None = None
     allow_trivial: bool = False
 
     def __post_init__(self):
@@ -83,7 +82,7 @@ class IbfModel:
         return self.mu1 == 0.0 and self.mu2 == 0.0
 
 
-def make_model(d, mu0, mu1, mu2, m_p=None, m_s=None, drift=None,
+def make_model(d, mu0, mu1, mu2, m_p=None, m_s=None,
                allow_trivial=False) -> IbfModel:
     """Build a model, normalizing the supplied measures to their
     conventional masses first."""
@@ -102,7 +101,7 @@ def make_model(d, mu0, mu1, mu2, m_p=None, m_s=None, drift=None,
     else:
         m_s = None
     return IbfModel(d=d, mu0=float(mu0), mu1=float(mu1), mu2=float(mu2),
-                    m_p=m_p, m_s=m_s, drift=drift, allow_trivial=allow_trivial)
+                    m_p=m_p, m_s=m_s, allow_trivial=allow_trivial)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,9 @@ class LyapunovResult:
     estimate: float
     standard_error: float
     pair_estimates: tuple[float, ...] = field(repr=False, default=())
+    rank_min: int = 0
+    rank_max: int = 0
+    dropped_trace_max: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,9 @@ class TrackingResult:
     sup_deviations: tuple[float, ...]
     mean: float
     standard_error: float
+    rank_min: int = 0
+    rank_max: int = 0
+    dropped_trace_max: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +201,30 @@ def _step_sizes(t0: float, t1: float, dt: float):
     return hs, times
 
 
-def _snapshot_steps(n_steps: int, stride: int) -> list[int]:
-    steps = [0] + [k for k in range(stride, n_steps, stride)] + [n_steps]
-    return sorted(set(steps))
-
-
 def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
-              gens, drift: DriftField | None = None, stride: int = DEFAULT_STRIDE,
-              observer=None, zero_noise: bool = False, noise_scale: float = 1.0,
-              extra_drift: DriftField | None = None, extra_scale: float = 1.0,
-              path_offset: int = 0):
+              gens, observer, drift: DriftField | None = None,
+              stride: int = DEFAULT_STRIDE, zero_noise: bool = False,
+              noise_scale: float = 1.0, path_offset: int = 0):
     """Batched Euler stepping of (B, N, d) tracer states.
 
-    observer(t, X) fires at t0, after every stride-th step, and at t1
-    (the final partial step lands exactly on t1). Returns per-path
-    (rank_min, rank_max, dropped_trace_max) of the increment covariance
-    over the steps; rank_min stays N d under zero_noise.
+    observer(t, k, X) fires at t0 (k = 0), after every stride-th step k,
+    and at t1 (the final partial step lands exactly on t1). It may move
+    X in place; the next step starts from the moved points. Returns
+    per-path (rank_min, rank_max, dropped_trace_max) of the increment
+    covariance over the steps; rank_min stays N d under zero_noise.
     """
     x = np.array(x0, dtype=float, copy=True)
     b, n_pts, d = x.shape
     hs, times = _step_sizes(t0, t1, dt)
-    snaps = set(_snapshot_steps(len(hs), stride))
     rank_min = np.full(b, n_pts * d)
     rank_max = np.zeros(b, dtype=int)
     dropped_max = np.zeros(b)
     normals = None if zero_noise else _step_normals(gens, len(hs), n_pts * d)
-    if observer is not None:
-        observer(times[0], x)
+    observer(times[0], 0, x)
     for k, h in enumerate(hs):
         delta = np.zeros_like(x)
         if drift is not None:
             delta += h * eval_drift(drift, x)
-        if extra_drift is not None:
-            delta += (h * extra_scale) * eval_drift(extra_drift, x)
         if normals is not None:
             covs = covariance_matrix_batch(model, x)
             factor, rank, dropped = pivoted_cholesky_batch(
@@ -239,8 +236,8 @@ def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
             inc = (factor @ z[:, :, None])[:, :, 0].reshape(b, n_pts, d)
             delta += (noise_scale * math.sqrt(h)) * inc
         x += delta
-        if observer is not None and (k + 1) in snaps:
-            observer(times[k + 1], x)
+        if (k + 1) % stride == 0 or k + 1 == len(hs):
+            observer(times[k + 1], k + 1, x)
     return rank_min, rank_max, dropped_max
 
 
@@ -258,13 +255,11 @@ def euler_flow(model: IbfModel, cloud: PointCloud, t0: float, t1: float,
         raise ModelError(f"cloud dimension must be d = {model.d}")
     out: list[PointCloud] = []
 
-    def observer(t, x):
+    def observer(t, k, x):
         out.append(PointCloud(positions=x[0].copy(), time=t))
 
-    _simulate(model, pos[None, :, :], t0, t1, dt,
-              gens=[rng] if rng is not None else [None],
-              drift=drift, stride=snapshot_stride, observer=observer,
-              zero_noise=zero_noise)
+    _simulate(model, pos[None, :, :], t0, t1, dt, [rng], observer,
+              drift=drift, stride=snapshot_stride, zero_noise=zero_noise)
     return out
 
 
@@ -326,17 +321,46 @@ def _step_normals(gens, n_steps: int, width: int):
             yield buf[:, j]
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
+               n_paths: int, jobs: int, observe, **step):
+    """Step paths 0..n_paths-1 from 0 to T by _simulate, _CHUNK at a time.
 
+    x0 is the (N, d) start of every path, or a function of a chunk's
+    generators that draws its (B, N, d) start before any step normals.
+    observe(t, k, X, lo) sees the chunk from path lo at each snapshot and
+    returns per-path (B,) values by name, or None. Returns the recorded
+    times, each value as an (n_paths, snapshots) array, and per-path
+    (rank_min, rank_max, dropped_trace_max) over all steps.
+    """
+    def chunk(lo: int, hi: int):
+        gens = _path_gens(seed, lo, hi)
+        start = (x0(gens) if callable(x0)
+                 else np.broadcast_to(x0, (hi - lo,) + x0.shape))
+        times, rows = [], []
 
-def _run_chunks(worker, n_paths: int, jobs: int) -> list:
-    spans = _chunks(n_paths)
+        def observer(t, k, x):
+            row = observe(t, k, x, lo)
+            if row is not None:
+                times.append(float(t))
+                rows.append(row)
+
+        numerics = _simulate(model, start, 0.0, T, dt, gens, observer,
+                             path_offset=lo, **step)
+        return times, {key: np.column_stack([r[key] for r in rows])
+                       for key in rows[0]}, numerics
+
+    spans = [(lo, min(lo + _CHUNK, n_paths))
+             for lo in range(0, n_paths, _CHUNK)]
     if jobs <= 1 or len(spans) <= 1:
-        return [worker(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futs = [pool.submit(worker, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futs]
+        results = [chunk(lo, hi) for lo, hi in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futs = [pool.submit(chunk, lo, hi) for lo, hi in spans]
+            results = [f.result() for f in futs]
+    times, values, numerics = zip(*results)
+    return (np.array(times[0]),
+            {key: np.vstack([v[key] for v in values]) for key in values[0]},
+            tuple(np.concatenate(part) for part in zip(*numerics)))
 
 
 def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
@@ -355,12 +379,6 @@ def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
         return radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     from .rkhs import sphere_rule
     return radius * sphere_rule(d, n, mc_seed=0).nodes
-
-
-def _join_numerics(results: list[dict]) -> tuple[np.ndarray, ...]:
-    """Per-path (rank_min, rank_max, dropped_trace_max) over all chunks."""
-    return tuple(np.concatenate(part)
-                 for part in zip(*(r["numerics"] for r in results)))
 
 
 def _path_numerics(numerics, i: int) -> dict:
@@ -427,39 +445,20 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
         winding = np.rint(gaps.sum(axis=1) / (2.0 * math.pi))
         return np.abs(winding) == 1
 
-    def flags_of(x: np.ndarray) -> np.ndarray:
+    def observe(t, k, x, lo):
         radii = np.linalg.norm(x, axis=-1)
         if mode == "squeeze":
-            return np.all(radii < R - delta, axis=1)
-        clear = np.all(radii > R + delta, axis=1)
-        if model.d == 2:
-            clear &= _encloses_origin(x)
-        return clear
+            flags = np.all(radii < R - delta, axis=1)
+        else:
+            flags = np.all(radii > R + delta, axis=1)
+            if model.d == 2:
+                flags &= _encloses_origin(x)
+        return {"diam": _diam_batch(x), "flag": flags}
 
-    def worker(lo: int, hi: int) -> dict:
-        b = hi - lo
-        x0 = np.broadcast_to(tracers, (b,) + tracers.shape)
-        times: list[float] = []
-        diams: list[np.ndarray] = []
-        flags: list[np.ndarray] = []
-
-        def observer(t, x):
-            times.append(float(t))
-            diams.append(_diam_batch(x))
-            flags.append(flags_of(x))
-
-        numerics = _simulate(model, x0, 0.0, T2, dt,
-                             gens=_path_gens(seed, lo, hi), drift=drift,
-                             stride=snapshot_stride, observer=observer,
-                             path_offset=lo)
-        return {"times": np.array(times), "diams": np.column_stack(diams),
-                "flags": np.column_stack(flags), "numerics": numerics}
-
-    results = _run_chunks(worker, n_paths, jobs)
-    times = results[0]["times"]
-    diams = np.vstack([r["diams"] for r in results])
-    flags = np.vstack([r["flags"] for r in results])
-    numerics = _join_numerics(results)
+    times, rec, numerics = _run_paths(model, tracers, T2, dt, seed, n_paths,
+                                      jobs, observe, drift=drift,
+                                      stride=snapshot_stride)
+    diams, flags = rec["diam"], rec["flag"]
 
     window = (times >= T1 - 1e-12) & (times <= T2 + 1e-12)
     success = np.all(flags[:, window], axis=1)
@@ -514,54 +513,54 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
     if not (1e-8 < renorm_eps < 1e-2):
         raise ValueError("renorm_eps must lie in (1e-8, 1e-2)")
     d = model.d
+    acc = np.zeros(n_pairs)  # log growth per pair; chunks own disjoint slices
 
-    def worker(lo: int, hi: int) -> np.ndarray:
-        b = hi - lo
-        gens = _path_gens(seed, lo, hi)
+    def start(gens):
         u = np.stack([g.standard_normal(d) for g in gens])
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        x = np.zeros((b, 2, d))
+        x = np.zeros((len(gens), 2, d))
         x[:, 1, :] = renorm_eps * u
-        acc = np.zeros(b)
-        hs, _ = _step_sizes(0.0, T, dt)
-        normals = _step_normals(gens, len(hs), 2 * d)
-        for k, (h, z) in enumerate(zip(hs, normals)):
-            covs = covariance_matrix_batch(model, x)
-            factor, _, _ = pivoted_cholesky_batch(covs, path_offset=lo, step=k)
-            x += math.sqrt(h) * (factor @ z[:, :, None])[:, :, 0].reshape(b, 2, d)
-            sep = x[:, 1, :] - x[:, 0, :]
-            r = np.linalg.norm(sep, axis=1)
-            if np.any(r < _COLLAPSE_FLOOR):
-                k = int(np.argmin(r))
-                raise PairCollapseError(lo + k, float(r[k]))
-            out_of_band = (r < 0.1 * renorm_eps) | (r > 10.0 * renorm_eps)
-            if np.any(out_of_band):
-                acc[out_of_band] += np.log(r[out_of_band] / renorm_eps)
-                x[out_of_band, 1, :] = (x[out_of_band, 0, :]
-                                        + renorm_eps * sep[out_of_band]
-                                        / r[out_of_band, None])
-        r = np.linalg.norm(x[:, 1, :] - x[:, 0, :], axis=1)
-        acc += np.log(r / renorm_eps)
-        return acc / T
+        return x
 
-    rates = np.concatenate(_run_chunks(worker, n_pairs, jobs))
+    def renormalize(t, k, x, lo):
+        log_growth = acc[lo:lo + len(x)]
+        sep = x[:, 1, :] - x[:, 0, :]
+        r = np.linalg.norm(sep, axis=1)
+        if np.any(r < _COLLAPSE_FLOOR):
+            i = int(np.argmin(r))
+            raise PairCollapseError(lo + i, float(r[i]))
+        out_of_band = (r < 0.1 * renorm_eps) | (r > 10.0 * renorm_eps)
+        if np.any(out_of_band):
+            log_growth[out_of_band] += np.log(r[out_of_band] / renorm_eps)
+            x[out_of_band, 1, :] = (x[out_of_band, 0, :]
+                                    + renorm_eps * sep[out_of_band]
+                                    / r[out_of_band, None])
+        if t < T:
+            return None
+        r = np.linalg.norm(x[:, 1, :] - x[:, 0, :], axis=1)
+        log_growth += np.log(r / renorm_eps)
+        return {"rate": log_growth / T}
+
+    _, rec, numerics = _run_paths(model, start, T, dt, seed, n_pairs, jobs,
+                                  renormalize, stride=1)
+    rates = rec["rate"][:, 0]
     est, se = _mean_se(rates)
     return LyapunovResult(estimate=est, standard_error=se,
-                          pair_estimates=tuple(rates))
+                          pair_estimates=tuple(rates),
+                          **_aggregate_numerics(numerics))
 
 
 def tilted_tracking_error(model: IbfModel, rho: float, c: float,
                           x0: PointCloud, T: float, dt: float, n_paths: int,
                           seed: int = 0, v_field: DriftField | None = None,
                           snapshot_stride: int = DEFAULT_STRIDE,
-                          extra_drift: DriftField | None = None,
                           zero_noise: bool = False,
                           jobs: int = 1) -> TrackingResult:
     """Sup deviation between the rescaled tilted flow and the drift ODE.
 
-    Simulates Y <- Y + V(Y) dt + c^{-1/2} dM + c^{-1} v(Y) dt and
-    compares against the RK4 flow of V started from the same points;
-    the deviation scale shrinks like c^{-1/2}.
+    Simulates Y <- Y + V(Y) dt + c^{-1/2} dM and compares against the
+    RK4 flow of V started from the same points; the deviation scale
+    shrinks like c^{-1/2}.
     """
     if c < 1.0:
         raise ValueError("c must be >= 1")
@@ -569,32 +568,20 @@ def tilted_tracking_error(model: IbfModel, rho: float, c: float,
         v_field = drift_radial_rkhs(model, rho, scale=1.0)
     pts = np.atleast_2d(np.asarray(x0.positions, dtype=float))
     _, ref = ode_flow(v_field, pts, T, dt)
-    hs, _ = _step_sizes(0.0, T, dt)
-    snap_idx = _snapshot_steps(len(hs), snapshot_stride)
 
-    def worker(lo: int, hi: int) -> np.ndarray:
-        b = hi - lo
-        sup = np.zeros(b)
-        counter = {"k": 0}
+    def observe(t, k, x, lo):
+        return {"dev": np.linalg.norm(x - ref[k], axis=-1).max(axis=1)}
 
-        def observer(t, x):
-            r = ref[snap_idx[counter["k"]]]
-            dev = np.linalg.norm(x - r[None, :, :], axis=-1).max(axis=1)
-            np.maximum(sup, dev, out=sup)
-            counter["k"] += 1
-
-        _simulate(model, np.broadcast_to(pts, (b,) + pts.shape), 0.0, T, dt,
-                  gens=_path_gens(seed, lo, hi), drift=v_field,
-                  stride=snapshot_stride, observer=observer,
-                  zero_noise=zero_noise, noise_scale=1.0 / math.sqrt(c),
-                  extra_drift=extra_drift, extra_scale=1.0 / c,
-                  path_offset=lo)
-        return sup
-
-    sups = np.concatenate(_run_chunks(worker, n_paths, jobs))
+    _, rec, numerics = _run_paths(model, pts, T, dt, seed, n_paths, jobs,
+                                  observe, drift=v_field,
+                                  stride=snapshot_stride,
+                                  zero_noise=zero_noise,
+                                  noise_scale=1.0 / math.sqrt(c))
+    sups = rec["dev"].max(axis=1)
     mean, se = _mean_se(sups)
     return TrackingResult(c=float(c), sup_deviations=tuple(sups),
-                          mean=mean, standard_error=se)
+                          mean=mean, standard_error=se,
+                          **_aggregate_numerics(numerics))
 
 
 def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
@@ -615,38 +602,21 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
     len0 = curve_length(pts, closed=closed)
     diam0 = diameter(pts)
 
-    def worker(lo: int, hi: int) -> dict:
-        b = hi - lo
-        times: list[float] = []
-        diams: list[np.ndarray] = []
-        lens: list[np.ndarray] = []
+    def observe(t, k, x, lo):
+        dia = _diam_batch(x)
+        ln = _length_batch(x, closed)
+        # vertex gaps cannot exceed the polyline length
+        broken = ~(dia <= ln * (1.0 + 1e-12) + 1e-12)
+        if broken.any():
+            i = int(np.argmax(broken))
+            raise FloatingPointError(
+                f"path {lo + i}, t = {t:.17g}: diameter {dia[i]:.17g} "
+                f"exceeds polyline length {ln[i]:.17g}")
+        return {"diam": dia, "length": ln}
 
-        def observer(t, x):
-            times.append(float(t))
-            dia = _diam_batch(x)
-            ln = _length_batch(x, closed)
-            # vertex gaps cannot exceed the polyline length
-            broken = ~(dia <= ln * (1.0 + 1e-12) + 1e-12)
-            if broken.any():
-                i = int(np.argmax(broken))
-                raise FloatingPointError(
-                    f"path {lo + i}, t = {t:.17g}: diameter {dia[i]:.17g} "
-                    f"exceeds polyline length {ln[i]:.17g}")
-            diams.append(dia)
-            lens.append(ln)
-
-        numerics = _simulate(model, np.broadcast_to(pts, (b,) + pts.shape),
-                             0.0, T, dt, gens=_path_gens(seed, lo, hi),
-                             drift=None, stride=snapshot_stride,
-                             observer=observer, path_offset=lo)
-        return {"times": np.array(times), "diams": np.column_stack(diams),
-                "lens": np.column_stack(lens), "numerics": numerics}
-
-    results = _run_chunks(worker, n_paths, jobs)
-    times = results[0]["times"]
-    diams = np.vstack([r["diams"] for r in results])
-    lens = np.vstack([r["lens"] for r in results])
-    numerics = _join_numerics(results)
+    times, rec, numerics = _run_paths(model, pts, T, dt, seed, n_paths, jobs,
+                                      observe, stride=snapshot_stride)
+    diams, lens = rec["diam"], rec["length"]
 
     terminal_rate = np.log(lens[:, -1] / len0) / T
     shrunk = diams[:, -1] < 0.1 * diam0

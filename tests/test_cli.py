@@ -136,6 +136,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="delta"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("T,dt", [(1e12, 0.5), (1e3, 1e-5)])
+    def test_step_count_capped(self, tmp_path, capsys, T, dt):
+        # the step sizes and times are allocated before the first step: a
+        # run of more than MAX_STEPS steps is refused while parsing
+        doc = atom_config(command="lyapunov",
+                          params={"T": T, "dt": dt, "n_pairs": 2})
+        with pytest.raises(ConfigError, match="^params.dt: .* more than"):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lyapunov", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "params.dt" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        doc["params"]["dt"] = T / cli.MAX_STEPS * 1.5
+        assert parse_config(doc).params["dt"] == T / cli.MAX_STEPS * 1.5
+
     def test_drift_spec_parsed(self):
         doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
                           drift={"kind": "radial_rkhs", "rho": 1.0,
@@ -227,7 +244,11 @@ class TestRunCommands:
         code, _ = run_command("lyapunov", cfg, out_dir=tmp_path, quiet=True)
         assert code == EXIT_OK
         report = json.loads((tmp_path / "lyapunov_report.json").read_text())
-        assert report["aggregate"]["analytic_lambda"] == pytest.approx(-0.25)
+        ag = report["aggregate"]
+        assert ag["analytic_lambda"] == pytest.approx(-0.25)
+        # two-point clouds: 4 x 4 increment covariances
+        assert 1 <= ag["rank_min"] <= ag["rank_max"] <= 4
+        assert 0.0 <= ag["dropped_trace_max"] < 1e-9
         rows = (tmp_path / "lyapunov.csv").read_text().strip().splitlines()
         assert rows[0] == "pair,estimate"
         assert len(rows) == 5
@@ -250,7 +271,11 @@ class TestRunCommands:
         assert code == EXIT_OK
         assert len(builds) == 1  # one radial drift serves every c
         report = json.loads((tmp_path / "track-control_report.json").read_text())
-        assert "slope" in report["aggregate"]
+        ag = report["aggregate"]
+        assert "slope" in ag
+        # one tracked point: its 2 x 2 increment covariance is the identity
+        assert (ag["rank_min"], ag["rank_max"]) == (2, 2)
+        assert ag["dropped_trace_max"] == 0.0
 
     def test_length_decay_circle_config(self, tmp_path):
         doc = atom_config(
@@ -343,6 +368,33 @@ class TestMainExitCodes:
         path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
         assert main(["covariance", "--config", str(path)]) == EXIT_NUMERIC
         assert "path 3, step 17" in capsys.readouterr().err
+
+    def test_pair_collapse_exit_3_names_global_pair(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # one Euler step of 70 pairs: with seed 6 the closest pair lies in
+        # the second chunk (pairs 64-69), so a floor between the two
+        # chunks' closest separations stops that pair alone
+        doc = atom_config(command="lyapunov",
+                          params={"T": 0.01, "dt": 0.01, "n_pairs": 70},
+                          seed=6)
+        model = parse_config(doc).model
+        res = flow_engine.lyapunov_estimate(model, T=0.01, dt=0.01,
+                                            n_pairs=70, seed=6)
+        r = 1e-4 * np.exp(0.01 * np.array(res.pair_estimates))
+        assert r[64:].min() < r[:64].min()
+        pair = 64 + int(np.argmin(r[64:]))
+        monkeypatch.setattr(flow_engine, "_COLLAPSE_FLOOR",
+                            (r[64:].min() + r[:64].min()) / 2)
+        for jobs in (1, 2):
+            with pytest.raises(flow_engine.PairCollapseError) as exc:
+                flow_engine.lyapunov_estimate(model, T=0.01, dt=0.01,
+                                              n_pairs=70, seed=6, jobs=jobs)
+            assert exc.value.pair_index == pair
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lyapunov", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_NUMERIC
+        assert f"pair {pair} collapsed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc", [ValueError("argument must be finite"),
                                      np.linalg.LinAlgError("singular"),

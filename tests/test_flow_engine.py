@@ -1,6 +1,7 @@
 """Flow integration, observables, and the experiment harness."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -175,10 +176,17 @@ class TestLyapunov:
         assert a.pair_estimates != c.pair_estimates
 
     def test_jobs_do_not_change_results(self, d2_potential_atom):
+        # the chunks' threads add into disjoint slices of one array; more
+        # threads than cores, switching often, must lose no update
         a = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2, n_pairs=130,
                               seed=3, jobs=1)
-        b = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2, n_pairs=130,
-                              seed=3, jobs=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
+                                  n_pairs=130, seed=3, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert a.pair_estimates == b.pair_estimates
 
     def test_renorm_eps_validated(self, d2_potential_atom):
@@ -235,17 +243,29 @@ class TestStreams:
             assert np.array_equal(f, f_ref)
             assert np.array_equal(inc, inc_ref)
 
-    @pytest.mark.parametrize("shape", ["shell", "circle"])
+    @pytest.mark.parametrize("shape",
+                             ["shell", "circle", "lyapunov", "tracking"])
     def test_path_record_independent_of_chunk_mates(self, d2_potential_atom,
                                                     shape):
         # the real kernel: the radius-1.1 shell's separations reach the
-        # spline range, the radius-0.005 circle's stay in the series range.
-        # Path 0 alone or with 7 others, and path 64 as the first path of
-        # a second chunk holding 1 or 8 paths, keep every bit of their record
+        # spline range, the radius-0.005 circle's stay in the series range;
+        # Lyapunov pairs renormalize in place, tracking compares with its
+        # ODE reference. Path 0 alone or with 7 others, and path 64 as the
+        # first path of a second chunk holding 1 or 8 paths, keep every bit
+        # of their record
         ring = 0.005 * np.column_stack([np.cos(2 * np.pi * np.arange(24) / 24),
                                         np.sin(2 * np.pi * np.arange(24) / 24)])
 
         def record(n_paths, i):
+            if shape == "lyapunov":
+                return lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
+                                         n_pairs=n_paths,
+                                         seed=3).pair_estimates[i]
+            if shape == "tracking":
+                x0 = PointCloud(positions=np.array([[0.5, 0.0], [0.0, 0.7]]))
+                return tilted_tracking_error(
+                    d2_potential_atom, 1.0, c=16.0, x0=x0, T=0.2, dt=1e-2,
+                    n_paths=n_paths, seed=3).sup_deviations[i]
             if shape == "shell":
                 rep = squeeze_experiment(
                     d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
