@@ -19,7 +19,7 @@ from .rkhs import (SphereRule, ConditionReport, bessel_zeros, check_condition,
 from .field_sampler import (DriftField, CovarianceFactorError,
                             DriftEvaluationError, eval_drift, drift_none,
                             drift_linear, drift_radial_rkhs, drift_custom_table,
-                            covariance_matrix_batch, pivoted_cholesky_batch)
+                            kernel_rows, pivoted_cholesky_batch)
 from .flow_engine import (PointCloud, PathRecord, ExperimentReport,
                           LyapunovResult, TrackingResult, PairCollapseError,
                           euler_flow, ode_flow, containment, diameter,

@@ -45,6 +45,9 @@ EXIT_NUMERIC = 3
 # Euler steps one sampling run may take: the step sizes and times are
 # allocated before the first step, so a larger T/dt is refused while parsing
 MAX_STEPS = 10 ** 7
+# Tracer coordinates N d per path: a 64-path chunk's increment factor F
+# holds 64 (N d)^2 doubles, 128 MiB at this bound, so more is refused
+MAX_COORDS = 512
 
 # Failures a run reports (numeric breakdowns, invalid values met while
 # computing, a run too large for memory, output that cannot be written);
@@ -231,6 +234,8 @@ def _validate_drift(spec, d: int, path: str) -> dict:
 def _parse_vectors(value, d: int, path: str) -> np.ndarray:
     if not (isinstance(value, list) and value):
         raise ConfigError(f"{path}: must be a non-empty list of {d}-vectors")
+    if len(value) > MAX_COORDS // d:
+        raise ConfigError(f"{path}: must hold <= {MAX_COORDS // d} vectors")
     out = []
     for i, vec in enumerate(value):
         if not (isinstance(vec, (list, tuple)) and len(vec) == d):
@@ -307,7 +312,8 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
                                  minimum=1)
         out["n_boundary"] = _as_int(p.get("n_boundary", 64),
-                                    f"{path}.n_boundary", minimum=8)
+                                    f"{path}.n_boundary", minimum=8,
+                                    maximum=MAX_COORDS // model.d)
         out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
     elif command == "track-control":
         _no_extras(p, {"rho", "cs", "T", "dt", "n_paths", "x0", "stride"}, path)
@@ -340,7 +346,8 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
             radius = _as_number(_need(curve, "radius", f"{path}.curve"),
                                 f"{path}.curve.radius", exclusive_min=0.0)
             n_vertices = _as_int(_need(curve, "n_vertices", f"{path}.curve"),
-                                 f"{path}.curve.n_vertices", minimum=3)
+                                 f"{path}.curve.n_vertices", minimum=3,
+                                 maximum=MAX_COORDS // model.d)
             center = curve.get("center", [0.0] * model.d)
             center = _parse_vectors([center], model.d, f"{path}.curve.center")[0]
             ang = 2.0 * math.pi * np.arange(n_vertices) / n_vertices

@@ -203,18 +203,20 @@ def _component_scalars(d: int, measure: SpectralMeasure, potential: bool,
 
 def _scalars_exact(model: IbfModel, flat: np.ndarray,
                    slopes: bool = False) -> list[np.ndarray]:
-    """[B_L, B_N] by quadrature, then [dB_L/ds, dB_N/ds] if slopes is set."""
+    """[B_L, B_N] by quadrature, then [dB_L/ds, dB_N/ds] if slopes is set;
+    a non-finite separation has no covariance and gives NaN."""
+    finite = flat < math.inf
     out = [np.full(flat.shape, model.mu0, dtype=float) for _ in range(2)]
     out += [np.zeros(flat.shape) for _ in range(2 if slopes else 0)]
     for mu, m, potential in ((model.mu1, model.m_p, True),
                              (model.mu2, model.m_s, False)):
         if mu > 0.0:
-            for acc, part in zip(out, _component_scalars(model.d, m, potential,
-                                                         flat, slopes)):
+            for acc, part in zip(out, _component_scalars(
+                    model.d, m, potential, np.where(finite, flat, 0.0), slopes)):
                 acc += mu * part
     out[0] = np.where(flat == 0.0, 1.0, out[0])
     out[1] = np.where(flat == 0.0, 1.0, out[1])
-    return out
+    return [np.where(finite, acc, np.nan) for acc in out]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +408,8 @@ def covariance_scalars(model: IbfModel, s):
     separation (its tensor is mu0 * identity everywhere). Each
     separation's route depends on the model and s alone, never on the
     batch: the moment series for s < s0 (s = 0 gives exactly 1), the
-    piecewise-cubic profile on [s0, 64], exact quadrature beyond 64.
+    piecewise-cubic profile on [s0, 64], exact quadrature beyond 64. A
+    non-finite separation has no covariance and gives NaN.
     """
     arr, flat = _checked_separations(s)
     series = _small_s_series(model)
@@ -420,7 +423,7 @@ def covariance_scalars(model: IbfModel, s):
         b_l = np.empty_like(flat)
         b_n = np.empty_like(flat)
         small = flat < series.s0
-        far = ~(small | (flat <= _PROFILE_HI))  # NaN too, as before
+        far = ~(small | (flat <= _PROFILE_HI))  # NaN and inf too
         routes = ((small, series),
                   (~(small | far), lambda x: _scalar_profile(model)(x)),
                   (far, lambda x: _scalars_exact(model, x)))
@@ -436,21 +439,24 @@ def tensor_field(model: IbfModel, xs: np.ndarray) -> np.ndarray:
     """Covariance tensors b(x) for a batch of separation vectors.
 
     xs has shape (..., d); the result has shape (..., d, d). At x = 0
-    the tensor is exactly the identity.
+    the tensor is exactly the identity. It is built one component pair
+    at a time (|x|^2 too, in component order): broadcasting over the tiny
+    trailing axes would cost more than the arithmetic.
     """
     xs = np.asarray(xs, dtype=float)
     d = model.d
     if xs.shape[-1] != d:
         raise ModelError(f"separation vectors must have length d = {d}")
-    s = np.linalg.norm(xs, axis=-1)
+    comps = [xs[..., a] for a in range(d)]
+    s = np.sqrt(sum(x * x for x in comps))
     b_l, b_n = covariance_scalars(model, s)
-    b_l = np.asarray(b_l, dtype=float)
-    b_n = np.asarray(b_n, dtype=float)
     s2 = s * s
     coef = np.divide(b_l - b_n, s2, out=np.zeros_like(s2), where=s2 > 0.0)
-    out = coef[..., None, None] * (xs[..., :, None] * xs[..., None, :])
-    idx = np.arange(d)
-    out[..., idx, idx] += b_n[..., None]
+    out = np.empty(xs.shape + (d,))
+    for a in range(d):
+        for c in range(a, d):
+            out[..., a, c] = out[..., c, a] = coef * (comps[a] * comps[c])
+        out[..., a, a] += b_n
     return out
 
 

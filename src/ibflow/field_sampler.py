@@ -5,7 +5,9 @@ and on a finite point set that law is exactly N(0, C * dt) with block
 covariance C[i][j] = b(x_i - x_j). C is routinely singular (a band-limited
 field has few degrees of freedom on a small or dense cloud), so it is
 factored by a rank-revealing pivoted Cholesky: a degenerate law is
-sampled exactly, and the rank and the dropped trace are reported.
+sampled exactly, and the rank and the dropped trace are reported. The
+factor reads C one kernel row per pivot, built on demand from
+tensor_field; C itself is never assembled.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rkhs
-from .covariance import CubicTable, IbfModel, ModelError, hermite_rows
+from .covariance import (CubicTable, IbfModel, ModelError, hermite_rows,
+                         tensor_field)
 
 DRIFT_KINDS = ("none", "linear", "radial_rkhs", "custom_table")
 _EPS = np.finfo(float).eps
 # Kernel scalars served from the mid-range profile are accurate to about
-# 1e-12, so an assembled C can have eigenvalues near -1e-12 (-4.5e-13
-# measured on a 128 x 128 shell covariance), and pivots just above the
-# stop tolerance amplify that in the residual diagonal (-7.8e-11 measured
-# on a contracting 24-point circle). Only a residual diagonal below
-# -sqrt(eps) max diag(C) is taken to mean C is not PSD.
+# 1e-12, so the C whose rows the factor reads can have eigenvalues near
+# -1e-12 (-4.5e-13 measured on a 128 x 128 shell covariance), and pivots
+# just above the stop tolerance amplify that in the residual diagonal
+# (-7.8e-11 measured on a contracting 24-point circle). Only a residual
+# diagonal below -sqrt(eps) max diag(C) is taken to mean C is not PSD.
 _PSD_SLACK = float(np.sqrt(_EPS))
 
 
@@ -289,54 +292,37 @@ def drift_from_config(spec: dict, model: IbfModel) -> DriftField:
 
 
 # ---------------------------------------------------------------------------
-# covariance assembly and factorization
+# kernel rows and the factorization
 
-def covariance_matrix_batch(model: IbfModel, positions: np.ndarray) -> np.ndarray:
-    """Batched assembly for positions of shape (B, N, d) -> (B, Nd, Nd).
+def kernel_rows(model: IbfModel, x: np.ndarray):
+    """pivoted_cholesky_batch's row source and diagonal (exactly 1) for
+    the covariances C_b[i][j] = b(x_i - x_j) of point sets (B, N, d).
 
-    Kernel scalars are evaluated once per unordered pair i < j and
-    mirrored; the diagonal blocks are the identity b(0) = I. Entries
-    match tensor_field bitwise (same operation order), and the matrix is
-    filled by component slices from per-component difference arrays,
-    without materializing the five-dimensional block array.
+    Row (i, a) is component a of tensor_field(x_i - x_j) over all j; one
+    call serves the d rows of point i, held until a path pivots on
+    another point.
     """
-    from .covariance import covariance_scalars
-
-    pos = np.asarray(positions, dtype=float)
-    nb, n, d = pos.shape
+    x = np.asarray(x, dtype=float)
+    nb, n, d = x.shape
     if d != model.d:
         raise ModelError(f"points must have dimension d = {model.d}")
-    diffs = [pos[:, :, None, a] - pos[:, None, :, a] for a in range(d)]
-    iu, ju = np.triu_indices(n, 1)
-    pair = [dx[:, iu, ju] for dx in diffs]
-    s2 = pair[0] * pair[0]
-    for dx in pair[1:]:
-        s2 += dx * dx
-    s = np.sqrt(s2)  # as np.linalg.norm sums the squares in tensor_field
-    b_l, b_n = covariance_scalars(model, s)
-    s2 = s * s
-    upper = np.zeros((nb, n, n))
-    upper[:, iu, ju] = np.divide(b_l - b_n, s2, out=np.zeros_like(s2),
-                                 where=s2 > 0.0)
-    coef = upper + upper.transpose(0, 2, 1)  # exact: the lower half is 0
-    upper[:, iu, ju] = b_n
-    b_nn = upper + upper.transpose(0, 2, 1)
-    b_nn[:, np.arange(n), np.arange(n)] = 1.0
-    out = np.empty((nb, n * d, n * d))
-    for a in range(d):
-        for c in range(a, d):
-            block = coef * (diffs[a] * diffs[c])
-            if a == c:
-                block += b_nn
-            out[:, a::d, c::d] = block
-            if a != c:
-                out[:, c::d, a::d] = block
-    return out
+    paths = np.arange(nb)
+    held = [None, None]  # per-path point, its (B, N, d, d) tensors
+
+    def row(p: np.ndarray) -> np.ndarray:
+        point, comp = np.divmod(p, d)
+        if held[0] is None or (point != held[0]).any():
+            held[:] = point, tensor_field(model, x[paths, point, None] - x)
+        return held[1][paths, :, comp].reshape(nb, n * d)
+
+    return row, np.ones((nb, n * d))
 
 
-def pivoted_cholesky_batch(covs: np.ndarray, path_offset: int = 0,
+def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
                            step: int | None = None):
-    """Rank-revealing factors of a batch of PSD matrices of shape (B, m, m).
+    """Rank-revealing factors of a batch of PSD matrices C_b of size m,
+    read as diag (B, m) and row(p), a fresh (B, m) array of row p[b] of
+    each C_b, one per pivot (Harbrecht, Peters and Schneider 2012).
 
     Diagonally pivoted, left-looking Cholesky (Higham 1990; Hammarling,
     Higham and Lucas 2007), one vectorised update across the batch per
@@ -352,28 +338,29 @@ def pivoted_cholesky_batch(covs: np.ndarray, path_offset: int = 0,
     path's increment differently with the ranks of its batch-mates.
 
     Raises CovarianceFactorError, naming path path_offset + b and the
-    step, when C_b is not finite or a residual diagonal falls below
-    -sqrt(eps) * max diag(C_b) (C_b is not PSD).
+    step, when what is read of C_b is not finite or a residual diagonal
+    falls below -sqrt(eps) * max diag(C_b) (C_b is not PSD).
     """
-    covs = np.ascontiguousarray(covs, dtype=float)
-    nb, m, _ = covs.shape
-    if not np.isfinite(covs).all():
-        finite = np.isfinite(covs).all(axis=(1, 2))
-        raise CovarianceFactorError(path_offset + int(np.argmin(finite)), step,
-                                    "is not finite")
-    diag = np.diagonal(covs, axis1=1, axis2=2)
+    def check_finite(values):
+        if not np.isfinite(values).all():
+            b = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise CovarianceFactorError(path_offset + b, step, "is not finite")
+
+    diag = np.asarray(diag, dtype=float)
+    check_finite(diag)
+    nb, m = diag.shape
     scale = diag.max(axis=1, initial=0.0)
     tol = m * _EPS * scale
     resid = diag.copy()          # Schur diagonal, -inf once pivoted
     keep = np.ones((nb, m))      # 0 on pivoted rows: their later entries are 0
     factor = np.zeros((nb, m, m))
-    c_rows = covs.reshape(nb * m, m)
     f_rows = factor.reshape(nb * m, m)
     flat_resid = resid.reshape(-1)
     flat_keep = keep.reshape(-1)
     base = np.arange(nb) * m
     for k in range(m):
-        idx = base + resid.argmax(axis=1)
+        pivot = resid.argmax(axis=1)
+        idx = base + pivot
         top = flat_resid[idx]
         going = top > tol
         if going.all():
@@ -384,8 +371,9 @@ def pivoted_cholesky_batch(covs: np.ndarray, path_offset: int = 0,
             done = idx[going]
         else:
             break
-        # column k from row p of C (C is symmetric) and the columns so far
-        col = c_rows[idx]
+        # column k from the pivot rows (C is symmetric) and the columns so far
+        col = row(pivot)
+        check_finite(col)
         if k:
             col -= (factor[:, :, :k] @ f_rows[idx, :k, None])[..., 0]
         col *= keep

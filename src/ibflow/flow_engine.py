@@ -20,9 +20,8 @@ import numpy as np
 
 from ._version import __version__
 from .covariance import IbfModel, ModelError
-from .field_sampler import (DriftField, covariance_matrix_batch,
-                            drift_radial_rkhs, eval_drift,
-                            pivoted_cholesky_batch)
+from .field_sampler import (DriftField, drift_radial_rkhs, eval_drift,
+                            kernel_rows, pivoted_cholesky_batch)
 
 DEFAULT_STRIDE = 10
 _CHUNK = 64  # paths per batch; fixed so results never depend on --jobs
@@ -226,9 +225,8 @@ def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
         if drift is not None:
             delta += h * eval_drift(drift, x)
         if normals is not None:
-            covs = covariance_matrix_batch(model, x)
             factor, rank, dropped = pivoted_cholesky_batch(
-                covs, path_offset=path_offset, step=k)
+                *kernel_rows(model, x), path_offset=path_offset, step=k)
             np.minimum(rank_min, rank, out=rank_min)
             np.maximum(rank_max, rank, out=rank_max)
             np.maximum(dropped_max, dropped, out=dropped_max)

@@ -153,6 +153,42 @@ class TestParseConfig:
         doc["params"]["dt"] = T / cli.MAX_STEPS * 1.5
         assert parse_config(doc).params["dt"] == T / cli.MAX_STEPS * 1.5
 
+    @pytest.mark.parametrize("field", ["n_boundary", "curve.n_vertices",
+                                       "curve.positions", "x0"])
+    def test_tracer_coordinates_capped(self, tmp_path, capsys, field):
+        # a chunk's increment factor holds (N d)^2 doubles per path: a
+        # tracer set of more than MAX_COORDS coordinates is refused while
+        # parsing
+        def doc_with(n):
+            pts = [[0.01 * k, 0.0] for k in range(n)]
+            if field == "n_boundary":
+                return atom_config(command="squeeze",
+                                   params=dict(SQUEEZE_PARAMS, n_boundary=n))
+            if field == "x0":
+                return atom_config(
+                    command="track-control",
+                    params={"rho": 1.0, "cs": [4.0], "T": 0.1, "dt": 0.05,
+                            "n_paths": 2, "x0": pts})
+            curve = ({"kind": "circle", "radius": 1.0, "n_vertices": n}
+                     if field == "curve.n_vertices"
+                     else {"kind": "points", "positions": pts})
+            return atom_config(command="length-decay",
+                               params={"T": 0.1, "dt": 0.05, "n_paths": 2,
+                                       "curve": curve})
+
+        limit = cli.MAX_COORDS // 2  # tracers in d = 2
+        parse_config(doc_with(limit))
+        doc = doc_with(limit + 1)
+        with pytest.raises(ConfigError,
+                           match=f"^params.{field}: must .*<= {limit}"):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([doc["command"], "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"params.{field}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_drift_spec_parsed(self):
         doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
                           drift={"kind": "radial_rkhs", "rho": 1.0,
@@ -368,6 +404,27 @@ class TestMainExitCodes:
         path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
         assert main(["covariance", "--config", str(path)]) == EXIT_NUMERIC
         assert "path 3, step 17" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overflowing_step_exit_3_names_path_and_step(self, tmp_path,
+                                                         capsys, jobs):
+        # a drift this steep carries every tracer past the largest double
+        # in the first step; the second step's covariance rows are then
+        # not finite, and the run stops at the first path
+        doc = atom_config(command="squeeze",
+                          params=dict(SQUEEZE_PARAMS, T1=1.0, T2=2.0, dt=1.0,
+                                      n_paths=66, n_boundary=8),
+                          drift={"kind": "linear",
+                                 "matrix": [[1e308, 0.0], [0.0, 1e308]]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["squeeze", "--config", str(path), "--out",
+                         str(tmp_path), "--jobs", str(jobs)])
+        assert code == EXIT_NUMERIC
+        assert ("CovarianceFactorError: path 0, step 1: increment covariance "
+                "is not finite") in capsys.readouterr().err
 
     def test_pair_collapse_exit_3_names_global_pair(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -124,6 +124,17 @@ class TestKernelRoute:
             b_l, b_n = covariance_scalars(model, np.array([0.0, 0.5, 100.0]))
             assert b_l[0] == 1.0 and b_n[0] == 1.0
 
+    def test_non_finite_separation_is_nan(self, d2_mixed):
+        # a tracer that left the doubles has no covariance: NaN, which the
+        # factor reports with its path and step, while every finite
+        # separation keeps its route's value
+        s = np.array([0.0, 0.5, np.nan, np.inf, 100.0])
+        b_l, b_n = covariance_scalars(d2_mixed, s)
+        finite = covariance_scalars(d2_mixed, s[[0, 1, 4]])
+        for got, want in zip((b_l, b_n), finite):
+            assert np.isnan(got[2:4]).all()
+            assert np.array_equal(got[[0, 1, 4]], want)
+
     def test_series_remainder_bound_at_s0(self, d2_potential_atom, d2_mixed,
                                           d3_mixed):
         eps = np.finfo(float).eps

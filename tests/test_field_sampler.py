@@ -1,4 +1,4 @@
-"""Covariance assembly, the rank-revealing factor, drift field evaluation."""
+"""Kernel rows, the rank-revealing factor, drift field evaluation."""
 
 import json
 import math
@@ -14,19 +14,40 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 import ibflow
 from ibflow import (CovarianceFactorError, DriftEvaluationError, ModelError,
-                    PointCloud, covariance_matrix_batch, covariance_tensor,
-                    drift_custom_table, drift_linear, drift_none,
-                    drift_radial_rkhs, euler_flow, eval_drift,
-                    mean_inward_field, pivoted_cholesky_batch, psd_probe,
-                    sphere_rule)
+                    PointCloud, covariance_tensor, drift_custom_table,
+                    drift_linear, drift_none, drift_radial_rkhs, euler_flow,
+                    eval_drift, flow_engine, kernel_rows, mean_inward_field,
+                    pivoted_cholesky_batch, psd_probe, sphere_rule,
+                    tensor_field)
 
 from conftest import J1_AT_1, random_rotation
 
 
+def kernel_matrices(model, pts):
+    """C[i][j] = b(x_i - x_j) from tensor_field, point sets (B, N, d)."""
+    pts = np.asarray(pts, dtype=float)
+    nb, n, d = pts.shape
+    blocks = tensor_field(model, pts[:, :, None, :] - pts[:, None, :, :])
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(nb, n * d, n * d)
+
+
+def matrix_rows(covs):
+    """pivoted_cholesky_batch's row source and diagonal for a fixed
+    (B, m, m) batch of matrices."""
+    covs = np.asarray(covs, dtype=float)
+    paths = np.arange(len(covs))
+    return (lambda p: covs[paths, p]), np.diagonal(covs, axis1=1, axis2=2)
+
+
 def factor_one(model, pts):
-    """Covariance, factor, rank and dropped trace of one point set."""
-    cov = covariance_matrix_batch(model, np.asarray(pts, dtype=float)[None])
-    f, rank, dropped = pivoted_cholesky_batch(cov)
+    """Covariance, factor, rank and dropped trace of one point set; the
+    stepper's kernel rows factor it bitwise as the matrix's rows do."""
+    cov = kernel_matrices(model, np.asarray(pts, dtype=float)[None])
+    f, rank, dropped = pivoted_cholesky_batch(*matrix_rows(cov))
+    f_k, rank_k, dropped_k = pivoted_cholesky_batch(
+        *kernel_rows(model, np.asarray(pts, dtype=float)[None]))
+    assert np.array_equal(f_k, f)
+    assert (rank_k[0], dropped_k[0]) == (rank[0], dropped[0])
     return cov[0], f[0], int(rank[0]), float(dropped[0])
 
 
@@ -52,31 +73,57 @@ class TestBuildSampler:
         assert np.array_equal(inc[0], inc[1])
         assert not np.array_equal(inc[0], inc[2])
 
-    def test_offdiagonal_block_is_covariance_tensor(self, d2_mixed):
-        pts = np.array([[0.0, 0.0], [1.3, 0.4]])
-        cov = covariance_matrix_batch(d2_mixed, pts[None])[0]
-        block = covariance_tensor(d2_mixed, pts[0] - pts[1])
-        assert np.array_equal(cov[0:2, 2:4], block)
-        assert np.array_equal(cov[0:2, 0:2], np.eye(2))
+    def test_offdiagonal_block_is_covariance_tensor(self, d2_mixed, d3_mixed):
+        # whatever the order of the pivots, each row served is bitwise the
+        # matching row of the tensor_field blocks b(x_i - x_j): coincident
+        # tracers included, and the block at j = i is the identity
+        rng = np.random.default_rng(12)
+        for model in (d2_mixed, d3_mixed):
+            d = model.d
+            pts = rng.normal(size=(3, 4, d))
+            pts[1, 3] = pts[1, 0]
+            blocks = tensor_field(model,
+                                  pts[:, :, None, :] - pts[:, None, :, :])
+            assert np.array_equal(blocks[1, 0, 3], np.eye(d))
+            assert np.array_equal(
+                blocks[0, 0, 1], covariance_tensor(model, pts[0, 0] - pts[0, 1]))
+            row, diag = kernel_rows(model, pts)
+            assert np.array_equal(diag, np.ones((3, 4 * d)))
+            pivots = [np.zeros(3, dtype=int), np.ones(3, dtype=int)]
+            pivots += list(rng.integers(0, 4 * d, size=(12, 3)))
+            for p in pivots:
+                rows = row(p)
+                for b, (i, a) in enumerate(zip(*np.divmod(p, d))):
+                    assert np.array_equal(rows[b], blocks[b, i, :, a].ravel())
+                    assert np.array_equal(rows[b, i * d:(i + 1) * d],
+                                          np.eye(d)[a])
+                rows[:] = np.nan  # a fresh array: the next row is unaffected
+            assert np.array_equal(row(p)[0],
+                                  blocks[0, p[0] // d, :, p[0] % d].ravel())
 
     def test_cloud_dimension_checked(self, d3_mixed):
         with pytest.raises(ModelError):
-            covariance_matrix_batch(d3_mixed, np.zeros((1, 2, 2)))
+            kernel_rows(d3_mixed, np.zeros((1, 2, 2)))
 
     def test_indefinite_covariance_names_path_and_step(self):
         bad = np.stack([np.eye(2), np.diag([1.0, -5.0])])
         with pytest.raises(CovarianceFactorError,
                            match="path 8, step 3: .*not positive semidefinite"):
-            pivoted_cholesky_batch(bad, path_offset=7, step=3)
+            pivoted_cholesky_batch(*matrix_rows(bad), path_offset=7, step=3)
         # indefinite through an off-diagonal entry, positive diagonal
         swap = np.array([[[1.0, 2.0], [2.0, 1.0]]])
         with pytest.raises(CovarianceFactorError) as exc:
-            pivoted_cholesky_batch(swap, step=0)
+            pivoted_cholesky_batch(*matrix_rows(swap), step=0)
         assert (exc.value.path_index, exc.value.step) == (0, 0)
         nan = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
         with pytest.raises(CovarianceFactorError,
                            match="path 12, step 5: .*not finite"):
-            pivoted_cholesky_batch(nan, path_offset=10, step=5)
+            pivoted_cholesky_batch(*matrix_rows(nan), path_offset=10, step=5)
+        # a finite diagonal: the non-finite entry shows in the row read
+        nan = np.stack([np.eye(2), [[1.0, np.nan], [np.nan, 1.0]]])
+        with pytest.raises(CovarianceFactorError,
+                           match="path 4, step 0: .*not finite"):
+            pivoted_cholesky_batch(*matrix_rows(nan), path_offset=3, step=0)
 
     def test_factor_reconstructs_covariance(self, d2_mixed, d3_mixed,
                                             trivial_model):
@@ -105,13 +152,14 @@ class TestBuildSampler:
         pts = rng.normal(size=(4, 5, 2))
         pts[1, 1] = pts[1, 0]
         pts[2] *= 0.01
-        batch = covariance_matrix_batch(d2_mixed, pts)
-        f, rank, dropped = pivoted_cholesky_batch(batch)
+        batch = kernel_matrices(d2_mixed, pts)
+        f, rank, dropped = pivoted_cholesky_batch(*matrix_rows(batch))
         assert len(set(rank.tolist())) > 1
         for k in range(4):
-            one = covariance_matrix_batch(d2_mixed, pts[k:k + 1])
+            one = kernel_matrices(d2_mixed, pts[k:k + 1])
             assert np.array_equal(batch[k], one[0])
-            f1, r1, d1 = pivoted_cholesky_batch(one)
+            f1, r1, d1 = pivoted_cholesky_batch(
+                *kernel_rows(d2_mixed, pts[k:k + 1]))
             assert np.array_equal(f[k], f1[0])
             assert (rank[k], dropped[k]) == (r1[0], d1[0])
 
@@ -125,6 +173,31 @@ class TestSampleIncrement:
         for _ in range(10):
             inc = increment(f, 1.0, rng.standard_normal(6))
             assert np.array_equal(inc, np.broadcast_to(inc[0], inc.shape))
+
+    def test_overflowing_step_names_path_and_step(self, d2_mixed):
+        # a real non-finite step: the drift carries the points past the
+        # largest double in step 0, so step 1's first kernel row is NaN
+        # (a non-finite separation has no covariance)
+        cloud = PointCloud(positions=np.array([[10.0, 0.0], [0.0, 10.0],
+                                               [-10.0, 0.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(CovarianceFactorError,
+                              match="^path 0, step 1: .*is not finite$"):
+            euler_flow(d2_mixed, cloud, 0.0, 3.0, 1.0,
+                       drift=drift_linear(1e308 * np.eye(2)),
+                       rng=np.random.default_rng(0))
+        # in a batch, the path that overflowed is named, offset by the
+        # chunk's first path
+        x0 = np.ones((3, 2, 2))
+        x0[1] *= 1e306
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(CovarianceFactorError,
+                              match="^path 6, step 1: .*is not finite$"):
+            flow_engine._simulate(
+                d2_mixed, x0, 0.0, 3.0, 1.0,
+                [np.random.default_rng(k) for k in range(3)],
+                lambda t, k, x: None, drift=drift_linear(1e3 * np.eye(2)),
+                path_offset=5)
 
     def test_dt_guard(self, d2_mixed):
         cloud = PointCloud(positions=np.zeros((1, 2)))

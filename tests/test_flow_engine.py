@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from ibflow import (PathRecord, PointCloud, containment,
-                    covariance_matrix_batch, curve_length, diameter,
-                    drift_linear, drift_none, drift_radial_rkhs, euler_flow,
-                    flow_engine, length_decay_experiment, lyapunov_estimate,
-                    ode_flow, pivoted_cholesky_batch, squeeze_experiment,
+from ibflow import (PathRecord, PointCloud, containment, curve_length,
+                    diameter, drift_linear, drift_none, drift_radial_rkhs,
+                    euler_flow, flow_engine, kernel_rows,
+                    length_decay_experiment, lyapunov_estimate, ode_flow,
+                    pivoted_cholesky_batch, squeeze_experiment,
                     tilted_tracking_error, wilson_interval)
 
 from conftest import random_rotation
@@ -220,17 +220,17 @@ class TestStreams:
         assert runs[0] == runs[1]
 
     def test_path_independent_of_batch_and_position(self, d2_mixed):
-        # fixed covariances of different ranks: path 3's factor and
-        # increments must not see how many paths run or where its chunk
-        # starts
+        # fixed point sets whose covariances have different ranks: path
+        # 3's factor and increments must not see how many paths run or
+        # where its chunk starts
         rng = np.random.default_rng(5)
         clouds = rng.normal(size=(7, 4, 2))
         clouds[2, 1] = clouds[2, 0]
         clouds[5] *= 1e-3
-        covs = covariance_matrix_batch(d2_mixed, clouds)
 
         def path3(lo, hi):
-            f, rank, _ = pivoted_cholesky_batch(covs[lo:hi], path_offset=lo)
+            f, rank, _ = pivoted_cholesky_batch(
+                *kernel_rows(d2_mixed, clouds[lo:hi]), path_offset=lo)
             normals = flow_engine._step_normals(
                 flow_engine._path_gens(4, lo, hi), 5, 8)
             incs = [(f @ z[:, :, None])[3 - lo, :, 0] for z in normals]
