@@ -21,7 +21,8 @@ import math
 import reprlib
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from ._version import __version__
 from . import covariance, flow_engine, rkhs
 from .covariance import IbfModel, ModelError
 from .field_sampler import DriftField, drift_from_config, drift_radial_rkhs
-from .flow_engine import PointCloud, _model_config, drift_config
+from .flow_engine import PathRecord, PointCloud
 from .spectral import MeasureError, SpectralMeasure
 
 COMMANDS = ("covariance", "check-condition", "verify-identity", "lyapunov",
@@ -48,6 +49,24 @@ MAX_STEPS = 10 ** 7
 # Tracer coordinates N d per path: a 64-path chunk's increment factor F
 # holds 64 (N d)^2 doubles, 128 MiB at this bound, so more is refused
 MAX_COORDS = 512
+# Values a sampling run records: squeeze, expand and length-decay hold
+# n_paths x snapshots of each series as arrays, path records, CSV text and
+# report text, 500-600 bytes a value (measured on d = 2 runs), so about
+# 300 MiB at this bound; lyapunov records one rate per pair and
+# track-control n_paths x (snapshots + len(cs)) deviations
+MAX_SERIES = 2 ** 19
+# covariance grid points: b_scalar's quadrature of a component holds about
+# 120 bytes per (point, quadrature node), 4 KB a point for a measure of one
+# atom and one density piece (33 nodes), so about 250 MiB at this bound
+MAX_POINTS = 2 ** 16
+# verify-identity sphere-rule nodes n: the double sum evaluates the kernel
+# on n^2 node pairs in chunks of 2e6 pairs (about 190 MB each), 1.1e9
+# pairs at this bound, minutes per rho at about 170 ns a pair
+MAX_RULE_NODES = 2 ** 15
+# Radial-drift sphere-rule nodes n: drift_radial_rkhs probes 2048 radii
+# against every node at once, about 12 doubles per (radius, node), so
+# about 190 MiB at this bound
+MAX_DRIFT_NODES = 1024
 
 # Failures a run reports (numeric breakdowns, invalid values met while
 # computing, a run too large for memory, output that cannot be written);
@@ -218,8 +237,9 @@ def _validate_drift(spec, d: int, path: str) -> dict:
                                 exclusive_min=0.0)
         out["scale"] = _as_number(spec.get("scale", 1.0), f"{path}.scale")
         if spec.get("resolution") is not None:
-            out["resolution"] = _as_int(spec["resolution"],
-                                        f"{path}.resolution", minimum=1)
+            out["resolution"] = _as_resolution(spec["resolution"], d,
+                                               f"{path}.resolution",
+                                               MAX_DRIFT_NODES)
     elif kind == "custom_table":
         axes = _need(spec, "axes", path)
         if not (isinstance(axes, list) and len(axes) == d):
@@ -245,6 +265,32 @@ def _parse_vectors(value, d: int, path: str) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def _as_resolution(value, d: int, path: str, max_nodes: int) -> int:
+    """A sphere-rule resolution whose rule (resolution^2 nodes in d = 3,
+    resolution otherwise) has at most max_nodes nodes."""
+    res = _as_int(value, path, minimum=1)
+    nodes = res * res if d == 3 else res
+    if nodes > max_nodes:
+        raise ConfigError(f"{path}: a rule of {nodes} nodes is more than "
+                          f"{max_nodes}")
+    return res
+
+
+def _cap_series(out: dict, key: str, path: str, per_path: int) -> None:
+    """params.<key> paths recording per_path values each: at most
+    MAX_SERIES values in all."""
+    if out[key] * per_path > MAX_SERIES:
+        raise ConfigError(f"{path}.{key}: {out[key]} x {per_path} recorded "
+                          f"values is more than {MAX_SERIES}")
+
+
+def _snapshots(span: float, dt: float, stride: int) -> int:
+    """Snapshots an observer sees over span: the start, every stride-th
+    Euler step and the last one (flow_engine._step_sizes' step count)."""
+    steps = max(1, math.ceil(span / dt - 1e-9))
+    return 1 + -(-steps // stride)
+
+
 def _as_step(p: dict, span: float, path: str) -> float:
     """params.dt: in (0, span], and at most MAX_STEPS steps over span."""
     dt = _as_number(_need(p, "dt", path), f"{path}.dt", exclusive_min=0.0,
@@ -266,13 +312,19 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["s_max"] = _as_number(_need(p, "s_max", path), f"{path}.s_max",
                                   exclusive_min=0.0)
         out["n_points"] = _as_int(p.get("n_points", 201), f"{path}.n_points",
-                                  minimum=2)
+                                  minimum=2, maximum=MAX_POINTS)
     elif command == "check-condition":
         _no_extras(p, {"rho", "tol"}, path)
         out["rho"] = _as_number(_need(p, "rho", path), f"{path}.rho",
                                 exclusive_min=0.0)
         out["tol"] = _as_number(p.get("tol", 1e-8), f"{path}.tol",
                                 exclusive_min=0.0)
+        if (model.mu1 > 0.0 and rkhs.zero_search_bound(
+                model, out["rho"], out["tol"]) > rkhs.ZERO_SEARCH_MAX):
+            raise ConfigError(
+                f"{path}.rho: the zero search would run past "
+                f"{rkhs.ZERO_SEARCH_MAX} (rho * support_max of m_p, widened "
+                f"by tol)")
     elif command == "verify-identity":
         _no_extras(p, {"rhos", "resolution"}, path)
         rhos = _need(p, "rhos", path)
@@ -281,8 +333,9 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["rhos"] = [_as_number(r, f"{path}.rhos[{i}]", exclusive_min=0.0)
                        for i, r in enumerate(rhos)]
         default_res = 512 if model.d == 2 else 48
-        out["resolution"] = _as_int(p.get("resolution", default_res),
-                                    f"{path}.resolution", minimum=1)
+        out["resolution"] = _as_resolution(p.get("resolution", default_res),
+                                           model.d, f"{path}.resolution",
+                                           MAX_RULE_NODES)
     elif command == "lyapunov":
         if model.is_trivial:
             raise ConfigError(
@@ -296,6 +349,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["renorm_eps"] = _as_number(p.get("renorm_eps", 1e-4),
                                        f"{path}.renorm_eps",
                                        exclusive_min=1e-8, maximum=1e-2)
+        _cap_series(out, "n_pairs", path, 1)
     elif command in ("squeeze", "expand"):
         _no_extras(p, {"R", "delta", "T1", "T2", "dt", "n_paths",
                        "n_boundary", "stride"}, path)
@@ -315,6 +369,8 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
                                     f"{path}.n_boundary", minimum=8,
                                     maximum=MAX_COORDS // model.d)
         out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
+        _cap_series(out, "n_paths", path,
+                    _snapshots(out["T2"], out["dt"], out["stride"]))
     elif command == "track-control":
         _no_extras(p, {"rho", "cs", "T", "dt", "n_paths", "x0", "stride"}, path)
         out["rho"] = _as_number(_need(p, "rho", path), f"{path}.rho",
@@ -330,6 +386,9 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
                                  minimum=2)
         out["x0"] = _parse_vectors(_need(p, "x0", path), model.d, f"{path}.x0")
         out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
+        _cap_series(out, "n_paths", path,
+                    _snapshots(out["T"], out["dt"], out["stride"])
+                    + len(out["cs"]))
     elif command == "length-decay":
         _no_extras(p, {"T", "dt", "n_paths", "curve", "stride"}, path)
         out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
@@ -370,8 +429,37 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         if out["positions"].shape[0] < 2:
             raise ConfigError(f"{path}.curve: needs at least two vertices")
         out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
+        _cap_series(out, "n_paths", path,
+                    _snapshots(out["T"], out["dt"], out["stride"]))
     else:
         raise ConfigError(f"command: unknown command {command!r}")
+    return out
+
+
+def _model_config(model: IbfModel) -> dict:
+    def measure(m):
+        if m is None:
+            return None
+        return {"atoms": [list(a) for a in m.atoms],
+                "density": [list(p) for p in m.density_pieces]}
+
+    out = {"d": model.d, "mu0": model.mu0, "mu1": model.mu1, "mu2": model.mu2,
+           "m_p": measure(model.m_p), "m_s": measure(model.m_s)}
+    if model.allow_trivial:
+        out["allow_trivial"] = True
+    return out
+
+
+def drift_config(drift: DriftField) -> dict:
+    out = {"kind": drift.kind}
+    if drift.kind == "linear":
+        out["matrix"] = drift.matrix.tolist()
+    elif drift.kind == "radial_rkhs":
+        out.update({"rho": drift.rho, "scale": drift.scale,
+                    "resolution": drift.resolution})
+    elif drift.kind == "custom_table":
+        out.update({"axes": [a.tolist() for a in drift.axes],
+                    "values": drift.table.tolist()})
     return out
 
 
@@ -486,21 +574,40 @@ def write_report(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
-def _report_skeleton(cfg: RunConfig, t_start: float) -> dict:
-    return {
-        "command": cfg.command,
-        "config": cfg.echo,
-        "aggregate": {},
-        "wall_clock": time.perf_counter() - t_start,
-        "version": __version__,
-    }
+@dataclass
+class Measured:
+    """What a runner measured: its CSV table, its report aggregate, the
+    summary line and, for squeeze, expand and length-decay, the per-path
+    records."""
+
+    header: list[str]
+    rows: Iterable[tuple]
+    aggregate: dict
+    summary: str
+    paths: list[PathRecord] | None = None
+
+
+def _emit(cfg: RunConfig, out_dir: Path, out: Measured,
+          wall_clock: float) -> list[Path]:
+    """Write <command>.csv and <command>_report.json, the one report
+    format: command, config (the validated document, which re-parses as
+    it is), paths where measured, aggregate, wall_clock and version."""
+    csv_path = out_dir / f"{cfg.command}.csv"
+    write_csv(csv_path, out.header, out.rows)
+    report = {"command": cfg.command, "config": cfg.echo}
+    if out.paths is not None:
+        report["paths"] = [asdict(p) for p in out.paths]
+    report.update(aggregate=out.aggregate, wall_clock=wall_clock,
+                  version=__version__)
+    report_path = out_dir / f"{cfg.command}_report.json"
+    write_report(report_path, report)
+    return [csv_path, report_path]
 
 
 # ---------------------------------------------------------------------------
 # per-command runners
 
-def _run_covariance(cfg: RunConfig, out_dir: Path, jobs: int):
-    t0 = time.perf_counter()
+def _run_covariance(cfg: RunConfig, jobs: int) -> Measured:
     model = cfg.model
     s = np.linspace(0.0, cfg.params["s_max"], cfg.params["n_points"])
     b_l, b_n = covariance.covariance_scalars(model, s)
@@ -513,24 +620,19 @@ def _run_covariance(cfg: RunConfig, out_dir: Path, jobs: int):
             per_kind[kind] = covariance.b_scalar(model, kind, s)
     rows = zip(s, b_l, b_n, per_kind["PL"], per_kind["PN"],
                per_kind["SL"], per_kind["SN"])
-    csv_path = out_dir / "covariance.csv"
-    write_csv(csv_path, ["s", "B_L", "B_N", "B_PL", "B_PN", "B_SL", "B_SN"], rows)
-    report = _report_skeleton(cfg, t0)
     try:
         fc = covariance.flow_constants(model)
-        report["aggregate"] = {"beta_l": fc.beta_l, "beta_n": fc.beta_n,
-                               "lambda": fc.lam}
+        aggregate = {"beta_l": fc.beta_l, "beta_n": fc.beta_n,
+                     "lambda": fc.lam}
     except ModelError:
-        report["aggregate"] = {"note": "trivial model: constants undefined"}
-    report_path = out_dir / "covariance_report.json"
-    write_report(report_path, report)
-    summary = (f"covariance: {len(s)} rows on s in [0, {cfg.params['s_max']}]"
-               f" -> {csv_path}")
-    return summary, [csv_path, report_path]
+        aggregate = {"note": "trivial model: constants undefined"}
+    summary = (f"covariance: {len(s)} rows on s in "
+               f"[0, {cfg.params['s_max']}]")
+    return Measured(["s", "B_L", "B_N", "B_PL", "B_PN", "B_SL", "B_SN"],
+                    rows, aggregate, summary)
 
 
-def _run_check_condition(cfg: RunConfig, out_dir: Path, jobs: int):
-    t0 = time.perf_counter()
+def _run_check_condition(cfg: RunConfig, jobs: int) -> Measured:
     rep = rkhs.check_condition(cfg.model, cfg.params["rho"], cfg.params["tol"])
     zeros = np.asarray(rep.zero_locations_checked)
     rows = []
@@ -540,24 +642,19 @@ def _run_check_condition(cfg: RunConfig, out_dir: Path, jobs: int):
             rows.append(("atom", s, s, w, dist))
         for lo, hi, h in cfg.model.m_p.density_pieces:
             rows.append(("piece", lo, hi, h * (hi - lo), math.nan))
-    csv_path = out_dir / "check-condition.csv"
-    write_csv(csv_path, ["component", "lo", "hi", "mass",
-                         "distance_to_nearest_scaled_zero"], rows)
-    report = _report_skeleton(cfg, t0)
-    report["aggregate"] = {
+    aggregate = {
         "satisfied": rep.satisfied,
         "witness_mass": rep.witness_mass,
         "zero_locations_checked": list(rep.zero_locations_checked),
     }
-    report_path = out_dir / "check-condition_report.json"
-    write_report(report_path, report)
     summary = (f"check-condition: satisfied={rep.satisfied} "
                f"witness_mass={rep.witness_mass:.6g}")
-    return summary, [csv_path, report_path]
+    return Measured(["component", "lo", "hi", "mass",
+                     "distance_to_nearest_scaled_zero"], rows, aggregate,
+                    summary)
 
 
-def _run_verify_identity(cfg: RunConfig, out_dir: Path, jobs: int):
-    t0 = time.perf_counter()
+def _run_verify_identity(cfg: RunConfig, jobs: int) -> Measured:
     rule = rkhs.sphere_rule(cfg.model.d, cfg.params["resolution"])
     rows = []
     worst = 0.0
@@ -566,46 +663,32 @@ def _run_verify_identity(cfg: RunConfig, out_dir: Path, jobs: int):
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-6)
         worst = max(worst, gap)
         rows.append((rho, lhs, rhs, gap))
-    csv_path = out_dir / "verify-identity.csv"
-    write_csv(csv_path, ["rho", "lhs", "rhs", "rel_gap"], rows)
-    report = _report_skeleton(cfg, t0)
-    report["aggregate"] = {"max_rel_gap": worst,
-                           "resolution": cfg.params["resolution"]}
-    report_path = out_dir / "verify-identity_report.json"
-    write_report(report_path, report)
+    aggregate = {"max_rel_gap": worst, "resolution": cfg.params["resolution"]}
     summary = f"verify-identity: max relative lhs/rhs gap = {worst:.3e}"
-    return summary, [csv_path, report_path]
+    return Measured(["rho", "lhs", "rhs", "rel_gap"], rows, aggregate, summary)
 
 
-def _run_lyapunov(cfg: RunConfig, out_dir: Path, jobs: int):
-    t0 = time.perf_counter()
+def _run_lyapunov(cfg: RunConfig, jobs: int) -> Measured:
     res = flow_engine.lyapunov_estimate(
         cfg.model, T=cfg.params["T"], dt=cfg.params["dt"],
         n_pairs=cfg.params["n_pairs"], renorm_eps=cfg.params["renorm_eps"],
         seed=cfg.seed, jobs=jobs)
-    csv_path = out_dir / "lyapunov.csv"
-    write_csv(csv_path, ["pair", "estimate"],
-              [(i, v) for i, v in enumerate(res.pair_estimates)])
     fc = covariance.flow_constants(cfg.model)
-    report = _report_skeleton(cfg, t0)
-    report["aggregate"] = {
+    aggregate = {
         "estimate": res.estimate,
         "standard_error": res.standard_error,
         "analytic_lambda": fc.lam,
         "beta_l": fc.beta_l,
         "beta_n": fc.beta_n,
-        "rank_min": res.rank_min,
-        "rank_max": res.rank_max,
-        "dropped_trace_max": res.dropped_trace_max,
+        **flow_engine._aggregate_numerics(res.numerics),
     }
-    report_path = out_dir / "lyapunov_report.json"
-    write_report(report_path, report)
     summary = (f"lyapunov: estimate = {res.estimate:.5f} "
                f"+/- {res.standard_error:.5f} (analytic {fc.lam:.5f})")
-    return summary, [csv_path, report_path]
+    return Measured(["pair", "estimate"], enumerate(res.pair_estimates),
+                    aggregate, summary)
 
 
-def _run_squeeze(cfg: RunConfig, out_dir: Path, jobs: int):
+def _run_squeeze(cfg: RunConfig, jobs: int) -> Measured:
     mode = cfg.command
     p = cfg.params
     rep = flow_engine.squeeze_experiment(
@@ -613,80 +696,54 @@ def _run_squeeze(cfg: RunConfig, out_dir: Path, jobs: int):
         n_boundary=p["n_boundary"], dt=p["dt"], n_paths=p["n_paths"],
         drift=cfg.drift, seed=cfg.seed, snapshot_stride=p["stride"],
         mode=mode, jobs=jobs)
-    rows = []
-    for i, path in enumerate(rep.paths):
-        for t, diam, flag in zip(path.times, path.diameters,
-                                 path.containment_flags):
-            rows.append((i, t, diam, flag))
-    csv_path = out_dir / f"{mode}.csv"
-    write_csv(csv_path, ["path", "t", "diam", "contained"], rows)
-    payload = rep.to_dict()
-    payload["config"] = {**cfg.echo, "experiment": payload.pop("config")}
-    report_path = out_dir / f"{mode}_report.json"
-    write_report(report_path, payload)
+    rows = ((i, *cells) for i, path in enumerate(rep.paths)
+            for cells in zip(path.times, path.diameters,
+                             path.containment_flags))
     ag = rep.aggregate
     summary = (f"{mode}: success {ag['success_count']}/{ag['n_paths']} "
                f"= {ag['success_frequency']:.3f} "
                f"(wilson {ag['wilson_low']:.3f}-{ag['wilson_high']:.3f})")
-    return summary, [csv_path, report_path]
+    return Measured(["path", "t", "diam", "contained"], rows, ag, summary,
+                    rep.paths)
 
 
-def _run_track_control(cfg: RunConfig, out_dir: Path, jobs: int):
-    t0 = time.perf_counter()
+def _run_track_control(cfg: RunConfig, jobs: int) -> Measured:
     p = cfg.params
     x0 = PointCloud(positions=p["x0"])
     v_field = drift_radial_rkhs(cfg.model, p["rho"], scale=1.0)
-    rows = []
-    means = []
-    per_c = {}
-    results = []
-    for c in p["cs"]:
-        res = flow_engine.tilted_tracking_error(
-            cfg.model, rho=p["rho"], c=c, x0=x0, T=p["T"], dt=p["dt"],
-            n_paths=p["n_paths"], seed=cfg.seed, v_field=v_field,
-            snapshot_stride=p["stride"], jobs=jobs)
-        results.append(res)
-        means.append(res.mean)
-        per_c[str(c)] = {"mean": res.mean, "se": res.standard_error}
-        rows.extend((c, i, dev) for i, dev in enumerate(res.sup_deviations))
+    results = [flow_engine.tilted_tracking_error(
+        cfg.model, rho=p["rho"], c=c, x0=x0, T=p["T"], dt=p["dt"],
+        n_paths=p["n_paths"], seed=cfg.seed, v_field=v_field,
+        snapshot_stride=p["stride"], jobs=jobs) for c in p["cs"]]
     slope = math.nan
-    if len(p["cs"]) >= 2:
-        slope = float(np.polyfit(np.log(p["cs"]), np.log(means), 1)[0])
-    csv_path = out_dir / "track-control.csv"
-    write_csv(csv_path, ["c", "path", "sup_deviation"], rows)
-    report = _report_skeleton(cfg, t0)
-    report["aggregate"] = {
-        "per_c": per_c, "slope": slope,
-        "rank_min": min(res.rank_min for res in results),
-        "rank_max": max(res.rank_max for res in results),
-        "dropped_trace_max": max(res.dropped_trace_max for res in results)}
-    report_path = out_dir / "track-control_report.json"
-    write_report(report_path, report)
+    if len(results) >= 2:
+        slope = float(np.polyfit(np.log(p["cs"]),
+                                 np.log([res.mean for res in results]), 1)[0])
+    aggregate = {
+        "per_c": {str(res.c): {"mean": res.mean, "se": res.standard_error}
+                  for res in results},
+        "slope": slope,
+        **flow_engine._aggregate_numerics(*(res.numerics for res in results))}
+    rows = ((res.c, i, dev) for res in results
+            for i, dev in enumerate(res.sup_deviations))
     summary = f"track-control: log-log slope = {slope:.3f} over c = {p['cs']}"
-    return summary, [csv_path, report_path]
+    return Measured(["c", "path", "sup_deviation"], rows, aggregate, summary)
 
 
-def _run_length_decay(cfg: RunConfig, out_dir: Path, jobs: int):
+def _run_length_decay(cfg: RunConfig, jobs: int) -> Measured:
     p = cfg.params
     curve = PointCloud(positions=p["positions"])
     rep = flow_engine.length_decay_experiment(
         cfg.model, curve, T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
         seed=cfg.seed, snapshot_stride=p["stride"], closed=p["closed"],
         jobs=jobs)
-    rows = []
-    for i, path in enumerate(rep.paths):
-        for t, diam, length in zip(path.times, path.diameters, path.lengths):
-            rows.append((i, t, diam, length))
-    csv_path = out_dir / "length-decay.csv"
-    write_csv(csv_path, ["path", "t", "diam", "length"], rows)
-    payload = rep.to_dict()
-    payload["config"] = {**cfg.echo, "experiment": payload.pop("config")}
-    report_path = out_dir / "length-decay_report.json"
-    write_report(report_path, payload)
+    rows = ((i, *cells) for i, path in enumerate(rep.paths)
+            for cells in zip(path.times, path.diameters, path.lengths))
     ag = rep.aggregate
     summary = (f"length-decay: shrink fraction {ag['shrink_fraction']:.2f}, "
                f"terminal rate mean {ag['terminal_rate_mean']:.4f}")
-    return summary, [csv_path, report_path]
+    return Measured(["path", "t", "diam", "length"], rows, ag, summary,
+                    rep.paths)
 
 
 _RUNNERS = {
@@ -706,9 +763,11 @@ def run_command(command: str, cfg: RunConfig, jobs: int = 1,
     """Execute one subcommand; returns (exit_code, written paths)."""
     target = Path(out_dir if out_dir is not None else cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
-    summary, files = _RUNNERS[command](cfg, target, jobs)
+    t0 = time.perf_counter()
+    out = _RUNNERS[command](cfg, jobs)
+    files = _emit(cfg, target, out, time.perf_counter() - t0)
     if not quiet:
-        print(summary)
+        print(out.summary)
     return EXIT_OK, files
 
 

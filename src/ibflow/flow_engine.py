@@ -12,13 +12,11 @@ config and seed regardless of scheduling.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import __version__
 from .covariance import IbfModel, ModelError
 from .field_sampler import (DriftField, drift_radial_rkhs, eval_drift,
                             kernel_rows, pivoted_cholesky_batch)
@@ -84,36 +82,23 @@ class PathRecord:
                 raise ValueError(f"{name} must match times in length")
 
 
-@dataclass
-class ExperimentReport:
-    """Structured record of one experiment: config, paths, aggregates."""
+@dataclass(frozen=True)
+class ExperimentResult:
+    """What an experiment measured: per-path series and the aggregate."""
 
-    command: str
-    config: dict
     paths: list[PathRecord]
     aggregate: dict
-    wall_clock: float
-    version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "paths": [asdict(p) for p in self.paths],
-            "aggregate": self.aggregate,
-            "wall_clock": self.wall_clock,
-            "version": self.version,
-        }
 
+# numerics below: the per-path (rank_min, rank_max, dropped_trace_max)
+# arrays that _run_paths returns, for _aggregate_numerics
 
 @dataclass(frozen=True)
 class LyapunovResult:
     estimate: float
     standard_error: float
     pair_estimates: tuple[float, ...] = field(repr=False, default=())
-    rank_min: int = 0
-    rank_max: int = 0
-    dropped_trace_max: float = 0.0
+    numerics: tuple = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -122,9 +107,7 @@ class TrackingResult:
     sup_deviations: tuple[float, ...]
     mean: float
     standard_error: float
-    rank_min: int = 0
-    rank_max: int = 0
-    dropped_trace_max: float = 0.0
+    numerics: tuple = field(repr=False, default=())
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +116,7 @@ class TrackingResult:
 def diameter(cloud) -> float:
     """Largest pairwise distance, exact O(N^2)."""
     pos = np.atleast_2d(np.asarray(getattr(cloud, "positions", cloud), float))
-    if pos.shape[0] < 2:
-        return 0.0
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return float(dist.max())
+    return float(_diam_batch(pos[None])[0])
 
 
 def curve_length(cloud, closed: bool = False) -> float:
@@ -144,10 +124,7 @@ def curve_length(cloud, closed: bool = False) -> float:
     pos = np.atleast_2d(np.asarray(getattr(cloud, "positions", cloud), float))
     if pos.shape[0] < 2:
         return 0.0
-    total = float(np.linalg.norm(np.diff(pos, axis=0), axis=-1).sum())
-    if closed:
-        total += float(np.linalg.norm(pos[-1] - pos[0]))
-    return total
+    return float(_length_batch(pos[None], closed)[0])
 
 
 def containment(cloud, radius: float, center=None) -> bool:
@@ -379,15 +356,11 @@ def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
     return radius * sphere_rule(d, n, mc_seed=0).nodes
 
 
-def _path_numerics(numerics, i: int) -> dict:
-    rank_min, rank_max, dropped = numerics
-    return {"rank_min": int(rank_min[i]), "rank_max": int(rank_max[i]),
-            "dropped_trace_max": float(dropped[i])}
-
-
-def _aggregate_numerics(numerics) -> dict:
-    """What the factorization did over every path and step."""
-    rank_min, rank_max, dropped = numerics
+def _aggregate_numerics(*runs, paths=slice(None)) -> dict:
+    """What the factorization did over every step of the given paths
+    (all by default) of one or more runs' numerics."""
+    rank_min, rank_max, dropped = (np.concatenate([a[paths] for a in part])
+                                   for part in zip(*runs))
     return {"rank_min": int(rank_min.min()), "rank_max": int(rank_max.max()),
             "dropped_trace_max": float(dropped.max())}
 
@@ -408,7 +381,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
                        T2: float, n_boundary: int, dt: float, n_paths: int,
                        drift: DriftField | None = None, seed: int = 0,
                        snapshot_stride: int = DEFAULT_STRIDE,
-                       mode: str = "squeeze", jobs: int = 1) -> ExperimentReport:
+                       mode: str = "squeeze", jobs: int = 1) -> ExperimentResult:
     """Monte-Carlo frequency of uniform ball squeezing (or expansion).
 
     squeeze: tracers on the sphere of radius R+delta must stay strictly
@@ -420,7 +393,6 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
     shell starts inside the target ball, so a non-enclosing excursion
     would have to cross it).
     """
-    t_start = time.perf_counter()
     if not (0.0 < T1 < T2):
         raise ValueError("need 0 < T1 < T2")
     if n_boundary < 8:
@@ -467,15 +439,10 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
     paths = [
         PathRecord(times=tuple(times), diameters=tuple(diams[i]),
                    containment_flags=tuple(bool(f) for f in flags[i]),
-                   stream=_stream(seed, i), **_path_numerics(numerics, i))
+                   stream=_stream(seed, i),
+                   **_aggregate_numerics(numerics, paths=slice(i, i + 1)))
         for i in range(n_paths)
     ]
-    config = {
-        "model": _model_config(model), "R": R, "delta": delta, "T1": T1,
-        "T2": T2, "n_boundary": n_boundary, "dt": dt, "n_paths": n_paths,
-        "drift": drift_config(drift), "seed": seed,
-        "snapshot_stride": snapshot_stride, "mode": mode,
-    }
     aggregate = {
         "success_count": n_success,
         "n_paths": n_paths,
@@ -493,9 +460,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
         aggregate["note"] = ("untilted frequencies can be unobservably small "
                              "at this scale; the tilted run is the "
                              "quantitative surrogate")
-    return ExperimentReport(command=mode, config=config, paths=paths,
-                            aggregate=aggregate,
-                            wall_clock=time.perf_counter() - t_start)
+    return ExperimentResult(paths=paths, aggregate=aggregate)
 
 
 def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
@@ -544,8 +509,7 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
     rates = rec["rate"][:, 0]
     est, se = _mean_se(rates)
     return LyapunovResult(estimate=est, standard_error=se,
-                          pair_estimates=tuple(rates),
-                          **_aggregate_numerics(numerics))
+                          pair_estimates=tuple(rates), numerics=numerics)
 
 
 def tilted_tracking_error(model: IbfModel, rho: float, c: float,
@@ -578,22 +542,20 @@ def tilted_tracking_error(model: IbfModel, rho: float, c: float,
     sups = rec["dev"].max(axis=1)
     mean, se = _mean_se(sups)
     return TrackingResult(c=float(c), sup_deviations=tuple(sups),
-                          mean=mean, standard_error=se,
-                          **_aggregate_numerics(numerics))
+                          mean=mean, standard_error=se, numerics=numerics)
 
 
 def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
                             dt: float, n_paths: int, seed: int = 0,
                             snapshot_stride: int = DEFAULT_STRIDE,
                             closed: bool = False,
-                            jobs: int = 1) -> ExperimentReport:
+                            jobs: int = 1) -> ExperimentResult:
     """Evolution of polyline length and diameter under the flow.
 
     Reports per-path series of (1/t) log(L_t / L_0) and diameter, the
     fraction of paths whose diameter shrank below a tenth of its start,
     and the terminal rate statistics on that subset.
     """
-    t_start = time.perf_counter()
     pts = np.atleast_2d(np.asarray(curve.positions, dtype=float))
     if pts.shape[0] < 2:
         raise ValueError("curve needs at least two vertices")
@@ -624,14 +586,9 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
     paths = [
         PathRecord(times=tuple(times), diameters=tuple(diams[i]),
                    lengths=tuple(lens[i]), stream=_stream(seed, i),
-                   **_path_numerics(numerics, i))
+                   **_aggregate_numerics(numerics, paths=slice(i, i + 1)))
         for i in range(n_paths)
     ]
-    config = {
-        "model": _model_config(model), "curve": pts.tolist(), "closed": closed,
-        "T": T, "dt": dt, "n_paths": n_paths, "seed": seed,
-        "snapshot_stride": snapshot_stride,
-    }
     aggregate = {
         "initial_length": len0,
         "initial_diameter": diam0,
@@ -647,35 +604,4 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
         "note": ("rates are (1/T) log(L_T / L_0); the shrink event uses the "
                  "finite-T surrogate diam(T) < diam(0)/10"),
     }
-    return ExperimentReport(command="length-decay", config=config, paths=paths,
-                            aggregate=aggregate,
-                            wall_clock=time.perf_counter() - t_start)
-
-
-# ---------------------------------------------------------------------------
-# config echoes
-
-def _model_config(model: IbfModel) -> dict:
-    def measure(m):
-        if m is None:
-            return None
-        return {"atoms": [list(a) for a in m.atoms],
-                "density": [list(p) for p in m.density_pieces]}
-
-    return {"d": model.d, "mu0": model.mu0, "mu1": model.mu1, "mu2": model.mu2,
-            "m_p": measure(model.m_p), "m_s": measure(model.m_s)}
-
-
-def drift_config(drift: DriftField | None) -> dict | None:
-    if drift is None:
-        return None
-    out = {"kind": drift.kind}
-    if drift.kind == "linear":
-        out["matrix"] = drift.matrix.tolist()
-    elif drift.kind == "radial_rkhs":
-        out.update({"rho": drift.rho, "scale": drift.scale,
-                    "resolution": drift.resolution})
-    elif drift.kind == "custom_table":
-        out.update({"axes": [a.tolist() for a in drift.axes],
-                    "values": drift.table.tolist()})
-    return out
+    return ExperimentResult(paths=paths, aggregate=aggregate)

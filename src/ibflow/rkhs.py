@@ -84,6 +84,14 @@ def bessel_zeros(nu: float, upper: float) -> np.ndarray:
     return zeros[zeros <= upper + 10 * _ZERO_BISECT_TOL]
 
 
+def zero_search_bound(model: IbfModel, rho: float, tol: float) -> float:
+    """Upper end of check_condition's zero search (mu1 > 0): slightly past
+    the scaled support, so an atom sitting on a zero near the edge still
+    sees it (tolerance bands included). Above ZERO_SEARCH_MAX it cannot run."""
+    s_max = model.m_p.support_max()
+    return rho * s_max * (1.0 + 1e-6) + 2.0 * tol * max(1.0, rho * s_max)
+
+
 def check_condition(model: IbfModel, rho: float, tol: float = 1e-8) -> ConditionReport:
     """Decide whether the potential measure puts mass off the scaled zero set.
 
@@ -99,10 +107,7 @@ def check_condition(model: IbfModel, rho: float, tol: float = 1e-8) -> Condition
         return ConditionReport(satisfied=False, witness_mass=0.0,
                                zero_locations_checked=())
     m_p = model.m_p
-    s_max = m_p.support_max()
-    # search slightly past the support so an atom sitting on a zero near
-    # the edge still sees it (tolerance bands included)
-    upper = rho * s_max * (1.0 + 1e-6) + 2.0 * tol * max(1.0, rho * s_max)
+    upper = zero_search_bound(model, rho, tol)
     zeros = bessel_zeros(model.d / 2.0, upper) / rho
     bands = tol * np.maximum(1.0, zeros) if zeros.size else np.empty(0)
 

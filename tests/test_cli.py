@@ -189,6 +189,97 @@ class TestParseConfig:
         assert f"params.{field}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("field,limit,cheap", [
+        ("squeeze:n_paths", cli.MAX_SERIES // 3, True),
+        ("expand:n_paths", cli.MAX_SERIES // 3, True),
+        ("length-decay:n_paths", cli.MAX_SERIES // 3, True),
+        ("track-control:n_paths", cli.MAX_SERIES // 5, True),
+        ("lyapunov:n_pairs", cli.MAX_SERIES, True),
+        ("covariance:n_points", cli.MAX_POINTS, True),
+        ("verify-identity:resolution", cli.MAX_RULE_NODES, True),
+        ("verify-identity:resolution:d3", math.isqrt(cli.MAX_RULE_NODES),
+         True),
+        ("squeeze:model.drift.resolution", cli.MAX_DRIFT_NODES, False),
+        ("squeeze:model.drift.resolution:d3",
+         math.isqrt(cli.MAX_DRIFT_NODES), False),
+    ])
+    def test_run_size_capped(self, tmp_path, capsys, field, limit, cheap):
+        # what a run allocates in proportion to these fields is bounded
+        # while parsing, so an oversized run exits 2 before any output;
+        # the sampling runs below take 2 steps at stride 1 (3 snapshots),
+        # and track-control's two cs add 2 recorded values per path
+        command, name, *dim = field.split(":")
+        model = {"d": 3 if dim else 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
+                 "m_p": {"atoms": [[1.0, 1.0]], "density": []}}
+        params = {
+            "squeeze": dict(SQUEEZE_PARAMS, T2=0.2, dt=0.1, stride=1),
+            "expand": dict(SQUEEZE_PARAMS, T2=0.2, dt=0.1, stride=1),
+            "length-decay": {"T": 0.2, "dt": 0.1, "stride": 1, "n_paths": 2,
+                             "curve": {"kind": "circle", "radius": 1.0,
+                                       "n_vertices": 4}},
+            "track-control": {"rho": 1.0, "cs": [4.0, 16.0], "T": 0.2,
+                              "dt": 0.1, "stride": 1, "n_paths": 2,
+                              "x0": [[0.5, 0.0]]},
+            "lyapunov": {"T": 0.2, "dt": 0.1, "n_pairs": 2},
+            "covariance": {"s_max": 1.0},
+            "verify-identity": {"rhos": [1.0]},
+        }[command]
+
+        def doc_with(n):
+            doc = {"model": copy.deepcopy(model), "command": command,
+                   "params": dict(params), "seed": 1}
+            if name == "model.drift.resolution":
+                doc["model"]["drift"] = {"kind": "radial_rkhs", "rho": 1.0,
+                                         "resolution": n}
+            else:
+                doc["params"][name] = n
+            return doc
+
+        where = name if name.startswith("model.") else f"params.{name}"
+        if cheap:
+            parse_config(doc_with(limit))
+        doc = doc_with(limit + 1)
+        with pytest.raises(ConfigError, match=f"^{where}: "):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T,dt,stride", [(0.2, 0.1, 1), (0.25, 0.1, 1),
+                                             (0.3, 0.01, 7), (0.3, 0.01, 10),
+                                             (0.05, 0.05, 3)])
+    def test_snapshot_count_is_the_runs(self, T, dt, stride):
+        # the series cap counts the snapshots a run will record
+        model = parse_config(atom_config()).model
+        rep = flow_engine.length_decay_experiment(
+            model, flow_engine.PointCloud([[0.0, 0.0], [0.1, 0.0]]), T=T,
+            dt=dt, n_paths=1, seed=1, snapshot_stride=stride)
+        assert cli._snapshots(T, dt, stride) == len(rep.paths[0].times)
+
+    @pytest.mark.parametrize("rho,code", [(250.0, EXIT_CONFIG),
+                                          (199.99, EXIT_OK)])
+    def test_check_condition_zero_search_bound(self, tmp_path, capsys, rho,
+                                               code):
+        # check_condition searches Bessel zeros up to a bound it cannot
+        # pass; the validator computes that bound with the same function
+        doc = atom_config(command="check-condition", params={"rho": rho})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["check-condition", "--config", str(path),
+                     "--out", str(out), "--quiet"]) == code
+        if code == EXIT_CONFIG:
+            assert "params.rho" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            report = json.loads((out / "check-condition_report.json")
+                                .read_text())
+            assert report["aggregate"]["zero_locations_checked"]
+
     def test_drift_spec_parsed(self):
         doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
                           drift={"kind": "radial_rkhs", "rho": 1.0,
@@ -354,10 +445,69 @@ class TestRunCommands:
                     quiet=True)
         report = json.loads(
             (tmp_path / "a" / f"{command}_report.json").read_text())
-        echoed = {k: v for k, v in report["config"].items()
-                  if k in ("model", "command", "params", "output", "seed")}
-        run_command(command, parse_config(echoed), out_dir=tmp_path / "b",
+        run_command(command, parse_config(report["config"]),
+                    out_dir=tmp_path / "b",
                     quiet=True)
+        assert ((tmp_path / "a" / f"{command}.csv").read_bytes()
+                == (tmp_path / "b" / f"{command}.csv").read_bytes())
+
+
+_MIXED_D2 = {"d": 2, "mu0": 0.2, "mu1": 0.5, "mu2": 0.3,
+             "m_p": {"atoms": [[1.0, 1.0]], "density": [[0.5, 1.5, 0.4]]},
+             "m_s": {"atoms": [[2.0, 0.7]], "density": []}}
+_CONTRACT_CASES = {
+    "covariance": ({"s_max": 80.0, "n_points": 9}, {"model": _MIXED_D2}),
+    "covariance-trivial": ({"s_max": 2.0, "n_points": 5},
+                           {"model": {"d": 2, "mu0": 1.0, "mu1": 0.0,
+                                      "mu2": 0.0, "allow_trivial": True}}),
+    "check-condition": ({"rho": 1.0}, {}),
+    "verify-identity": ({"rhos": [0.5, 1.5], "resolution": 16},
+                        {"model": _MIXED_D2}),
+    "lyapunov": ({"T": 0.1, "dt": 0.05, "n_pairs": 3}, {}),
+    "squeeze": (dict(SQUEEZE_PARAMS, n_paths=3, stride=3),
+                {"drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0,
+                           "resolution": 32}}),
+    "expand": (dict(SQUEEZE_PARAMS, n_paths=2, n_boundary=8),
+               {"drift": {"kind": "custom_table",
+                          "axes": [[-2.0, 2.0], [-2.0, 2.0]],
+                          "values": [[[-1.0, -1.0], [-1.0, 1.0]],
+                                     [[1.0, -1.0], [1.0, 1.0]]]}}),
+    "track-control": ({"rho": 1.0, "cs": [4.0, 16.0], "T": 0.1, "dt": 0.05,
+                       "n_paths": 2, "x0": [[0.5, 0.0], [0.0, 0.4]]}, {}),
+    "length-decay": ({"T": 0.1, "dt": 0.05, "n_paths": 2,
+                      "curve": {"kind": "circle", "radius": 0.3,
+                                "n_vertices": 6}}, {}),
+}
+
+
+class TestReportContract:
+    @pytest.mark.parametrize("case", sorted(_CONTRACT_CASES))
+    def test_report_format_and_rerun(self, tmp_path, case):
+        # every command writes one report format; its config is the
+        # validated document, which parses as read and reproduces the CSV
+        command = case.split("-trivial")[0]
+        params, extra = _CONTRACT_CASES[case]
+        doc = atom_config(command=command, params=params)
+        doc["model"] = extra.get("model", doc["model"])
+        if "drift" in extra:
+            doc["model"] = dict(doc["model"], drift=extra["drift"])
+        run_command(command, parse_config(doc), out_dir=tmp_path / "a",
+                    quiet=True)
+        report = json.loads(
+            (tmp_path / "a" / f"{command}_report.json").read_text())
+        paths = ["paths"] if command in ("squeeze", "expand",
+                                         "length-decay") else []
+        assert list(report) == (["command", "config"] + paths
+                                + ["aggregate", "wall_clock", "version"])
+        assert report["command"] == command
+        if command in ("lyapunov", "squeeze", "expand", "track-control",
+                       "length-decay"):
+            ag = report["aggregate"]
+            assert 1 <= ag["rank_min"] <= ag["rank_max"]
+            assert 0.0 <= ag["dropped_trace_max"] < 1e-9
+        cfg = parse_config(report["config"])
+        assert cfg.echo == report["config"]
+        run_command(command, cfg, out_dir=tmp_path / "b", quiet=True)
         assert ((tmp_path / "a" / f"{command}.csv").read_bytes()
                 == (tmp_path / "b" / f"{command}.csv").read_bytes())
 
@@ -396,7 +546,7 @@ class TestMainExitCodes:
         assert capsys.readouterr().out == ""
 
     def test_numeric_failure_exit_3(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, out_dir, jobs):
+        def boom(cfg, jobs):
             raise CovarianceFactorError(3, 17, "is not finite")
 
         monkeypatch.setitem(cli._RUNNERS, "covariance", boom)
@@ -461,7 +611,7 @@ class TestMainExitCodes:
                                             capsys, exc):
         # a ValueError raised while running is a runtime failure, not a
         # config error
-        def boom(cfg, out_dir, jobs):
+        def boom(cfg, jobs):
             raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "covariance", boom)

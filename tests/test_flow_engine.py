@@ -345,7 +345,8 @@ class TestSqueezeExperiment:
                                  T2=0.5, n_boundary=24, dt=5e-3, n_paths=8,
                                  seed=5, drift=out_field, mode="expand")
         assert rep.aggregate["success_frequency"] >= 0.5
-        assert rep.command == "expand"
+        # expand starts from the shell of radius R - delta, not R + delta
+        assert rep.paths[0].diameters[0] == pytest.approx(1.8, rel=1e-12)
 
     def test_parameter_validation(self, d2_potential_atom):
         with pytest.raises(ValueError):
