@@ -20,7 +20,7 @@ from .field_sampler import (DriftField, CovarianceFactorError,
                             DriftEvaluationError, eval_drift, drift_none,
                             drift_linear, drift_radial_rkhs, drift_custom_table,
                             kernel_rows, pivoted_cholesky_batch)
-from .flow_engine import (PointCloud, PathRecord, ExperimentResult,
+from .flow_engine import (PointCloud, ExperimentResult,
                           LyapunovResult, TrackingResult, PairCollapseError,
                           euler_flow, ode_flow, containment, diameter,
                           curve_length, squeeze_experiment, lyapunov_estimate,

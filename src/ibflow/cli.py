@@ -22,7 +22,7 @@ import reprlib
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,9 @@ import numpy as np
 from ._version import __version__
 from . import covariance, flow_engine, rkhs
 from .covariance import IbfModel, ModelError
-from .field_sampler import DriftField, drift_from_config, drift_radial_rkhs
-from .flow_engine import PathRecord, PointCloud
+from .field_sampler import (DriftField, drift_custom_table, drift_linear,
+                            drift_none, drift_radial_rkhs)
+from .flow_engine import ExperimentResult, PointCloud
 from .spectral import MeasureError, SpectralMeasure
 
 COMMANDS = ("covariance", "check-condition", "verify-identity", "lyapunov",
@@ -50,14 +51,16 @@ MAX_STEPS = 10 ** 7
 # holds 64 (N d)^2 doubles, 128 MiB at this bound, so more is refused
 MAX_COORDS = 512
 # Values a sampling run records: squeeze, expand and length-decay hold
-# n_paths x snapshots of each series as arrays, path records, CSV text and
-# report text, 500-600 bytes a value (measured on d = 2 runs), so about
-# 300 MiB at this bound; lyapunov records one rate per pair and
-# track-control n_paths x (snapshots + len(cs)) deviations
+# n_paths x snapshots of each series as arrays and then as CSV text,
+# 120-160 bytes a value (peak RSS of d = 2 runs of 64 paths x 2001
+# snapshots), so about 80 MiB at this bound; lyapunov records one rate per
+# pair and track-control n_paths x (snapshots + len(cs)) deviations
 MAX_SERIES = 2 ** 19
-# covariance grid points: b_scalar's quadrature of a component holds about
-# 120 bytes per (point, quadrature node), 4 KB a point for a measure of one
-# atom and one density piece (33 nodes), so about 250 MiB at this bound
+# covariance grid points: the quadrature of the per-component columns runs
+# over covariance._QUAD_PAIRS (separation, node) pairs at a time, about
+# 30 MiB whatever the measure, and the columns and CSV text take about
+# 200 bytes a point, so a run at this bound peaks near 41 MiB (tracemalloc,
+# d = 3, a measure of 97 nodes)
 MAX_POINTS = 2 ** 16
 # verify-identity sphere-rule nodes n: the double sum evaluates the kernel
 # on n^2 node pairs in chunks of 2e6 pairs (about 190 MB each), 1.1e9
@@ -161,8 +164,9 @@ def _parse_measure(spec, path: str) -> SpectralMeasure | None:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_model(spec, command: str,
-                 path: str = "model") -> tuple[IbfModel, DriftField | None]:
+def _parse_model(spec, command: str, path: str = "model"
+                 ) -> tuple[IbfModel, DriftField | None, dict]:
+    """The model, its drift (None if none is given) and their echo."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be an object")
     _no_extras(spec, {"d", "mu0", "mu1", "mu2", "m_p", "m_s", "drift",
@@ -184,17 +188,15 @@ def _parse_model(spec, command: str,
     except (ModelError, MeasureError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     drift = None
+    echo = _model_config(model)
     if spec.get("drift") is not None:
         if command not in DRIFT_COMMANDS:
             raise ConfigError(
                 f"{path}.drift: {command} applies no drift (only "
                 f"{' and '.join(DRIFT_COMMANDS)} do); remove the field")
-        drift_spec = _validate_drift(spec["drift"], model.d, f"{path}.drift")
-        try:
-            drift = drift_from_config(drift_spec, model)
-        except ModelError as exc:
-            raise ConfigError(f"{path}.drift: {exc}") from None
-    return model, drift
+        drift, echo["drift"] = drift_from_config(spec["drift"], model,
+                                                 f"{path}.drift")
+    return model, drift, echo
 
 
 _DRIFT_FIELDS = {"none": set(), "linear": {"matrix"},
@@ -218,37 +220,53 @@ def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
         raise ConfigError(f"{path}: must be a rectangular array") from None
 
 
-def _validate_drift(spec, d: int, path: str) -> dict:
-    """A drift spec checked field by field, in drift_from_config form."""
+def drift_from_config(spec, model: IbfModel,
+                      path: str = "model.drift") -> tuple[DriftField, dict]:
+    """The drift a config's model.drift describes, checked field by field,
+    and its echo: the same fields in config form, a radial drift's
+    resolution filled in."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be an object")
     kind = spec.get("kind")
     if not (isinstance(kind, str) and kind in _DRIFT_FIELDS):
         raise ConfigError(f"{path}.kind: must be one of {sorted(_DRIFT_FIELDS)}")
     _no_extras(spec, {"kind"} | _DRIFT_FIELDS[kind], path)
-    out: dict = {"kind": kind}
-    if kind == "linear":
-        matrix = _parse_vectors(_need(spec, "matrix", path), d, f"{path}.matrix")
-        if matrix.shape[0] != d:
-            raise ConfigError(f"{path}.matrix: must be {d} x {d}")
-        out["matrix"] = matrix
-    elif kind == "radial_rkhs":
-        out["rho"] = _as_number(_need(spec, "rho", path), f"{path}.rho",
-                                exclusive_min=0.0)
-        out["scale"] = _as_number(spec.get("scale", 1.0), f"{path}.scale")
-        if spec.get("resolution") is not None:
-            out["resolution"] = _as_resolution(spec["resolution"], d,
-                                               f"{path}.resolution",
-                                               MAX_DRIFT_NODES)
-    elif kind == "custom_table":
-        axes = _need(spec, "axes", path)
-        if not (isinstance(axes, list) and len(axes) == d):
-            raise ConfigError(f"{path}.axes: must be a list of {d} axes")
-        out["axes"] = [_numeric_array(a, f"{path}.axes[{k}]", 1)
-                       for k, a in enumerate(axes)]
-        out["values"] = _numeric_array(_need(spec, "values", path),
-                                       f"{path}.values", d + 1)
-    return out
+    d = model.d
+    echo: dict = {"kind": kind}
+    try:
+        if kind == "none":
+            drift = drift_none()
+        elif kind == "linear":
+            matrix = _parse_vectors(_need(spec, "matrix", path), d,
+                                    f"{path}.matrix")
+            if matrix.shape[0] != d:
+                raise ConfigError(f"{path}.matrix: must be {d} x {d}")
+            echo["matrix"] = matrix
+            drift = drift_linear(matrix)
+        elif kind == "radial_rkhs":
+            rho = _as_number(_need(spec, "rho", path), f"{path}.rho",
+                             exclusive_min=0.0)
+            scale = _as_number(spec.get("scale", 1.0), f"{path}.scale")
+            resolution = spec.get("resolution")
+            if resolution is not None:
+                resolution = _as_resolution(resolution, d,
+                                            f"{path}.resolution",
+                                            MAX_DRIFT_NODES)
+            drift = drift_radial_rkhs(model, rho, scale=scale,
+                                      resolution=resolution)
+            echo.update(rho=rho, scale=scale, resolution=drift.resolution)
+        else:
+            axes = _need(spec, "axes", path)
+            if not (isinstance(axes, list) and len(axes) == d):
+                raise ConfigError(f"{path}.axes: must be a list of {d} axes")
+            echo["axes"] = [_numeric_array(a, f"{path}.axes[{k}]", 1)
+                            for k, a in enumerate(axes)]
+            echo["values"] = _numeric_array(_need(spec, "values", path),
+                                            f"{path}.values", d + 1)
+            drift = drift_custom_table(echo["axes"], echo["values"])
+    except ModelError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return drift, _jsonable(echo)
 
 
 def _parse_vectors(value, d: int, path: str) -> np.ndarray:
@@ -450,19 +468,6 @@ def _model_config(model: IbfModel) -> dict:
     return out
 
 
-def drift_config(drift: DriftField) -> dict:
-    out = {"kind": drift.kind}
-    if drift.kind == "linear":
-        out["matrix"] = drift.matrix.tolist()
-    elif drift.kind == "radial_rkhs":
-        out.update({"rho": drift.rho, "scale": drift.scale,
-                    "resolution": drift.resolution})
-    elif drift.kind == "custom_table":
-        out.update({"axes": [a.tolist() for a in drift.axes],
-                    "values": drift.table.tolist()})
-    return out
-
-
 def _echo_params(command: str, params: dict) -> dict:
     """Validated params back in config form, so a report re-parses."""
     if command != "length-decay":
@@ -499,7 +504,8 @@ def parse_config(text, command: str | None = None) -> RunConfig:
         raise ConfigError(
             f"command: config says {cfg_command!r} but CLI invoked {command!r}")
 
-    model, drift = _parse_model(_need(doc, "model", "config"), cfg_command)
+    model, drift, model_echo = _parse_model(_need(doc, "model", "config"),
+                                            cfg_command)
     params = _validate_params(cfg_command, doc.get("params", {}), model)
 
     seed = doc.get("seed")
@@ -520,14 +526,12 @@ def parse_config(text, command: str | None = None) -> RunConfig:
         raise ConfigError("output.dir: must be a string")
 
     echo = {
-        "model": _model_config(model),
+        "model": model_echo,
         "command": cfg_command,
         "params": _echo_params(cfg_command, params),
         "output": {"dir": out_dir},
         "seed": seed,
     }
-    if drift is not None:
-        echo["model"]["drift"] = drift_config(drift)
     return RunConfig(command=cfg_command, model=model, drift=drift,
                      params=params, output_dir=out_dir, seed=seed, echo=echo)
 
@@ -578,13 +582,13 @@ def write_report(path: Path, payload: dict) -> None:
 class Measured:
     """What a runner measured: its CSV table, its report aggregate, the
     summary line and, for squeeze, expand and length-decay, the per-path
-    records."""
+    rank numerics."""
 
     header: list[str]
     rows: Iterable[tuple]
     aggregate: dict
     summary: str
-    paths: list[PathRecord] | None = None
+    paths: dict | None = None
 
 
 def _emit(cfg: RunConfig, out_dir: Path, out: Measured,
@@ -596,7 +600,7 @@ def _emit(cfg: RunConfig, out_dir: Path, out: Measured,
     write_csv(csv_path, out.header, out.rows)
     report = {"command": cfg.command, "config": cfg.echo}
     if out.paths is not None:
-        report["paths"] = [asdict(p) for p in out.paths]
+        report["paths"] = out.paths
     report.update(aggregate=out.aggregate, wall_clock=wall_clock,
                   version=__version__)
     report_path = out_dir / f"{cfg.command}_report.json"
@@ -696,15 +700,25 @@ def _run_squeeze(cfg: RunConfig, jobs: int) -> Measured:
         n_boundary=p["n_boundary"], dt=p["dt"], n_paths=p["n_paths"],
         drift=cfg.drift, seed=cfg.seed, snapshot_stride=p["stride"],
         mode=mode, jobs=jobs)
-    rows = ((i, *cells) for i, path in enumerate(rep.paths)
-            for cells in zip(path.times, path.diameters,
-                             path.containment_flags))
     ag = rep.aggregate
     summary = (f"{mode}: success {ag['success_count']}/{ag['n_paths']} "
                f"= {ag['success_frequency']:.3f} "
                f"(wilson {ag['wilson_low']:.3f}-{ag['wilson_high']:.3f})")
-    return Measured(["path", "t", "diam", "contained"], rows, ag, summary,
-                    rep.paths)
+    return _series_measured(rep, summary)
+
+
+def _series_measured(res: ExperimentResult, summary: str) -> Measured:
+    """A path experiment's table, one row (path, t, each series) per path
+    and snapshot, and its per-path rank numerics for the report."""
+    names = list(res.series)
+    times = res.times.tolist()
+    rows = ((i, t, *cells) for i in range(len(res.numerics[0]))
+            for t, *cells in zip(times, *(res.series[k][i].tolist()
+                                          for k in names)))
+    paths = dict(zip(("rank_min", "rank_max", "dropped_trace_max"),
+                     res.numerics))
+    return Measured(["path", "t", *names], rows, res.aggregate, summary,
+                    paths)
 
 
 def _run_track_control(cfg: RunConfig, jobs: int) -> Measured:
@@ -737,13 +751,10 @@ def _run_length_decay(cfg: RunConfig, jobs: int) -> Measured:
         cfg.model, curve, T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
         seed=cfg.seed, snapshot_stride=p["stride"], closed=p["closed"],
         jobs=jobs)
-    rows = ((i, *cells) for i, path in enumerate(rep.paths)
-            for cells in zip(path.times, path.diameters, path.lengths))
     ag = rep.aggregate
     summary = (f"length-decay: shrink fraction {ag['shrink_fraction']:.2f}, "
                f"terminal rate mean {ag['terminal_rate_mean']:.4f}")
-    return Measured(["path", "t", "diam", "length"], rows, ag, summary,
-                    rep.paths)
+    return _series_measured(rep, summary)
 
 
 _RUNNERS = {

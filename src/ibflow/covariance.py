@@ -25,6 +25,9 @@ from .spectral import SpectralMeasure
 MIN_DIM = 2
 MAX_DIM = 16
 _KINDS = ("PL", "PN", "SL", "SN")
+# (separation, quadrature node) pairs one quadrature pass holds: about 120
+# bytes a pair, so about 30 MiB whatever the grid or the measure's pieces
+_QUAD_PAIRS = 1 << 18
 
 
 class ModelError(ValueError):
@@ -163,11 +166,21 @@ def b_scalar(model: IbfModel, kind: str, s):
 def _component_scalars(d: int, measure: SpectralMeasure, potential: bool,
                        s: np.ndarray, slopes: bool = False) -> list[np.ndarray]:
     """[B_L, B_N] of one component on a flat array of separations, with
-    [dB_L/ds, dB_N/ds] appended when slopes is set. Bessel ratios are
+    [dB_L/ds, dB_N/ds] appended when slopes is set, evaluated over at most
+    _QUAD_PAIRS (separation, node) pairs at a time."""
+    locs, wts = _nodes(measure)
+    step = max(1, _QUAD_PAIRS // locs.size)
+    parts = [_quadrature(d, locs, wts, potential, s[lo:lo + step], slopes)
+             for lo in range(0, max(s.size, 1), step)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _quadrature(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
+                s: np.ndarray, slopes: bool) -> list[np.ndarray]:
+    """_component_scalars on one chunk of separations. Bessel ratios are
     shared between the scalars; the slopes use
     d/dz (J_nu(z) / z^nu) = -z J_(nu+1)(z) / z^(nu+1) and d/ds = r d/dz.
     """
-    locs, wts = _nodes(measure)
     z = s[:, None] * locs[None, :]
     c = _c_norm(d)
     ratios = {}

@@ -21,7 +21,6 @@ from . import rkhs
 from .covariance import (CubicTable, IbfModel, ModelError, hermite_rows,
                          tensor_field)
 
-DRIFT_KINDS = ("none", "linear", "radial_rkhs", "custom_table")
 _EPS = np.finfo(float).eps
 # Kernel scalars served from the mid-range profile are accurate to about
 # 1e-12, so the C whose rows the factor reads can have eigenvalues near
@@ -264,31 +263,6 @@ def eval_drift(v: DriftField, x) -> np.ndarray:
         raise ModelError(f"unknown drift kind {v.kind!r}")
     out = out.reshape(pts.shape)
     return out[0] if single and out.ndim > pts.ndim else out
-
-
-def drift_from_config(spec: dict, model: IbfModel) -> DriftField:
-    """Build a drift from its config dictionary form."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "none":
-        extra = spec
-        drift = drift_none()
-    elif kind == "linear":
-        drift = drift_linear(spec.pop("matrix"))
-        extra = spec
-    elif kind == "radial_rkhs":
-        drift = drift_radial_rkhs(
-            model, rho=float(spec.pop("rho")), scale=float(spec.pop("scale", 1.0)),
-            resolution=spec.pop("resolution", None))
-        extra = spec
-    elif kind == "custom_table":
-        drift = drift_custom_table(spec.pop("axes"), spec.pop("values"))
-        extra = spec
-    else:
-        raise ModelError(f"drift kind must be one of {DRIFT_KINDS}, got {kind!r}")
-    if extra:
-        raise ModelError(f"unknown drift fields: {sorted(extra)}")
-    return drift
 
 
 # ---------------------------------------------------------------------------

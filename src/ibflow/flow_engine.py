@@ -53,45 +53,20 @@ class PointCloud:
         self.time = float(self.time)
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """Per-path observable time series.
-
-    stream names the path's random stream; rank_min and rank_max bound
-    the numerical rank of its increment covariance over the steps, and
-    dropped_trace_max is the largest covariance trace the factorization
-    left out at one step.
-    """
-
-    times: tuple[float, ...]
-    diameters: tuple[float, ...]
-    lengths: tuple[float, ...] | None = None
-    containment_flags: tuple[bool, ...] | None = None
-    stream: str = ""
-    rank_min: int = 0
-    rank_max: int = 0
-    dropped_trace_max: float = 0.0
-
-    def __post_init__(self):
-        n = len(self.times)
-        if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-        for name in ("diameters", "lengths", "containment_flags"):
-            val = getattr(self, name)
-            if val is not None and len(val) != n:
-                raise ValueError(f"{name} must match times in length")
-
+# numerics below: the per-path (rank_min, rank_max, dropped_trace_max)
+# arrays that _run_paths returns, for _aggregate_numerics
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """What an experiment measured: per-path series and the aggregate."""
+    """What a path experiment measured: the snapshot times, each series
+    by name (the CSV column it fills) as an (n_paths, snapshots) array,
+    the per-path numerics and the aggregate."""
 
-    paths: list[PathRecord]
+    times: np.ndarray
+    series: dict
+    numerics: tuple
     aggregate: dict
 
-
-# numerics below: the per-path (rank_min, rank_max, dropped_trace_max)
-# arrays that _run_paths returns, for _aggregate_numerics
 
 @dataclass(frozen=True)
 class LyapunovResult:
@@ -267,10 +242,6 @@ def ode_flow(drift: DriftField, x0, t1: float, dt: float):
 # ---------------------------------------------------------------------------
 # experiment scaffolding
 
-def _stream(seed: int, i: int) -> str:
-    return f"SeedSequence([{seed}, {i}])"
-
-
 def _path_gens(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
     """Path i's generator, seeded by SeedSequence([seed, i]): distinct
     (seed, path) pairs never share a stream (NEP 19)."""
@@ -356,11 +327,10 @@ def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
     return radius * sphere_rule(d, n, mc_seed=0).nodes
 
 
-def _aggregate_numerics(*runs, paths=slice(None)) -> dict:
-    """What the factorization did over every step of the given paths
-    (all by default) of one or more runs' numerics."""
-    rank_min, rank_max, dropped = (np.concatenate([a[paths] for a in part])
-                                   for part in zip(*runs))
+def _aggregate_numerics(*runs) -> dict:
+    """What the factorization did over every step of every path of one or
+    more runs' numerics."""
+    rank_min, rank_max, dropped = (np.concatenate(part) for part in zip(*runs))
     return {"rank_min": int(rank_min.min()), "rank_max": int(rank_max.max()),
             "dropped_trace_max": float(dropped.max())}
 
@@ -423,12 +393,12 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
             flags = np.all(radii > R + delta, axis=1)
             if model.d == 2:
                 flags &= _encloses_origin(x)
-        return {"diam": _diam_batch(x), "flag": flags}
+        return {"diam": _diam_batch(x), "contained": flags}
 
     times, rec, numerics = _run_paths(model, tracers, T2, dt, seed, n_paths,
                                       jobs, observe, drift=drift,
                                       stride=snapshot_stride)
-    diams, flags = rec["diam"], rec["flag"]
+    diams, flags = rec["diam"], rec["contained"]
 
     window = (times >= T1 - 1e-12) & (times <= T2 + 1e-12)
     success = np.all(flags[:, window], axis=1)
@@ -436,13 +406,6 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
     lo_w, hi_w = wilson_interval(n_success, n_paths)
     term_mean, term_se = _mean_se(diams[:, -1])
 
-    paths = [
-        PathRecord(times=tuple(times), diameters=tuple(diams[i]),
-                   containment_flags=tuple(bool(f) for f in flags[i]),
-                   stream=_stream(seed, i),
-                   **_aggregate_numerics(numerics, paths=slice(i, i + 1)))
-        for i in range(n_paths)
-    ]
     aggregate = {
         "success_count": n_success,
         "n_paths": n_paths,
@@ -460,7 +423,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
         aggregate["note"] = ("untilted frequencies can be unobservably small "
                              "at this scale; the tilted run is the "
                              "quantitative surrogate")
-    return ExperimentResult(paths=paths, aggregate=aggregate)
+    return ExperimentResult(times, rec, numerics, aggregate)
 
 
 def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
@@ -583,12 +546,6 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
     rate_mean, rate_se = _mean_se(terminal_rate)
     sub_mean, sub_se = _mean_se(terminal_rate[shrunk])
 
-    paths = [
-        PathRecord(times=tuple(times), diameters=tuple(diams[i]),
-                   lengths=tuple(lens[i]), stream=_stream(seed, i),
-                   **_aggregate_numerics(numerics, paths=slice(i, i + 1)))
-        for i in range(n_paths)
-    ]
     aggregate = {
         "initial_length": len0,
         "initial_diameter": diam0,
@@ -604,4 +561,4 @@ def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
         "note": ("rates are (1/T) log(L_T / L_0); the shrink event uses the "
                  "finite-T surrogate diam(T) < diam(0)/10"),
     }
-    return ExperimentResult(paths=paths, aggregate=aggregate)
+    return ExperimentResult(times, rec, numerics, aggregate)

@@ -258,7 +258,7 @@ class TestParseConfig:
         rep = flow_engine.length_decay_experiment(
             model, flow_engine.PointCloud([[0.0, 0.0], [0.1, 0.0]]), T=T,
             dt=dt, n_paths=1, seed=1, snapshot_stride=stride)
-        assert cli._snapshots(T, dt, stride) == len(rep.paths[0].times)
+        assert cli._snapshots(T, dt, stride) == rep.times.size
 
     @pytest.mark.parametrize("rho,code", [(250.0, EXIT_CONFIG),
                                           (199.99, EXIT_OK)])
@@ -293,6 +293,30 @@ class TestParseConfig:
                           drift={"kind": "warp"})
         with pytest.raises(ConfigError, match="model.drift.kind: must be one of"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("values,problem", [
+        ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         "strictly increasing"),
+        ([[[0.0, 0.0]], [[0.0, 0.0]]], "table shape"),
+    ])
+    def test_drift_constructor_error_exit_2(self, tmp_path, capsys, values,
+                                            problem):
+        # what only the drift's constructor checks still exits 2 naming
+        # model.drift, before any output
+        doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
+                          drift={"kind": "custom_table",
+                                 "axes": [[1.0, -1.0], [-1.0, 1.0]],
+                                 "values": values})
+        if problem == "table shape":
+            doc["model"]["drift"]["axes"][0] = [-1.0, 1.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["squeeze", "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.drift: " in err and problem in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["covariance", "check-condition",
                                          "verify-identity", "lyapunov",
@@ -480,9 +504,20 @@ _CONTRACT_CASES = {
 }
 
 
+def _keys(node):
+    """Every dict key anywhere in a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
 class TestReportContract:
     @pytest.mark.parametrize("case", sorted(_CONTRACT_CASES))
-    def test_report_format_and_rerun(self, tmp_path, case):
+    def test_report_format_and_rerun(self, tmp_path, monkeypatch, case):
         # every command writes one report format; its config is the
         # validated document, which parses as read and reproduces the CSV
         command = case.split("-trivial")[0]
@@ -491,6 +526,12 @@ class TestReportContract:
         doc["model"] = extra.get("model", doc["model"])
         if "drift" in extra:
             doc["model"] = dict(doc["model"], drift=extra["drift"])
+        results = []
+        for name in ("squeeze_experiment", "length_decay_experiment"):
+            def recorded(*args, _run=getattr(flow_engine, name), **kwargs):
+                results.append(_run(*args, **kwargs))
+                return results[-1]
+            monkeypatch.setattr(flow_engine, name, recorded)
         run_command(command, parse_config(doc), out_dir=tmp_path / "a",
                     quiet=True)
         report = json.loads(
@@ -500,6 +541,18 @@ class TestReportContract:
         assert list(report) == (["command", "config"] + paths
                                 + ["aggregate", "wall_clock", "version"])
         assert report["command"] == command
+        # the CSV carries every series; the report keeps only the per-path
+        # rank numerics, in path order
+        assert "times" not in set(_keys(report))
+        if paths:
+            (res,) = results
+            numerics = report["paths"]
+            assert list(numerics) == ["rank_min", "rank_max",
+                                      "dropped_trace_max"]
+            for values, want in zip(numerics.values(), res.numerics,
+                                    strict=True):
+                assert values == want.tolist()
+                assert len(values) == params["n_paths"]
         if command in ("lyapunov", "squeeze", "expand", "track-control",
                        "length-decay"):
             ag = report["aggregate"]
@@ -510,6 +563,45 @@ class TestReportContract:
         run_command(command, cfg, out_dir=tmp_path / "b", quiet=True)
         assert ((tmp_path / "a" / f"{command}.csv").read_bytes()
                 == (tmp_path / "b" / f"{command}.csv").read_bytes())
+
+
+_JOBS_CASES = {
+    "squeeze": (dict(SQUEEZE_PARAMS, T1=0.01, T2=0.02, dt=0.01, n_paths=65,
+                     n_boundary=8, stride=1),
+                {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0,
+                 "resolution": 32}),
+    "expand": (dict(SQUEEZE_PARAMS, T1=0.01, T2=0.03, dt=0.01, n_paths=66,
+                    n_boundary=8), None),
+    "lyapunov": ({"T": 0.03, "dt": 0.01, "n_pairs": 66}, None),
+    "track-control": ({"rho": 1.0, "cs": [4.0, 16.0], "T": 0.02, "dt": 0.01,
+                       "n_paths": 65, "x0": [[0.5, 0.0], [0.0, 0.4]],
+                       "stride": 1}, None),
+    "length-decay": ({"T": 0.02, "dt": 0.01, "n_paths": 67, "stride": 1,
+                      "curve": {"kind": "circle", "radius": 0.3,
+                                "n_vertices": 6}}, None),
+}
+
+
+class TestJobsInvariance:
+    @pytest.mark.parametrize("command", sorted(_JOBS_CASES))
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, command):
+        # two chunks of paths, run by one worker and by two: every CSV byte
+        # and every report field but wall_clock are the same
+        params, drift = _JOBS_CASES[command]
+        doc = atom_config(command=command, params=params)
+        if drift is not None:
+            doc["model"]["drift"] = drift
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            assert main([command, "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs), "--quiet"]) == EXIT_OK
+            report = json.loads((out / f"{command}_report.json").read_text())
+            del report["wall_clock"]
+            outputs.append(((out / f"{command}.csv").read_bytes(), report))
+        assert outputs[0] == outputs[1]
 
 
 class TestMainExitCodes:

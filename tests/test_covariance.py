@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from ibflow import (IbfModel, ModelError, SpectralMeasure, b_scalar,
                     covariance_scalars, covariance_tensor, flow_constants,
                     make_model, psd_probe, tensor_field)
 
-from ibflow.covariance import _scalar_profile, _scalars_exact, _small_s_series
+from ibflow import covariance
+from ibflow.covariance import (_component_scalars, _nodes, _scalar_profile,
+                               _scalars_exact, _small_s_series)
 
 from conftest import J1_AT_1, J1_FIRST_ZERO, random_model, random_rotation
 
@@ -196,6 +199,51 @@ class TestKernelRoute:
         assert _small_s_series(trivial_model).s0 == np.inf
         b_l, b_n = covariance_scalars(trivial_model, np.linspace(0, 100, 11))
         assert np.all(b_l == 1.0) and np.all(b_n == 1.0)
+
+
+def _pieces(n: int, lo: float = 0.5, width: float = 0.4) -> SpectralMeasure:
+    return SpectralMeasure(
+        atoms=((1.3, 1.0),),
+        density_pieces=tuple((lo + k * width, lo + (k + 1) * width,
+                              1.0 / (k + 1)) for k in range(n)))
+
+
+class TestQuadratureChunks:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("s_max", [5.0, 30.0, 100.0])
+    def test_chunked_equals_whole_bitwise(self, monkeypatch, d, s_max):
+        # the series length of a Bessel ratio batch follows the batch's
+        # largest argument, so chunking could change the last bits; it
+        # must not
+        model = make_model(d, 0.1, 0.6, 0.3, m_p=_pieces(3),
+                           m_s=_pieces(2, lo=1.0, width=0.7))
+        s = np.linspace(0.0, s_max, 1200)
+        for measure, potential in ((model.m_p, True), (model.m_s, False)):
+            nodes = _nodes(measure)[0].size
+            monkeypatch.setattr(covariance, "_QUAD_PAIRS", 1 << 40)
+            whole = _component_scalars(d, measure, potential, s, slopes=True)
+            for chunk in (1000, 333, 37):
+                monkeypatch.setattr(covariance, "_QUAD_PAIRS", chunk * nodes)
+                parts = _component_scalars(d, measure, potential, s,
+                                           slopes=True)
+                for got, want in zip(parts, whole, strict=True):
+                    assert np.array_equal(got, want)
+
+    def test_memory_bounded_by_chunk(self):
+        # 10 density pieces: 321 nodes, so 4096 separations are 1.3e6
+        # pairs, about 150 MiB of quadrature at once
+        model = make_model(3, 0.0, 1.0, 0.0, m_p=_pieces(10))
+        s = np.linspace(0.0, 100.0, 4096)
+        tracemalloc.start()
+        try:
+            b_scalar(model, "PL", s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_empty_separations(self, d3_mixed):
+        assert b_scalar(d3_mixed, "PL", np.array([])).shape == (0,)
 
 
 class TestTensor:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ibflow import (PathRecord, PointCloud, containment, curve_length,
+from ibflow import (PointCloud, containment, curve_length,
                     diameter, drift_linear, drift_none, drift_radial_rkhs,
                     euler_flow, flow_engine, kernel_rows,
                     length_decay_experiment, lyapunov_estimate, ode_flow,
@@ -14,6 +14,15 @@ from ibflow import (PathRecord, PointCloud, containment, curve_length,
                     tilted_tracking_error, wilson_interval)
 
 from conftest import random_rotation
+
+
+def same_result(a, b) -> bool:
+    """Two ExperimentResults hold bitwise the same times, series and
+    per-path numerics."""
+    return (np.array_equal(a.times, b.times) and list(a.series) == list(b.series)
+            and all(np.array_equal(a.series[k], b.series[k]) for k in a.series)
+            and all(np.array_equal(x, y)
+                    for x, y in zip(a.numerics, b.numerics, strict=True)))
 
 
 class TestObservables:
@@ -216,8 +225,9 @@ class TestStreams:
                 dt=1e-2, n_paths=3, seed=4, closed=True)
             lyap = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
                                      n_pairs=3, seed=4)
-            runs.append((rep.paths, lyap.pair_estimates))
-        assert runs[0] == runs[1]
+            runs.append((rep, lyap.pair_estimates))
+        assert same_result(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
     def test_path_independent_of_batch_and_position(self, d2_mixed):
         # fixed point sets whose covariances have different ranks: path
@@ -252,20 +262,21 @@ class TestStreams:
         # Lyapunov pairs renormalize in place, tracking compares with its
         # ODE reference. Path 0 alone or with 7 others, and path 64 as the
         # first path of a second chunk holding 1 or 8 paths, keep every bit
-        # of their record
+        # of their diameters and rank numerics
         ring = 0.005 * np.column_stack([np.cos(2 * np.pi * np.arange(24) / 24),
                                         np.sin(2 * np.pi * np.arange(24) / 24)])
 
         def record(n_paths, i):
             if shape == "lyapunov":
-                return lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
-                                         n_pairs=n_paths,
-                                         seed=3).pair_estimates[i]
+                res = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
+                                        n_pairs=n_paths, seed=3)
+                return (res.pair_estimates[i], *(n[i] for n in res.numerics))
             if shape == "tracking":
                 x0 = PointCloud(positions=np.array([[0.5, 0.0], [0.0, 0.7]]))
-                return tilted_tracking_error(
+                res = tilted_tracking_error(
                     d2_potential_atom, 1.0, c=16.0, x0=x0, T=0.2, dt=1e-2,
-                    n_paths=n_paths, seed=3).sup_deviations[i]
+                    n_paths=n_paths, seed=3)
+                return (res.sup_deviations[i], *(n[i] for n in res.numerics))
             if shape == "shell":
                 rep = squeeze_experiment(
                     d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
@@ -274,11 +285,13 @@ class TestStreams:
                 rep = length_decay_experiment(
                     d2_potential_atom, PointCloud(positions=ring), T=0.2,
                     dt=1e-2, n_paths=n_paths, seed=3, closed=True)
-            p = rep.paths[i]
-            return p.diameters, p.rank_min, p.rank_max, p.dropped_trace_max
+            return (rep.series["diam"][i], *(n[i] for n in rep.numerics))
 
-        assert record(1, 0) == record(8, 0)
-        assert record(65, 64) == record(72, 64)
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+        assert same(record(1, 0), record(8, 0))
+        assert same(record(65, 64), record(72, 64))
 
     def test_streams_distinct_across_seed_and_path(self):
         # under seed XOR path, (5, 1) and (6, 2) shared one stream
@@ -317,17 +330,21 @@ class TestSqueezeExperiment:
                       dt=5e-3, n_paths=6, seed=42)
         rep1 = squeeze_experiment(d2_potential_atom, **kwargs)
         rep2 = squeeze_experiment(d2_potential_atom, **kwargs)
-        assert rep1.paths == rep2.paths
+        assert same_result(rep1, rep2)
         assert rep1.aggregate["success_count"] == rep2.aggregate["success_count"]
         assert 0.0 <= rep1.aggregate["success_frequency"] <= 1.0
         assert rep1.aggregate["n_paths"] == 6
-        assert len(rep1.paths) == 6
-        assert rep1.paths[4].stream == "SeedSequence([42, 4])"
+        assert list(rep1.series) == ["diam", "contained"]
+        for values in rep1.series.values():
+            assert values.shape == (6, rep1.times.size)
         # 16 tracers on a shell of radius 1.1: C is 32 x 32 and singular
         ag = rep1.aggregate
         assert 2 <= ag["rank_min"] <= ag["rank_max"] < 32
         assert 0.0 <= ag["dropped_trace_max"] < 1e-9
-        assert ag["rank_max"] == max(p.rank_max for p in rep1.paths)
+        rank_min, rank_max, dropped = rep1.numerics
+        assert ag["rank_min"] == rank_min.min()
+        assert ag["rank_max"] == rank_max.max()
+        assert ag["dropped_trace_max"] == dropped.max()
         lo, hi = rep1.aggregate["wilson_low"], rep1.aggregate["wilson_high"]
         assert 0.0 <= lo <= rep1.aggregate["success_frequency"] <= hi <= 1.0
 
@@ -335,9 +352,8 @@ class TestSqueezeExperiment:
         rep = squeeze_experiment(d2_potential_atom, R=1.0, delta=0.1, T1=0.1,
                                  T2=0.2, n_boundary=16, dt=5e-3, n_paths=2,
                                  seed=1)
-        path = rep.paths[0]
-        assert path.times[0] == 0.0 and path.times[-1] == 0.2
-        assert len(path.containment_flags) == len(path.times)
+        assert rep.times[0] == 0.0 and rep.times[-1] == 0.2
+        assert rep.series["contained"].shape == (2, rep.times.size)
 
     def test_expand_mode_with_outward_field(self, d2_potential_atom):
         out_field = drift_radial_rkhs(d2_potential_atom, 1.0, scale=-64.0)
@@ -346,7 +362,7 @@ class TestSqueezeExperiment:
                                  seed=5, drift=out_field, mode="expand")
         assert rep.aggregate["success_frequency"] >= 0.5
         # expand starts from the shell of radius R - delta, not R + delta
-        assert rep.paths[0].diameters[0] == pytest.approx(1.8, rel=1e-12)
+        assert rep.series["diam"][0, 0] == pytest.approx(1.8, rel=1e-12)
 
     def test_parameter_validation(self, d2_potential_atom):
         with pytest.raises(ValueError):
@@ -377,11 +393,10 @@ class TestLengthDecay:
         circle = PointCloud(positions=np.column_stack([np.cos(ang), np.sin(ang)]))
         rep = length_decay_experiment(d2_solenoidal_atom, circle, T=0.5,
                                       dt=5e-3, n_paths=4, seed=2, closed=True)
-        for path in rep.paths:
-            assert len(path.lengths) == len(path.times)
-            # a polyline is always at least as long as any vertex gap
-            assert all(length >= diam - 1e-12
-                       for length, diam in zip(path.lengths, path.diameters))
+        lengths, diams = rep.series["length"], rep.series["diam"]
+        assert lengths.shape == diams.shape == (4, rep.times.size)
+        # a polyline is always at least as long as any vertex gap
+        assert np.all(lengths >= diams - 1e-12)
         ag = rep.aggregate
         assert 0.0 <= ag["shrink_fraction"] <= 1.0
         assert len(ag["terminal_rates"]) == 4
@@ -392,7 +407,7 @@ class TestLengthDecay:
                                     n_paths=3, seed=8)
         b = length_decay_experiment(d2_solenoidal_atom, seg, T=0.2, dt=1e-2,
                                     n_paths=3, seed=8)
-        assert a.paths == b.paths
+        assert same_result(a, b)
         assert a.aggregate["terminal_rates"] == b.aggregate["terminal_rates"]
 
     def test_broken_length_invariant_raises(self, d2_solenoidal_atom,
@@ -409,13 +424,3 @@ class TestLengthDecay:
             length_decay_experiment(
                 d2_solenoidal_atom, PointCloud(positions=np.zeros((1, 2))),
                 T=0.2, dt=1e-2, n_paths=1, seed=0)
-
-
-class TestPathRecord:
-    def test_times_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            PathRecord(times=(0.0, 0.0, 1.0), diameters=(1.0, 1.0, 1.0))
-
-    def test_lengths_must_match(self):
-        with pytest.raises(ValueError):
-            PathRecord(times=(0.0, 1.0), diameters=(1.0, 1.0), lengths=(1.0,))
