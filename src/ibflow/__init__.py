@@ -17,8 +17,8 @@ from .bessel import bessel_j, bessel_j_ratio
 from .rkhs import (SphereRule, ConditionReport, bessel_zeros, check_condition,
                    sphere_rule, mean_inward_field, squeeze_functional)
 from .field_sampler import (DriftField, CovarianceFactorError,
-                            DriftEvaluationError, eval_drift, drift_none,
-                            drift_linear, drift_radial_rkhs, drift_custom_table,
+                            DriftEvaluationError, eval_drift, drift_linear,
+                            drift_radial_rkhs, drift_custom_table,
                             kernel_rows, pivoted_cholesky_batch)
 from .flow_engine import (PointCloud, ExperimentResult,
                           LyapunovResult, TrackingResult, PairCollapseError,

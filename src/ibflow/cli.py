@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from . import covariance, flow_engine, rkhs
+from . import covariance, flow_engine, rkhs, spectral
 from .covariance import IbfModel, ModelError
 from .field_sampler import (DriftField, drift_custom_table, drift_linear,
-                            drift_none, drift_radial_rkhs)
+                            drift_radial_rkhs, radial_resolution)
 from .flow_engine import ExperimentResult, PointCloud
 from .spectral import MeasureError, SpectralMeasure
 
@@ -220,11 +220,11 @@ def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
         raise ConfigError(f"{path}: must be a rectangular array") from None
 
 
-def drift_from_config(spec, model: IbfModel,
-                      path: str = "model.drift") -> tuple[DriftField, dict]:
-    """The drift a config's model.drift describes, checked field by field,
-    and its echo: the same fields in config form, a radial drift's
-    resolution filled in."""
+def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
+                      ) -> tuple[DriftField | None, dict]:
+    """The drift a config's model.drift describes (None for kind none),
+    checked field by field, and its echo: the same fields in config form,
+    a radial drift's resolution filled in."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be an object")
     kind = spec.get("kind")
@@ -233,10 +233,9 @@ def drift_from_config(spec, model: IbfModel,
     _no_extras(spec, {"kind"} | _DRIFT_FIELDS[kind], path)
     d = model.d
     echo: dict = {"kind": kind}
+    drift = None
     try:
-        if kind == "none":
-            drift = drift_none()
-        elif kind == "linear":
+        if kind == "linear":
             matrix = _parse_vectors(_need(spec, "matrix", path), d,
                                     f"{path}.matrix")
             if matrix.shape[0] != d:
@@ -247,15 +246,12 @@ def drift_from_config(spec, model: IbfModel,
             rho = _as_number(_need(spec, "rho", path), f"{path}.rho",
                              exclusive_min=0.0)
             scale = _as_number(spec.get("scale", 1.0), f"{path}.scale")
-            resolution = spec.get("resolution")
-            if resolution is not None:
-                resolution = _as_resolution(resolution, d,
-                                            f"{path}.resolution",
-                                            MAX_DRIFT_NODES)
-            drift = drift_radial_rkhs(model, rho, scale=scale,
-                                      resolution=resolution)
-            echo.update(rho=rho, scale=scale, resolution=drift.resolution)
-        else:
+            res = spec.get("resolution")
+            res = (radial_resolution(d) if res is None else _as_resolution(
+                res, d, f"{path}.resolution", MAX_DRIFT_NODES))
+            drift = drift_radial_rkhs(model, rho, scale=scale, resolution=res)
+            echo.update(rho=rho, scale=scale, resolution=res)
+        elif kind == "custom_table":
             axes = _need(spec, "axes", path)
             if not (isinstance(axes, list) and len(axes) == d):
                 raise ConfigError(f"{path}.axes: must be a list of {d} axes")
@@ -329,6 +325,14 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         _no_extras(p, {"s_max", "n_points"}, path)
         out["s_max"] = _as_number(_need(p, "s_max", path), f"{path}.s_max",
                                   exclusive_min=0.0)
+        # the quadrature squares the kernel argument z = s * node
+        top = max([float(spectral.quadrature_nodes(m)[0].max())
+                   for m in (model.m_p, model.m_s) if m is not None],
+                  default=0.0)
+        z = out["s_max"] * top
+        if not math.isfinite(z * z):
+            raise ConfigError(f"{path}.s_max: the kernel argument s_max x "
+                              f"{top!r} (the largest node) overflows squared")
         out["n_points"] = _as_int(p.get("n_points", 201), f"{path}.n_points",
                                   minimum=2, maximum=MAX_POINTS)
     elif command == "check-condition":

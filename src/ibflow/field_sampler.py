@@ -13,7 +13,8 @@ tensor_field; C itself is never assembled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,104 +49,91 @@ class DriftEvaluationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # drift fields
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DriftField:
-    """Deterministic drift v(x); every kind is globally Lipschitz.
+    """Deterministic, autonomous drift v(x) with a global Lipschitz bound.
 
-    kinds: "none"; "linear" (v = A x); "radial_rkhs" (scale times the
-    mean inward field of a model at radius rho, radially symmetric by
-    construction); "custom_table" (multilinear interpolation on a grid,
-    constant beyond it).
+    field maps (m, d) points to their (m, d) values; lipschitz bounds
+    |v(x) - v(y)| / |x - y| and is computed once, when the drift is built.
+    No drift is None, not a zero field.
     """
 
-    kind: str
-    matrix: np.ndarray | None = None
-    model: IbfModel | None = None
-    rho: float | None = None
-    scale: float = 1.0
-    resolution: int | None = None
-    axes: tuple[np.ndarray, ...] | None = None
-    table: np.ndarray | None = None
-    _profile: object = field(default=None, repr=False)
-    _rule: object = field(default=None, repr=False)
-
-    def lipschitz_constant(self) -> float:
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "linear":
-            return float(np.linalg.norm(self.matrix, 2))
-        if self.kind == "radial_rkhs":
-            table = self._profile
-            if table is None:
-                raise ModelError(
-                    "unbound radial drift: build it with drift_radial_rkhs")
-            _, c1, c2, c3 = table.rows
-            # knot slopes: each piece's at its first knot, the last
-            # piece's at hi
-            u = table.hi - (table.lo + (c1.size - 1) * table.h)
-            end = c1[-1] + u * (2.0 * c2[-1] + 3.0 * u * c3[-1])
-            slope = max(np.max(np.abs(c1)), abs(end))
-            grid = np.linspace(table.lo, table.hi, c1.size + 1)[1:]
-            secant = np.max(np.abs(table(grid)[0] / grid))
-            return abs(self.scale) * float(max(slope, secant))
-        if self.kind == "custom_table":
-            worst = 0.0
-            for axis in range(len(self.axes)):
-                diff = np.diff(self.table, axis=axis)
-                steps = np.diff(self.axes[axis])
-                shape = [1] * self.table.ndim
-                shape[axis] = steps.size
-                worst = max(worst, float(np.max(np.abs(diff) / steps.reshape(shape))))
-            return worst
-        raise ModelError(f"unknown drift kind {self.kind!r}")
-
-
-def drift_none() -> DriftField:
-    return DriftField(kind="none")
+    field: Callable[[np.ndarray], np.ndarray]
+    lipschitz: float
 
 
 def drift_linear(matrix) -> DriftField:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
         raise ModelError("linear drift needs a finite square matrix")
-    return DriftField(kind="linear", matrix=a)
+    return DriftField(lambda pts: pts @ a.T, float(np.linalg.norm(a, 2)))
 
 
-def _default_rule_resolution(d: int) -> int:
+# the radial drift's profile knots: evenly spaced on [0, RADIAL_SPAN rho]
+RADIAL_SPAN = 12.0
+RADIAL_KNOTS = 2048
+
+
+def radial_resolution(d: int) -> int:
+    """The sphere-rule resolution of a radial drift that names none."""
     return {2: 256, 3: 24}.get(d, 512)
 
 
-def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0,
-                      resolution: int | None = None, r_max: float | None = None,
-                      grid_points: int = 2048) -> DriftField:
-    """Drift scale * V with V the mean inward field at radius rho.
-
-    V is radially symmetric, so its radial profile is precomputed once
-    by sphere quadrature at grid_points evenly spaced radii on
-    [0, r_max] (12 rho by default) and interpolated by the not-a-knot
-    cubic spline through them (interpolation error is far below
-    quadrature error). The spline is stored as a CubicTable, one cubic
-    per interval, and evaluated by the same direct-index Horner code as
-    the kernel's profile; queries beyond r_max fall back to direct
-    quadrature.
-    """
-    if rho <= 0.0:
-        raise ModelError("rho must be > 0")
-    if grid_points < 4:
-        raise ModelError("the drift profile needs at least 4 grid points")
-    res = resolution if resolution is not None else _default_rule_resolution(model.d)
-    rule = rkhs.sphere_rule(model.d, res)
-    r_top = r_max if r_max is not None else 12.0 * rho
-    grid = np.linspace(0.0, r_top, grid_points)
-    probe = np.zeros((grid_points, model.d))
+def _radial_profile(model: IbfModel, rho: float,
+                    rule: rkhs.SphereRule) -> CubicTable:
+    """The radial profile of the mean inward field at radius rho: the
+    not-a-knot cubic spline through its sphere quadrature by rule at the
+    RADIAL_KNOTS radii, stored one cubic per interval."""
+    r_top = RADIAL_SPAN * rho
+    grid = np.linspace(0.0, r_top, RADIAL_KNOTS)
+    probe = np.zeros((RADIAL_KNOTS, model.d))
     probe[:, 0] = grid
     g = rkhs.mean_inward_field(model, rho, rule, probe)[:, 0]
     g[0] = 0.0  # exact by symmetry of the sphere average
     rows = hermite_rows(g, _not_a_knot_slopes(grid, g), np.diff(grid))
-    table = CubicTable(np.array(rows), 0.0, grid[1], r_top)
-    return DriftField(kind="radial_rkhs", model=model, rho=float(rho),
-                      scale=float(scale), resolution=res,
-                      _profile=table, _rule=rule)
+    return CubicTable(np.array(rows), 0.0, grid[1], r_top)
+
+
+def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0,
+                      resolution: int | None = None) -> DriftField:
+    """Drift scale * V with V the mean inward field at radius rho.
+
+    V is radially symmetric, so its radial profile is tabulated once
+    (_radial_profile, whose interpolation error is far below the
+    quadrature's) and evaluated by the same direct-index Horner code as
+    the kernel's profile; queries beyond RADIAL_SPAN rho fall back to
+    direct quadrature. The bound is the larger of the profile's steepest
+    knot slope and its steepest secant through the origin.
+    """
+    if rho <= 0.0:
+        raise ModelError("rho must be > 0")
+    rho, scale = float(rho), float(scale)
+    rule = rkhs.sphere_rule(model.d, radial_resolution(model.d)
+                            if resolution is None else resolution)
+    table = _radial_profile(model, rho, rule)
+
+    def field(pts: np.ndarray) -> np.ndarray:
+        r = np.linalg.norm(pts, axis=-1)
+        inside = r <= table.hi
+        g = np.empty_like(r)
+        g[inside] = table(r[inside])[0]
+        if not inside.all():
+            far = pts[~inside]
+            g[~inside] = np.einsum(
+                "md,md->m", rkhs.mean_inward_field(model, rho, rule, far),
+                far) / r[~inside]
+        unit = np.divide(pts, r[..., None], out=np.zeros_like(pts),
+                         where=r[..., None] > 0.0)
+        return scale * g[..., None] * unit
+
+    _, c1, c2, c3 = table.rows
+    # knot slopes: each piece's at its first knot, the last piece's at hi
+    u = table.hi - (table.lo + (c1.size - 1) * table.h)
+    end = c1[-1] + u * (2.0 * c2[-1] + 3.0 * u * c3[-1])
+    slope = max(np.max(np.abs(c1)), abs(end))
+    grid = np.linspace(table.lo, table.hi, c1.size + 1)[1:]
+    secant = np.max(np.abs(table(grid)[0] / grid))
+    return DriftField(field, abs(scale) * float(max(slope, secant)))
 
 
 def _not_a_knot_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -185,6 +173,10 @@ def _not_a_knot_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def drift_custom_table(axes, values) -> DriftField:
+    """Multilinear interpolation of values (grid shape plus a trailing
+    component axis) on the grid axes, constant beyond it. The bound is
+    the steepest slope between neighbouring grid values along any axis.
+    """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     table = np.asarray(values, dtype=float)
     d = len(axes)
@@ -196,7 +188,17 @@ def drift_custom_table(axes, values) -> DriftField:
     for a in axes:
         if a.size < 2 or np.any(np.diff(a) <= 0.0):
             raise ModelError("each axis needs at least 2 strictly increasing points")
-    return DriftField(kind="custom_table", axes=axes, table=table)
+
+    def field(pts: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(pts)):
+            raise DriftEvaluationError("custom_table queried at non-finite point")
+        clipped = np.column_stack([np.clip(pts[:, k], a[0], a[-1])
+                                   for k, a in enumerate(axes)])
+        return _multilinear(axes, table, clipped)
+
+    return DriftField(field, max(
+        float(np.max(np.abs(np.moveaxis(np.diff(table, axis=k), k, -1)
+                            / np.diff(a)))) for k, a in enumerate(axes)))
 
 
 def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray,
@@ -220,49 +222,10 @@ def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray,
     return out
 
 
-def _eval_radial(v: DriftField, pts: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(pts, axis=-1)
-    table = v._profile
-    inside = r <= table.hi
-    g = np.empty_like(r)
-    g[inside] = table(r[inside])[0]
-    if np.any(~inside):
-        far = pts[~inside]
-        g[~inside] = np.einsum(
-            "md,md->m",
-            rkhs.mean_inward_field(v.model, v.rho, v._rule, far),
-            far) / r[~inside]
-    unit = np.divide(pts, r[..., None], out=np.zeros_like(pts),
-                     where=r[..., None] > 0.0)
-    return v.scale * g[..., None] * unit
-
-
 def eval_drift(v: DriftField, x) -> np.ndarray:
-    """Evaluate the drift at x (vectorized over leading axes). Every kind
-    is autonomous."""
+    """The drift at x, vectorized over leading axes."""
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    flat = pts.reshape(-1, pts.shape[-1])
-    if v.kind == "none":
-        out = np.zeros_like(flat)
-    elif v.kind == "linear":
-        out = flat @ v.matrix.T
-    elif v.kind == "radial_rkhs":
-        if v._profile is None:
-            raise ModelError(
-                "unbound radial drift: build it with drift_radial_rkhs")
-        out = _eval_radial(v, flat)
-    elif v.kind == "custom_table":
-        if not np.all(np.isfinite(flat)):
-            raise DriftEvaluationError("custom_table queried at non-finite point")
-        clipped = np.column_stack([
-            np.clip(flat[:, k], v.axes[k][0], v.axes[k][-1])
-            for k in range(len(v.axes))])
-        out = _multilinear(v.axes, v.table, clipped)
-    else:
-        raise ModelError(f"unknown drift kind {v.kind!r}")
-    out = out.reshape(pts.shape)
-    return out[0] if single and out.ndim > pts.ndim else out
+    return v.field(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,9 @@ def _diam_batch(x: np.ndarray) -> np.ndarray:
 
 
 def _length_batch(x: np.ndarray, closed: bool) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(x, axis=1), axis=-1).sum(axis=1)
+    # in segment order: a pairwise sum's last bit would follow the batch
+    seg = np.add.accumulate(np.linalg.norm(np.diff(x, axis=1), axis=-1),
+                            axis=1)[:, -1]
     if closed:
         seg = seg + np.linalg.norm(x[:, -1, :] - x[:, 0, :], axis=-1)
     return seg
@@ -219,7 +221,7 @@ def ode_flow(drift: DriftField, x0, t1: float, dt: float):
     Accepts a single point or a batch; returns (times, states) with
     states recorded at every step.
     """
-    if not math.isfinite(drift.lipschitz_constant()):
+    if not math.isfinite(drift.lipschitz):
         raise ValueError("drift must declare a finite Lipschitz constant")
     x = np.asarray(x0, dtype=float)
     single = x.ndim == 1

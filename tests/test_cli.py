@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ibflow import cli, flow_engine
 from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         main, parse_config, run_command)
-from ibflow.field_sampler import CovarianceFactorError
+from ibflow.field_sampler import CovarianceFactorError, DriftField
 
 from conftest import J1_FIRST_ZERO
 
@@ -118,6 +118,22 @@ class TestParseConfig:
         assert main(["covariance", "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "model.m_p: moment of order 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("atom,s_max", [(1.0, 1e160), (10.0, 1e308)])
+    def test_overflowing_kernel_argument_exit_2(self, tmp_path, capsys, atom,
+                                                s_max):
+        # the quadrature squares s * node: past the float range it wrote
+        # NaN columns, or failed while running without naming the field
+        doc = atom_config(params={"s_max": s_max}, mu1=0.5, mu2=0.5,
+                          m_s={"atoms": [[1.0, 1.0]], "density": []})
+        doc["model"]["m_p"]["atoms"] = [[atom, 1.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["covariance", "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "params.s_max: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_physical_params_required(self):
         doc = atom_config(command="lyapunov", params={"T": 1.0})
@@ -285,8 +301,12 @@ class TestParseConfig:
                           drift={"kind": "radial_rkhs", "rho": 1.0,
                                  "scale": 2.0, "resolution": 32})
         cfg = parse_config(doc)
-        assert cfg.drift is not None and cfg.drift.kind == "radial_rkhs"
-        assert cfg.echo["model"]["drift"]["scale"] == 2.0
+        assert isinstance(cfg.drift, DriftField)
+        assert cfg.echo["model"]["drift"] == {
+            "kind": "radial_rkhs", "rho": 1.0, "scale": 2.0, "resolution": 32}
+        # a radial drift naming no resolution echoes the one it ran with
+        del doc["model"]["drift"]["resolution"]
+        assert parse_config(doc).echo["model"]["drift"]["resolution"] == 256
 
     def test_drift_unknown_kind(self):
         doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
@@ -455,6 +475,27 @@ class TestRunCommands:
         rep2 = json.loads((out2 / "squeeze_report.json").read_text())
         rep1.pop("wall_clock"), rep2.pop("wall_clock")
         assert rep1 == rep2
+
+    @pytest.mark.parametrize("command", ["squeeze", "expand"])
+    def test_drift_kind_none_is_no_drift(self, tmp_path, command):
+        # kind none runs, and reports, exactly as a model without a drift
+        outs = []
+        for drift in ({"kind": "none"}, None):
+            doc = atom_config(command=command, params=SQUEEZE_PARAMS,
+                              drift=drift)
+            cfg = parse_config(doc)
+            assert cfg.drift is None
+            out = tmp_path / str(len(outs))
+            run_command(command, cfg, out_dir=out, quiet=True)
+            outs.append(out)
+        a, b = outs
+        assert ((a / f"{command}.csv").read_bytes()
+                == (b / f"{command}.csv").read_bytes())
+        rep_a, rep_b = (json.loads((o / f"{command}_report.json").read_text())
+                        for o in outs)
+        assert rep_a["aggregate"] == rep_b["aggregate"]
+        assert "untilted" in rep_a["aggregate"]["note"]
+        assert rep_a["config"]["model"]["drift"] == {"kind": "none"}
 
     @pytest.mark.parametrize("command,params", [
         ("lyapunov", {"T": 0.2, "dt": 0.01, "n_pairs": 3}),

@@ -1,5 +1,6 @@
 """Kernel rows, the rank-revealing factor, drift field evaluation."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,12 +14,12 @@ import pytest
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 import ibflow
-from ibflow import (CovarianceFactorError, DriftEvaluationError, ModelError,
-                    PointCloud, covariance_tensor, drift_custom_table,
-                    drift_linear, drift_none, drift_radial_rkhs, euler_flow,
-                    eval_drift, flow_engine, kernel_rows, mean_inward_field,
-                    pivoted_cholesky_batch, psd_probe, sphere_rule,
-                    tensor_field)
+from ibflow import (CovarianceFactorError, DriftEvaluationError, DriftField,
+                    ModelError, PointCloud, covariance_tensor,
+                    drift_custom_table, drift_linear, drift_radial_rkhs,
+                    euler_flow, eval_drift, field_sampler, flow_engine,
+                    kernel_rows, mean_inward_field, pivoted_cholesky_batch,
+                    psd_probe, sphere_rule, tensor_field)
 
 from conftest import J1_AT_1, random_rotation
 
@@ -271,16 +272,14 @@ class TestSampleIncrement:
 
 
 class TestDriftFields:
-    def test_none(self):
-        v = drift_none()
-        out = eval_drift(v, np.array([1.0, 2.0]))
-        assert np.array_equal(out, np.zeros(2))
-        assert v.lipschitz_constant() == 0.0
+    def test_a_drift_is_a_field_and_its_bound(self):
+        assert [f.name for f in dataclasses.fields(DriftField)] == [
+            "field", "lipschitz"]
 
     def test_linear(self):
         v = drift_linear(-np.eye(2))
         assert np.allclose(eval_drift(v, np.array([1.0, 0.0])), [-1.0, 0.0])
-        assert v.lipschitz_constant() == 1.0
+        assert v.lipschitz == 1.0
         batch = eval_drift(v, np.ones((3, 4, 2)))
         assert batch.shape == (3, 4, 2)
 
@@ -300,9 +299,9 @@ class TestDriftFields:
         assert out @ theta == pytest.approx(-3.0 * 2 * J1_AT_1**2, abs=1e-6)
 
     def test_radial_far_field_fallback(self, d2_potential_atom):
-        v = drift_radial_rkhs(d2_potential_atom, 1.0, r_max=2.0)
+        v = drift_radial_rkhs(d2_potential_atom, 1.0)
         rule = sphere_rule(2, 256)
-        x = np.array([3.5, 0.0])  # beyond the profile grid
+        x = np.array([13.5, 0.0])  # beyond the profile grid, 12 rho
         exact = mean_inward_field(d2_potential_atom, 1.0, rule, x)
         assert np.max(np.abs(eval_drift(v, x) - exact)) < 1e-10
 
@@ -318,7 +317,7 @@ class TestDriftFields:
         assert np.allclose(eval_drift(v, np.array([0.5, 0.5])), [0.5, 0.0])
         # constant extrapolation outside the grid
         assert np.allclose(eval_drift(v, np.array([5.0, -3.0])), [2.0, 0.0])
-        assert v.lipschitz_constant() == pytest.approx(1.0)
+        assert v.lipschitz == pytest.approx(1.0)
 
     def test_custom_table_nonfinite_query(self):
         axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -327,9 +326,9 @@ class TestDriftFields:
             eval_drift(v, np.array([np.nan, 0.0]))
 
     def test_lipschitz_declared_finite(self, d2_potential_atom):
-        for v in (drift_none(), drift_linear(np.eye(2) * 3),
+        for v in (drift_linear(np.zeros((2, 2))), drift_linear(np.eye(2) * 3),
                   drift_radial_rkhs(d2_potential_atom, 1.0)):
-            assert math.isfinite(v.lipschitz_constant())
+            assert math.isfinite(v.lipschitz)
 
 
 class TestDriftOracles:
@@ -339,22 +338,27 @@ class TestDriftOracles:
     def test_radial_profile_is_the_not_a_knot_spline(self, name, request):
         model = request.getfixturevalue(name)
         v = drift_radial_rkhs(model, 1.0)
+        rule = sphere_rule(model.d, field_sampler.radial_resolution(model.d))
+        table = field_sampler._radial_profile(model, 1.0, rule)
         grid = np.linspace(0.0, 12.0, 2048)
         probe = np.zeros((grid.size, model.d))
         probe[:, 0] = grid
-        g = mean_inward_field(model, 1.0, v._rule, probe)[:, 0]
+        g = mean_inward_field(model, 1.0, rule, probe)[:, 0]
         g[0] = 0.0
         spline = CubicSpline(grid, g)
         tol = 4.0 * np.finfo(float).eps * np.max(np.abs(g))
-        table = v._profile
         mids = np.random.default_rng(12).uniform(0.0, 12.0, 5000)
         for r in (grid, mids):
             assert np.max(np.abs(table(r)[0] - spline(r))) <= tol
+            # the drift along the first axis is its profile
+            along = np.zeros((r.size, model.d))
+            along[:, 0] = r
+            assert np.array_equal(eval_drift(v, along)[:, 0], table(r)[0])
         assert np.max(np.abs(table.rows[1] - spline(grid[:-1], 1))) <= tol
         slope = np.max(np.abs(spline(grid, 1)))
         secant = np.max(np.abs(spline(grid[1:]) / grid[1:]))
-        assert v.lipschitz_constant() == pytest.approx(max(slope, secant),
-                                                       rel=1e-14, abs=0.0)
+        assert v.lipschitz == pytest.approx(max(slope, secant),
+                                            rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_custom_table_is_multilinear(self, d):

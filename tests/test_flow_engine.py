@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ibflow import (PointCloud, containment, curve_length,
-                    diameter, drift_linear, drift_none, drift_radial_rkhs,
+                    diameter, drift_linear, drift_radial_rkhs,
                     euler_flow, flow_engine, kernel_rows,
                     length_decay_experiment, lyapunov_estimate, ode_flow,
                     pivoted_cholesky_batch, squeeze_experiment,
@@ -31,6 +31,25 @@ class TestObservables:
             [[0., 0.], [1., 0.], [1., 1.], [0., 1.]]))
         assert curve_length(square, closed=True) == 4.0
         assert curve_length(square, closed=False) == 3.0
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_length_sums_segments_in_order(self, closed):
+        # each path's length is its segment lengths added one by one, then
+        # the wrap segment: the same bits alone and beside 8 others
+        x = np.random.default_rng(4).normal(size=(9, 40, 3))
+        seg = np.linalg.norm(np.diff(x, axis=1), axis=-1)
+        want = []
+        for i in range(len(x)):
+            total = 0.0
+            for s in seg[i]:
+                total += s
+            if closed:
+                total += np.linalg.norm(x[i, -1] - x[i, 0])
+            want.append(total)
+        batch = flow_engine._length_batch(x, closed)
+        alone = [flow_engine._length_batch(x[i:i + 1], closed)[0]
+                 for i in range(len(x))]
+        assert batch.tolist() == want == alone
 
     def test_two_point_segment(self):
         seg = PointCloud(positions=np.array([[0., 0.], [3., 0.]]))
@@ -153,7 +172,8 @@ class TestOdeFlow:
         assert times[-1] == 1.0
 
     def test_zero_field_fixed_point(self):
-        _, xs = ode_flow(drift_none(), np.array([0.3, -0.7]), 1.0, 0.1)
+        _, xs = ode_flow(drift_linear(np.zeros((2, 2))), np.array([0.3, -0.7]),
+                         1.0, 0.1)
         assert np.array_equal(xs[-1], np.array([0.3, -0.7]))
 
     def test_radial_field_contracts_inside_band(self, d2_potential_atom):
@@ -262,7 +282,7 @@ class TestStreams:
         # Lyapunov pairs renormalize in place, tracking compares with its
         # ODE reference. Path 0 alone or with 7 others, and path 64 as the
         # first path of a second chunk holding 1 or 8 paths, keep every bit
-        # of their diameters and rank numerics
+        # of every recorded series and of their rank numerics
         ring = 0.005 * np.column_stack([np.cos(2 * np.pi * np.arange(24) / 24),
                                         np.sin(2 * np.pi * np.arange(24) / 24)])
 
@@ -285,7 +305,8 @@ class TestStreams:
                 rep = length_decay_experiment(
                     d2_potential_atom, PointCloud(positions=ring), T=0.2,
                     dt=1e-2, n_paths=n_paths, seed=3, closed=True)
-            return (rep.series["diam"][i], *(n[i] for n in rep.numerics))
+            return (*(series[i] for series in rep.series.values()),
+                    *(n[i] for n in rep.numerics))
 
         def same(a, b):
             return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
