@@ -20,11 +20,10 @@ from .field_sampler import (DriftField, CovarianceFactorError,
                             DriftEvaluationError, eval_drift, drift_linear,
                             drift_radial_rkhs, drift_custom_table,
                             kernel_rows, pivoted_cholesky_batch)
-from .flow_engine import (PointCloud, ExperimentResult,
-                          LyapunovResult, TrackingResult, PairCollapseError,
-                          euler_flow, ode_flow, containment, diameter,
-                          curve_length, squeeze_experiment, lyapunov_estimate,
-                          tilted_tracking_error, length_decay_experiment,
+from .flow_engine import (ExperimentResult, PairCollapseError, ode_flow,
+                          step_count, containment, diameter, curve_length,
+                          squeeze_experiment, lyapunov_estimate,
+                          tracking_experiment, length_decay_experiment,
                           boundary_shell, wilson_interval)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

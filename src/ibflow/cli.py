@@ -32,7 +32,7 @@ from . import covariance, flow_engine, rkhs, spectral
 from .covariance import IbfModel, ModelError
 from .field_sampler import (DriftField, drift_custom_table, drift_linear,
                             drift_radial_rkhs, radial_resolution)
-from .flow_engine import ExperimentResult, PointCloud
+from .flow_engine import ExperimentResult
 from .spectral import MeasureError, SpectralMeasure
 
 COMMANDS = ("covariance", "check-condition", "verify-identity", "lyapunov",
@@ -300,9 +300,8 @@ def _cap_series(out: dict, key: str, path: str, per_path: int) -> None:
 
 def _snapshots(span: float, dt: float, stride: int) -> int:
     """Snapshots an observer sees over span: the start, every stride-th
-    Euler step and the last one (flow_engine._step_sizes' step count)."""
-    steps = max(1, math.ceil(span / dt - 1e-9))
-    return 1 + -(-steps // stride)
+    Euler step and the last one."""
+    return 1 + -(-flow_engine.step_count(span, dt) // stride)
 
 
 def _as_step(p: dict, span: float, path: str) -> float:
@@ -400,8 +399,11 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         cs = _need(p, "cs", path)
         if not (isinstance(cs, list) and cs):
             raise ConfigError(f"{path}.cs: must be a non-empty list")
-        out["cs"] = [_as_number(c, f"{path}.cs[{i}]", minimum=1.0)
-                     for i, c in enumerate(cs)]
+        out["cs"] = []
+        for i, c in enumerate(cs):
+            out["cs"].append(_as_number(c, f"{path}.cs[{i}]", minimum=1.0))
+            if out["cs"][-1] in out["cs"][:-1]:
+                raise ConfigError(f"{path}.cs[{i}]: repeats c = {c!r}")
         out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
         out["dt"] = _as_step(p, out["T"], path)
         out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
@@ -450,6 +452,11 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
             raise ConfigError(f"{path}.curve.kind: must be 'circle' or 'points'")
         if out["positions"].shape[0] < 2:
             raise ConfigError(f"{path}.curve: needs at least two vertices")
+        with np.errstate(over="ignore"):  # an overflow reads as inf
+            length = flow_engine.curve_length(out["positions"], out["closed"])
+        if not 0.0 < length < math.inf:
+            raise ConfigError(f"{path}.curve.positions: the curve's length "
+                              f"{length!r} must be positive and finite")
         out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
         _cap_series(out, "n_paths", path,
                     _snapshots(out["T"], out["dt"], out["stride"]))
@@ -682,18 +689,13 @@ def _run_lyapunov(cfg: RunConfig, jobs: int) -> Measured:
         n_pairs=cfg.params["n_pairs"], renorm_eps=cfg.params["renorm_eps"],
         seed=cfg.seed, jobs=jobs)
     fc = covariance.flow_constants(cfg.model)
-    aggregate = {
-        "estimate": res.estimate,
-        "standard_error": res.standard_error,
-        "analytic_lambda": fc.lam,
-        "beta_l": fc.beta_l,
-        "beta_n": fc.beta_n,
-        **flow_engine._aggregate_numerics(res.numerics),
-    }
-    summary = (f"lyapunov: estimate = {res.estimate:.5f} "
-               f"+/- {res.standard_error:.5f} (analytic {fc.lam:.5f})")
-    return Measured(["pair", "estimate"], enumerate(res.pair_estimates),
-                    aggregate, summary)
+    ag = {**res.aggregate, "analytic_lambda": fc.lam, "beta_l": fc.beta_l,
+          "beta_n": fc.beta_n}
+    summary = (f"lyapunov: estimate = {ag['estimate']:.5f} "
+               f"+/- {ag['standard_error']:.5f} (analytic {fc.lam:.5f})")
+    return Measured(["pair", "estimate"],
+                    enumerate(res.series["estimate"][:, 0].tolist()), ag,
+                    summary)
 
 
 def _run_squeeze(cfg: RunConfig, jobs: int) -> Measured:
@@ -727,32 +729,23 @@ def _series_measured(res: ExperimentResult, summary: str) -> Measured:
 
 def _run_track_control(cfg: RunConfig, jobs: int) -> Measured:
     p = cfg.params
-    x0 = PointCloud(positions=p["x0"])
-    v_field = drift_radial_rkhs(cfg.model, p["rho"], scale=1.0)
-    results = [flow_engine.tilted_tracking_error(
-        cfg.model, rho=p["rho"], c=c, x0=x0, T=p["T"], dt=p["dt"],
-        n_paths=p["n_paths"], seed=cfg.seed, v_field=v_field,
-        snapshot_stride=p["stride"], jobs=jobs) for c in p["cs"]]
-    slope = math.nan
-    if len(results) >= 2:
-        slope = float(np.polyfit(np.log(p["cs"]),
-                                 np.log([res.mean for res in results]), 1)[0])
-    aggregate = {
-        "per_c": {str(res.c): {"mean": res.mean, "se": res.standard_error}
-                  for res in results},
-        "slope": slope,
-        **flow_engine._aggregate_numerics(*(res.numerics for res in results))}
-    rows = ((res.c, i, dev) for res in results
-            for i, dev in enumerate(res.sup_deviations))
-    summary = f"track-control: log-log slope = {slope:.3f} over c = {p['cs']}"
-    return Measured(["c", "path", "sup_deviation"], rows, aggregate, summary)
+    res = flow_engine.tracking_experiment(
+        cfg.model, drift_radial_rkhs(cfg.model, p["rho"], scale=1.0),
+        p["cs"], p["x0"], T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
+        seed=cfg.seed, snapshot_stride=p["stride"], jobs=jobs)
+    sups = res.series["sup_deviation"]
+    rows = ((c, i, dev) for j, c in enumerate(p["cs"])
+            for i, dev in enumerate(sups[:, j].tolist()))
+    summary = (f"track-control: log-log slope = {res.aggregate['slope']:.3f} "
+               f"over c = {p['cs']}")
+    return Measured(["c", "path", "sup_deviation"], rows, res.aggregate,
+                    summary)
 
 
 def _run_length_decay(cfg: RunConfig, jobs: int) -> Measured:
     p = cfg.params
-    curve = PointCloud(positions=p["positions"])
     rep = flow_engine.length_decay_experiment(
-        cfg.model, curve, T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
+        cfg.model, p["positions"], T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
         seed=cfg.seed, snapshot_stride=p["stride"], closed=p["closed"],
         jobs=jobs)
     ag = rep.aggregate

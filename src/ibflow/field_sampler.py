@@ -174,8 +174,10 @@ def _not_a_knot_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def drift_custom_table(axes, values) -> DriftField:
     """Multilinear interpolation of values (grid shape plus a trailing
-    component axis) on the grid axes, constant beyond it. The bound is
-    the steepest slope between neighbouring grid values along any axis.
+    component axis) on the grid axes, constant beyond it. With L_ik the
+    steepest grid slope of component i along axis k, the bound is
+    sqrt(sum L_ik^2): it bounds the Frobenius norm of the Jacobian in
+    every cell, and clipping onto the grid is 1-Lipschitz.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     table = np.asarray(values, dtype=float)
@@ -196,9 +198,12 @@ def drift_custom_table(axes, values) -> DriftField:
                                    for k, a in enumerate(axes)])
         return _multilinear(axes, table, clipped)
 
-    return DriftField(field, max(
-        float(np.max(np.abs(np.moveaxis(np.diff(table, axis=k), k, -1)
-                            / np.diff(a)))) for k, a in enumerate(axes)))
+    def steepest(k: int, a: np.ndarray) -> np.ndarray:
+        gaps = np.diff(a).reshape([-1 if j == k else 1 for j in range(d + 1)])
+        return np.abs(np.diff(table, axis=k) / gaps).reshape(-1, d).max(axis=0)
+
+    return DriftField(field, float(np.linalg.norm(
+        [steepest(k, a) for k, a in enumerate(axes)])))
 
 
 def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray,

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import IbfModel, ModelError
-from .field_sampler import (DriftField, drift_radial_rkhs, eval_drift,
-                            kernel_rows, pivoted_cholesky_batch)
+from .covariance import IbfModel
+from .field_sampler import (DriftField, eval_drift, kernel_rows,
+                            pivoted_cholesky_batch)
 
 DEFAULT_STRIDE = 10
 _CHUNK = 64  # paths per batch; fixed so results never depend on --jobs
@@ -38,29 +38,15 @@ class PairCollapseError(RuntimeError):
             f"(floor {_COLLAPSE_FLOOR})")
 
 
-@dataclass
-class PointCloud:
-    """Ordered tracer positions at one time; order is tracer identity."""
-
-    positions: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        self.positions = pos
-        self.time = float(self.time)
-
-
 # numerics below: the per-path (rank_min, rank_max, dropped_trace_max)
 # arrays that _run_paths returns, for _aggregate_numerics
 
 @dataclass(frozen=True)
 class ExperimentResult:
     """What a path experiment measured: the snapshot times, each series
-    by name (the CSV column it fills) as an (n_paths, snapshots) array,
-    the per-path numerics and the aggregate."""
+    by name (the CSV column it fills) as an (n_paths, k) array, k the
+    snapshots or, for tracking, the cs, the per-path numerics and every
+    statistic of the paths in aggregate."""
 
     times: np.ndarray
     series: dict
@@ -68,43 +54,26 @@ class ExperimentResult:
     aggregate: dict
 
 
-@dataclass(frozen=True)
-class LyapunovResult:
-    estimate: float
-    standard_error: float
-    pair_estimates: tuple[float, ...] = field(repr=False, default=())
-    numerics: tuple = field(repr=False, default=())
-
-
-@dataclass(frozen=True)
-class TrackingResult:
-    c: float
-    sup_deviations: tuple[float, ...]
-    mean: float
-    standard_error: float
-    numerics: tuple = field(repr=False, default=())
-
-
 # ---------------------------------------------------------------------------
 # observables
 
-def diameter(cloud) -> float:
-    """Largest pairwise distance, exact O(N^2)."""
-    pos = np.atleast_2d(np.asarray(getattr(cloud, "positions", cloud), float))
+def diameter(points) -> float:
+    """Largest pairwise distance of (N, d) points, exact O(N^2)."""
+    pos = np.atleast_2d(np.asarray(points, dtype=float))
     return float(_diam_batch(pos[None])[0])
 
 
-def curve_length(cloud, closed: bool = False) -> float:
+def curve_length(points, closed: bool = False) -> float:
     """Polyline length; a closed flag appends the wrap segment."""
-    pos = np.atleast_2d(np.asarray(getattr(cloud, "positions", cloud), float))
+    pos = np.atleast_2d(np.asarray(points, dtype=float))
     if pos.shape[0] < 2:
         return 0.0
     return float(_length_batch(pos[None], closed)[0])
 
 
-def containment(cloud, radius: float, center=None) -> bool:
+def containment(points, radius: float, center=None) -> bool:
     """True iff every position lies strictly inside the open ball."""
-    pos = np.atleast_2d(np.asarray(getattr(cloud, "positions", cloud), float))
+    pos = np.atleast_2d(np.asarray(points, dtype=float))
     if center is not None:
         pos = pos - np.asarray(center, dtype=float)
     return bool(np.all(np.linalg.norm(pos, axis=-1) < radius))
@@ -140,13 +109,18 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 # steppers
 
+def step_count(span: float, dt: float) -> int:
+    """Euler or RK4 steps of size dt over span, the last one partial."""
+    return max(1, math.ceil(span / dt - 1e-9))
+
+
 def _step_sizes(t0: float, t1: float, dt: float):
     span = t1 - t0
     if span <= 0.0:
         raise ValueError("t1 must exceed t0")
     if dt <= 0.0 or dt > span * (1 + 1e-9):
         raise ValueError("dt must lie in (0, t1 - t0]")
-    n = max(1, math.ceil(span / dt - 1e-9))
+    n = step_count(span, dt)
     hs = np.full(n, dt)
     hs[-1] = span - (n - 1) * dt
     times = t0 + dt * np.arange(n + 1)
@@ -156,15 +130,15 @@ def _step_sizes(t0: float, t1: float, dt: float):
 
 def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
               gens, observer, drift: DriftField | None = None,
-              stride: int = DEFAULT_STRIDE, zero_noise: bool = False,
-              noise_scale: float = 1.0, path_offset: int = 0):
+              stride: int = DEFAULT_STRIDE, noise_scale: float = 1.0,
+              path_offset: int = 0):
     """Batched Euler stepping of (B, N, d) tracer states.
 
     observer(t, k, X) fires at t0 (k = 0), after every stride-th step k,
     and at t1 (the final partial step lands exactly on t1). It may move
     X in place; the next step starts from the moved points. Returns
     per-path (rank_min, rank_max, dropped_trace_max) of the increment
-    covariance over the steps; rank_min stays N d under zero_noise.
+    covariance over the steps.
     """
     x = np.array(x0, dtype=float, copy=True)
     b, n_pts, d = x.shape
@@ -172,60 +146,34 @@ def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
     rank_min = np.full(b, n_pts * d)
     rank_max = np.zeros(b, dtype=int)
     dropped_max = np.zeros(b)
-    normals = None if zero_noise else _step_normals(gens, len(hs), n_pts * d)
+    normals = _step_normals(gens, len(hs), n_pts * d)
     observer(times[0], 0, x)
     for k, h in enumerate(hs):
         delta = np.zeros_like(x)
         if drift is not None:
             delta += h * eval_drift(drift, x)
-        if normals is not None:
-            factor, rank, dropped = pivoted_cholesky_batch(
-                *kernel_rows(model, x), path_offset=path_offset, step=k)
-            np.minimum(rank_min, rank, out=rank_min)
-            np.maximum(rank_max, rank, out=rank_max)
-            np.maximum(dropped_max, dropped, out=dropped_max)
-            z = next(normals)
-            inc = (factor @ z[:, :, None])[:, :, 0].reshape(b, n_pts, d)
-            delta += (noise_scale * math.sqrt(h)) * inc
+        factor, rank, dropped = pivoted_cholesky_batch(
+            *kernel_rows(model, x), path_offset=path_offset, step=k)
+        np.minimum(rank_min, rank, out=rank_min)
+        np.maximum(rank_max, rank, out=rank_max)
+        np.maximum(dropped_max, dropped, out=dropped_max)
+        z = next(normals)
+        inc = (factor @ z[:, :, None])[:, :, 0].reshape(b, n_pts, d)
+        delta += (noise_scale * math.sqrt(h)) * inc
         x += delta
         if (k + 1) % stride == 0 or k + 1 == len(hs):
             observer(times[k + 1], k + 1, x)
     return rank_min, rank_max, dropped_max
 
 
-def euler_flow(model: IbfModel, cloud: PointCloud, t0: float, t1: float,
-               dt: float, drift: DriftField | None = None,
-               rng: np.random.Generator | None = None,
-               snapshot_stride: int = DEFAULT_STRIDE,
-               zero_noise: bool = False) -> list[PointCloud]:
-    """Single-path flow integration; returns snapshots including start
-    and end states."""
-    if rng is None and not zero_noise:
-        raise ValueError("a seeded generator is required unless zero_noise")
-    pos = np.atleast_2d(np.asarray(cloud.positions, dtype=float))
-    if pos.shape[1] != model.d:
-        raise ModelError(f"cloud dimension must be d = {model.d}")
-    out: list[PointCloud] = []
-
-    def observer(t, k, x):
-        out.append(PointCloud(positions=x[0].copy(), time=t))
-
-    _simulate(model, pos[None, :, :], t0, t1, dt, [rng], observer,
-              drift=drift, stride=snapshot_stride, zero_noise=zero_noise)
-    return out
-
-
 def ode_flow(drift: DriftField, x0, t1: float, dt: float):
-    """Classical RK4 integration of xdot = V(x) from 0 to t1.
-
-    Accepts a single point or a batch; returns (times, states) with
-    states recorded at every step.
+    """Classical RK4 integration of xdot = V(x) from 0 to t1 for (m, d)
+    start points; returns (times, states), states (steps + 1, m, d)
+    recorded at every step.
     """
     if not math.isfinite(drift.lipschitz):
         raise ValueError("drift must declare a finite Lipschitz constant")
     x = np.asarray(x0, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x).copy()
     hs, times = _step_sizes(0.0, t1, dt)
     out = np.empty((len(hs) + 1,) + x.shape)
     out[0] = x
@@ -236,8 +184,6 @@ def ode_flow(drift: DriftField, x0, t1: float, dt: float):
         k4 = eval_drift(drift, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = x
-    if single:
-        return times, out[:, 0, :]
     return times, out
 
 
@@ -337,6 +283,14 @@ def _aggregate_numerics(*runs) -> dict:
             "dropped_trace_max": float(dropped.max())}
 
 
+def _start_points(points, what: str) -> np.ndarray:
+    """The (N, d) start of every path, checked finite."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{what} must be finite")
+    return pts
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -430,13 +384,15 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
 
 def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
                       renorm_eps: float = 1e-4, seed: int = 0,
-                      jobs: int = 1) -> LyapunovResult:
+                      jobs: int = 1) -> ExperimentResult:
     """Top Lyapunov exponent from pair separations under shared noise.
 
     Each pair (x, x + eps u) evolves in one two-point cloud; the log
     separation ratio accumulates, renormalizing back to eps whenever the
     separation leaves [eps/10, 10 eps] to stay in the linearization
-    regime without differentiating the covariance.
+    regime without differentiating the covariance. times is [T]; the
+    series "estimate" holds each pair's rate (n_pairs, 1), and the
+    aggregate their mean "estimate" and its "standard_error".
     """
     if not (1e-8 < renorm_eps < 1e-2):
         raise ValueError("renorm_eps must lie in (1e-8, 1e-2)")
@@ -467,64 +423,81 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
             return None
         r = np.linalg.norm(x[:, 1, :] - x[:, 0, :], axis=1)
         log_growth += np.log(r / renorm_eps)
-        return {"rate": log_growth / T}
+        return {"estimate": log_growth / T}
 
-    _, rec, numerics = _run_paths(model, start, T, dt, seed, n_pairs, jobs,
-                                  renormalize, stride=1)
-    rates = rec["rate"][:, 0]
-    est, se = _mean_se(rates)
-    return LyapunovResult(estimate=est, standard_error=se,
-                          pair_estimates=tuple(rates), numerics=numerics)
+    times, rec, numerics = _run_paths(model, start, T, dt, seed, n_pairs,
+                                      jobs, renormalize, stride=1)
+    est, se = _mean_se(rec["estimate"][:, 0])
+    aggregate = {"estimate": est, "standard_error": se,
+                 **_aggregate_numerics(numerics)}
+    return ExperimentResult(times, rec, numerics, aggregate)
 
 
-def tilted_tracking_error(model: IbfModel, rho: float, c: float,
-                          x0: PointCloud, T: float, dt: float, n_paths: int,
-                          seed: int = 0, v_field: DriftField | None = None,
-                          snapshot_stride: int = DEFAULT_STRIDE,
-                          zero_noise: bool = False,
-                          jobs: int = 1) -> TrackingResult:
+def tracking_experiment(model: IbfModel, drift: DriftField, cs, x0,
+                        T: float, dt: float, n_paths: int, seed: int = 0,
+                        snapshot_stride: int = DEFAULT_STRIDE,
+                        jobs: int = 1) -> ExperimentResult:
     """Sup deviation between the rescaled tilted flow and the drift ODE.
 
-    Simulates Y <- Y + V(Y) dt + c^{-1/2} dM and compares against the
-    RK4 flow of V started from the same points; the deviation scale
-    shrinks like c^{-1/2}.
+    For each c in cs, simulates Y <- Y + V(Y) dt + c^{-1/2} dM from the
+    (N, d) points x0 on the same streams and compares, at the snapshots
+    in times, against one RK4 flow of V from the same points; the
+    deviation scale shrinks like c^{-1/2}. The series "sup_deviation" is
+    (n_paths, len(cs)), the numerics are each path's over every c, and
+    the aggregate holds each c's mean and se ("per_c") and the log-log
+    "slope" of the means against c.
     """
-    if c < 1.0:
-        raise ValueError("c must be >= 1")
-    if v_field is None:
-        v_field = drift_radial_rkhs(model, rho, scale=1.0)
-    pts = np.atleast_2d(np.asarray(x0.positions, dtype=float))
-    _, ref = ode_flow(v_field, pts, T, dt)
+    cs = [float(c) for c in cs]
+    if not (cs and all(1.0 <= c < math.inf for c in cs)):
+        raise ValueError("need at least one c, each finite and >= 1")
+    if len(set(cs)) < len(cs):
+        raise ValueError("each c must be distinct")
+    pts = _start_points(x0, "x0")
+    _, ref = ode_flow(drift, pts, T, dt)
 
     def observe(t, k, x, lo):
         return {"dev": np.linalg.norm(x - ref[k], axis=-1).max(axis=1)}
 
-    _, rec, numerics = _run_paths(model, pts, T, dt, seed, n_paths, jobs,
-                                  observe, drift=v_field,
-                                  stride=snapshot_stride,
-                                  zero_noise=zero_noise,
-                                  noise_scale=1.0 / math.sqrt(c))
-    sups = rec["dev"].max(axis=1)
-    mean, se = _mean_se(sups)
-    return TrackingResult(c=float(c), sup_deviations=tuple(sups),
-                          mean=mean, standard_error=se, numerics=numerics)
+    sups, runs = [], []
+    for c in cs:
+        times, rec, numerics = _run_paths(
+            model, pts, T, dt, seed, n_paths, jobs, observe, drift=drift,
+            stride=snapshot_stride, noise_scale=1.0 / math.sqrt(c))
+        sups.append(rec["dev"].max(axis=1))
+        runs.append(numerics)
+    stats = [_mean_se(s) for s in sups]
+    slope = math.nan
+    if len(cs) >= 2:
+        slope = float(np.polyfit(np.log(cs), np.log([m for m, _ in stats]),
+                                 1)[0])
+    rank_min, rank_max, dropped = zip(*runs)
+    numerics = (np.minimum.reduce(rank_min), np.maximum.reduce(rank_max),
+                np.maximum.reduce(dropped))
+    aggregate = {"per_c": {str(c): {"mean": m, "se": se}
+                           for c, (m, se) in zip(cs, stats)},
+                 "slope": slope, **_aggregate_numerics(numerics)}
+    return ExperimentResult(times, {"sup_deviation": np.column_stack(sups)},
+                            numerics, aggregate)
 
 
-def length_decay_experiment(model: IbfModel, curve: PointCloud, T: float,
+def length_decay_experiment(model: IbfModel, curve, T: float,
                             dt: float, n_paths: int, seed: int = 0,
                             snapshot_stride: int = DEFAULT_STRIDE,
                             closed: bool = False,
                             jobs: int = 1) -> ExperimentResult:
     """Evolution of polyline length and diameter under the flow.
 
-    Reports per-path series of (1/t) log(L_t / L_0) and diameter, the
-    fraction of paths whose diameter shrank below a tenth of its start,
-    and the terminal rate statistics on that subset.
+    The curve is the (N, d) vertices, in order. Reports per-path series
+    of length and diameter, the fraction of paths whose diameter shrank
+    below a tenth of its start, and the terminal rates (1/T) log(L_T /
+    L_0) overall and on that subset.
     """
-    pts = np.atleast_2d(np.asarray(curve.positions, dtype=float))
+    pts = _start_points(curve, "curve vertices")
     if pts.shape[0] < 2:
         raise ValueError("curve needs at least two vertices")
     len0 = curve_length(pts, closed=closed)
+    if not 0.0 < len0 < math.inf:
+        raise ValueError(f"curve length {len0!r} must be positive and finite")
     diam0 = diameter(pts)
 
     def observe(t, k, x, lo):

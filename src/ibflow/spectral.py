@@ -120,12 +120,7 @@ def integrate(
 ) -> float:
     """Integral of f against the measure; f must accept numpy arrays."""
     locs, wts = quadrature_nodes(m, quad_points_per_piece)
-    try:
-        vals = np.asarray(f(locs), dtype=float)
-        if vals.shape != locs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([f(s) for s in locs], dtype=float)
+    vals = np.asarray(f(locs), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         raise KernelEvaluationError(locs[bad][0])

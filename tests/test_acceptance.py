@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from ibflow import (PointCloud, SpectralMeasure, b_scalar, bessel_j,
-                    check_condition, covariance_tensor, drift_radial_rkhs,
-                    flow_constants, length_decay_experiment, lyapunov_estimate,
-                    make_model, sphere_rule, squeeze_functional,
-                    squeeze_experiment, tilted_tracking_error)
+from ibflow import (SpectralMeasure, b_scalar, bessel_j, check_condition,
+                    covariance_tensor, drift_radial_rkhs, flow_constants,
+                    length_decay_experiment, lyapunov_estimate, make_model,
+                    sphere_rule, squeeze_functional, squeeze_experiment,
+                    tracking_experiment)
 from ibflow.cli import parse_config, run_command
 
 from conftest import bessel_zero_oracle, random_model, series_j_oracle
@@ -128,10 +128,10 @@ def test_criterion_05_lyapunov_agreement():
                            m_s=measure if kwargs["mu2"] else None)
         assert flow_constants(model).lam == pytest.approx(lam, abs=1e-14)
         res = lyapunov_estimate(model, T=20.0, dt=1e-3, n_pairs=200, seed=505)
-        assert res.standard_error < 0.03
-        assert abs(res.estimate - lam) < 3.0 * res.standard_error
-        details.append(f"{name}: {res.estimate:+.4f} +/- {res.standard_error:.4f}"
-                       f" vs {lam:+.2f}")
+        est, se = res.aggregate["estimate"], res.aggregate["standard_error"]
+        assert se < 0.03
+        assert abs(est - lam) < 3.0 * se
+        details.append(f"{name}: {est:+.4f} +/- {se:.4f} vs {lam:+.2f}")
     _pass(5, "Lyapunov agreement", "; ".join(details))
 
 
@@ -140,15 +140,13 @@ def test_criterion_06_control_scaling():
     log-log slope within [-0.7, -0.3] over c in {4, 16, 64, 256}."""
     model = make_model(2, 0.0, 1.0, 0.0,
                        m_p=SpectralMeasure(atoms=((1.0, 1.0),)))
-    x0 = PointCloud(positions=np.array(
-        [[0.5, 0.0], [0.0, 1.0], [-1.2, 0.0], [0.0, -0.7], [0.3, 0.4]]))
+    x0 = np.array(
+        [[0.5, 0.0], [0.0, 1.0], [-1.2, 0.0], [0.0, -0.7], [0.3, 0.4]])
     v_field = drift_radial_rkhs(model, 1.0, scale=1.0)
     cs = [4.0, 16.0, 64.0, 256.0]
-    means = []
-    for c in cs:
-        res = tilted_tracking_error(model, 1.0, c, x0, T=2.0, dt=1e-3,
-                                    n_paths=50, seed=606, v_field=v_field)
-        means.append(res.mean)
+    res = tracking_experiment(model, v_field, cs, x0, T=2.0, dt=1e-3,
+                              n_paths=50, seed=606)
+    means = res.series["sup_deviation"].mean(axis=0)
     slope = float(np.polyfit(np.log(cs), np.log(means), 1)[0])
     assert -0.7 < slope < -0.3
     _pass(6, "control tracking scaling", f"slope {slope:.3f}, means "
@@ -185,8 +183,7 @@ def test_criterion_08_length_bounds():
     bound = fc.lam + fc.beta_l / 2.0
 
     ang = 2 * np.pi * np.arange(64) / 64
-    big_circle = PointCloud(positions=4.0 * np.column_stack(
-        [np.cos(ang), np.sin(ang)]))
+    big_circle = 4.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     grow = length_decay_experiment(sol, big_circle, T=10.0, dt=2e-3,
                                    n_paths=16, seed=808, closed=True)
     rates = np.array(grow.aggregate["terminal_rates"])
@@ -197,8 +194,7 @@ def test_criterion_08_length_bounds():
     pot = make_model(2, 0.0, 1.0, 0.0, m_p=measure)
     lam = flow_constants(pot).lam
     ang24 = 2 * np.pi * np.arange(24) / 24
-    tiny = PointCloud(positions=0.005 * np.column_stack(
-        [np.cos(ang24), np.sin(ang24)]))
+    tiny = 0.005 * np.column_stack([np.cos(ang24), np.sin(ang24)])
     shrink = length_decay_experiment(pot, tiny, T=20.0, dt=2e-3,
                                      n_paths=100, seed=809, closed=True)
     frac = shrink.aggregate["shrink_fraction"]

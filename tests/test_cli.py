@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -169,6 +170,35 @@ class TestParseConfig:
         doc["params"]["dt"] = T / cli.MAX_STEPS * 1.5
         assert parse_config(doc).params["dt"] == T / cli.MAX_STEPS * 1.5
 
+    @pytest.mark.parametrize("command,params,where", [
+        # one c = 4 block in the CSV would be two, and per_c would keep one
+        ("track-control", {"rho": 1.0, "cs": [4.0, 4, 16.0], "T": 0.1,
+                           "dt": 0.05, "n_paths": 2, "x0": [[0.5, 0.0]]},
+         "params.cs[1]"),
+        # every terminal rate would be log(0 / 0)
+        ("length-decay", {"T": 0.1, "dt": 0.05, "n_paths": 2,
+                          "curve": {"kind": "points", "closed": True,
+                                    "positions": [[0.3, 0.1], [0.3, 0.1]]}},
+         "params.curve.positions"),
+        # or log(inf / inf): the length overflows
+        ("length-decay", {"T": 0.1, "dt": 0.05, "n_paths": 2,
+                          "curve": {"kind": "points",
+                                    "positions": [[1e308, 0.0], [-1e308, 0.0]]}},
+         "params.curve.positions"),
+    ])
+    def test_degenerate_params_exit_2(self, tmp_path, capsys, command, params,
+                                      where):
+        doc = atom_config(command=command, params=params)
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: "):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["n_boundary", "curve.n_vertices",
                                        "curve.positions", "x0"])
     def test_tracer_coordinates_capped(self, tmp_path, capsys, field):
@@ -272,9 +302,15 @@ class TestParseConfig:
         # the series cap counts the snapshots a run will record
         model = parse_config(atom_config()).model
         rep = flow_engine.length_decay_experiment(
-            model, flow_engine.PointCloud([[0.0, 0.0], [0.1, 0.0]]), T=T,
-            dt=dt, n_paths=1, seed=1, snapshot_stride=stride)
+            model, np.array([[0.0, 0.0], [0.1, 0.0]]), T=T, dt=dt, n_paths=1,
+            seed=1, snapshot_stride=stride)
         assert cli._snapshots(T, dt, stride) == rep.times.size
+
+    def test_one_step_count_rule(self, monkeypatch):
+        # the series cap and the stepper count steps with one function
+        monkeypatch.setattr(flow_engine, "step_count", lambda span, dt: 7)
+        assert len(flow_engine._step_sizes(0.0, 1.0, 0.5)[0]) == 7
+        assert cli._snapshots(1.0, 0.5, 3) == 1 + 3
 
     @pytest.mark.parametrize("rho,code", [(250.0, EXIT_CONFIG),
                                           (199.99, EXIT_OK)])
@@ -437,10 +473,13 @@ class TestRunCommands:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "drift_radial_rkhs", counted)
-        monkeypatch.setattr(flow_engine, "drift_radial_rkhs", counted)
+        real_ode, references = flow_engine.ode_flow, []
+        monkeypatch.setattr(flow_engine, "ode_flow",
+                            lambda *a: references.append(a) or real_ode(*a))
         code, _ = run_command("track-control", cfg, out_dir=tmp_path, quiet=True)
         assert code == EXIT_OK
-        assert len(builds) == 1  # one radial drift serves every c
+        # one radial drift and one RK4 reference serve every c
+        assert len(builds) == len(references) == 1
         report = json.loads((tmp_path / "track-control_report.json").read_text())
         ag = report["aggregate"]
         assert "slope" in ag
@@ -720,7 +759,7 @@ class TestMainExitCodes:
         model = parse_config(doc).model
         res = flow_engine.lyapunov_estimate(model, T=0.01, dt=0.01,
                                             n_pairs=70, seed=6)
-        r = 1e-4 * np.exp(0.01 * np.array(res.pair_estimates))
+        r = 1e-4 * np.exp(0.01 * res.series["estimate"][:, 0])
         assert r[64:].min() < r[:64].min()
         pair = 64 + int(np.argmin(r[64:]))
         monkeypatch.setattr(flow_engine, "_COLLAPSE_FLOOR",

@@ -15,9 +15,9 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 import ibflow
 from ibflow import (CovarianceFactorError, DriftEvaluationError, DriftField,
-                    ModelError, PointCloud, covariance_tensor,
+                    ModelError, covariance_tensor,
                     drift_custom_table, drift_linear, drift_radial_rkhs,
-                    euler_flow, eval_drift, field_sampler, flow_engine,
+                    eval_drift, field_sampler, flow_engine,
                     kernel_rows, mean_inward_field, pivoted_cholesky_batch,
                     psd_probe, sphere_rule, tensor_field)
 
@@ -179,14 +179,13 @@ class TestSampleIncrement:
         # a real non-finite step: the drift carries the points past the
         # largest double in step 0, so step 1's first kernel row is NaN
         # (a non-finite separation has no covariance)
-        cloud = PointCloud(positions=np.array([[10.0, 0.0], [0.0, 10.0],
-                                               [-10.0, 0.0]]))
+        cloud = np.array([[[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0]]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(CovarianceFactorError,
                               match="^path 0, step 1: .*is not finite$"):
-            euler_flow(d2_mixed, cloud, 0.0, 3.0, 1.0,
-                       drift=drift_linear(1e308 * np.eye(2)),
-                       rng=np.random.default_rng(0))
+            flow_engine._simulate(
+                d2_mixed, cloud, 0.0, 3.0, 1.0, [np.random.default_rng(0)],
+                lambda t, k, x: None, drift=drift_linear(1e308 * np.eye(2)))
         # in a batch, the path that overflowed is named, offset by the
         # chunk's first path
         x0 = np.ones((3, 2, 2))
@@ -201,11 +200,11 @@ class TestSampleIncrement:
                 path_offset=5)
 
     def test_dt_guard(self, d2_mixed):
-        cloud = PointCloud(positions=np.zeros((1, 2)))
         for dt in (0.0, -0.1):
             with pytest.raises(ValueError):
-                euler_flow(d2_mixed, cloud, 0.0, 1.0, dt,
-                           rng=np.random.default_rng(0))
+                flow_engine._simulate(
+                    d2_mixed, np.zeros((1, 1, 2)), 0.0, 1.0, dt,
+                    [np.random.default_rng(0)], lambda t, k, x: None)
 
     def test_brownian_scaling(self, d2_mixed):
         _, f, _, _ = factor_one(d2_mixed, np.zeros((1, 2)))
@@ -318,6 +317,26 @@ class TestDriftFields:
         # constant extrapolation outside the grid
         assert np.allclose(eval_drift(v, np.array([5.0, -3.0])), [2.0, 0.0])
         assert v.lipschitz == pytest.approx(1.0)
+
+    def test_custom_table_bound_is_euclidean(self):
+        # v = (x + y, 0): each single-axis slope is 1, but
+        # |v(1, 1) - v(0, 0)| = 2 = sqrt(2) |(1, 1)|
+        grid = np.array([0.0, 1.0])
+        vals = np.zeros((2, 2, 2))
+        vals[..., 0] = grid[:, None] + grid[None, :]
+        assert drift_custom_table((grid, grid), vals).lipschitz == math.sqrt(2)
+
+    def test_custom_table_bound_holds(self):
+        # pairs at separations from 1e-4 to 3, inside the grid and beyond it
+        rng = np.random.default_rng(13)
+        axes = [np.cumsum(rng.uniform(0.2, 1.0, size=n)) - 1.5
+                for n in (4, 3, 5)]
+        v = drift_custom_table(axes, rng.normal(size=(4, 3, 5, 3)))
+        x = rng.uniform(-2.5, 2.5, size=(10 ** 4, 3))
+        y = x + (rng.normal(size=x.shape)
+                 * 10.0 ** rng.uniform(-4.0, 0.5, size=(len(x), 1)))
+        gap = np.linalg.norm(eval_drift(v, x) - eval_drift(v, y), axis=1)
+        assert np.all(gap <= v.lipschitz * np.linalg.norm(x - y, axis=1))
 
     def test_custom_table_nonfinite_query(self):
         axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))

@@ -6,12 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from ibflow import (PointCloud, containment, curve_length,
-                    diameter, drift_linear, drift_radial_rkhs,
-                    euler_flow, flow_engine, kernel_rows,
+from ibflow import (containment, curve_length, diameter, drift_linear,
+                    drift_radial_rkhs, flow_engine, kernel_rows,
                     length_decay_experiment, lyapunov_estimate, ode_flow,
                     pivoted_cholesky_batch, squeeze_experiment,
-                    tilted_tracking_error, wilson_interval)
+                    tracking_experiment, wilson_interval)
 
 from conftest import random_rotation
 
@@ -25,10 +24,29 @@ def same_result(a, b) -> bool:
                     for x, y in zip(a.numerics, b.numerics, strict=True)))
 
 
+def simulate_one(model, points, t1, dt, seed=0, **step):
+    """One path from points by _simulate, seeded default_rng(seed): its
+    snapshot times and (snapshots, N, d) positions."""
+    times, states = [], []
+
+    def observer(t, k, x):
+        times.append(t)
+        states.append(x[0].copy())
+
+    flow_engine._simulate(model, np.asarray(points, dtype=float)[None], 0.0,
+                          t1, dt, [np.random.default_rng(seed)], observer,
+                          **step)
+    return np.array(times), np.array(states)
+
+
+def radial(model):
+    """The inward radial drift at rho 1 and scale 1 that tracking follows."""
+    return drift_radial_rkhs(model, 1.0, scale=1.0)
+
+
 class TestObservables:
     def test_curve_length_square(self):
-        square = PointCloud(positions=np.array(
-            [[0., 0.], [1., 0.], [1., 1.], [0., 1.]]))
+        square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
         assert curve_length(square, closed=True) == 4.0
         assert curve_length(square, closed=False) == 3.0
 
@@ -52,7 +70,7 @@ class TestObservables:
         assert batch.tolist() == want == alone
 
     def test_two_point_segment(self):
-        seg = PointCloud(positions=np.array([[0., 0.], [3., 0.]]))
+        seg = np.array([[0., 0.], [3., 0.]])
         assert curve_length(seg) == 3.0
 
     def test_midpoint_refinement_keeps_length(self):
@@ -61,42 +79,41 @@ class TestObservables:
         refined = np.empty((24, 2))
         refined[0::2] = pts
         refined[1::2] = 0.5 * (pts + np.roll(pts, -1, axis=0))
-        orig = curve_length(PointCloud(positions=pts), closed=True)
-        fine = curve_length(PointCloud(positions=refined), closed=True)
+        orig = curve_length(pts, closed=True)
+        fine = curve_length(refined, closed=True)
         assert fine == pytest.approx(orig, abs=1e-12)
 
     def test_diameter_colinear_and_single(self):
-        tri = PointCloud(positions=np.array([[0., 0.], [1., 0.], [3., 0.]]))
+        tri = np.array([[0., 0.], [1., 0.], [3., 0.]])
         assert diameter(tri) == 3.0
-        assert diameter(PointCloud(positions=np.zeros((1, 2)))) == 0.0
+        assert diameter(np.zeros((1, 2))) == 0.0
 
     def test_diameter_rotation_invariant(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(9, 3))
         rot = random_rotation(3, rng)
-        d0 = diameter(PointCloud(positions=pts))
-        d1 = diameter(PointCloud(positions=pts @ rot.T))
+        d0 = diameter(pts)
+        d1 = diameter(pts @ rot.T)
         assert d1 == pytest.approx(d0, abs=1e-12)
 
     def test_diameter_bounded_by_length(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(14, 2))
-        cloud = PointCloud(positions=pts)
-        assert diameter(cloud) <= curve_length(cloud, closed=True) + 1e-12
+        assert diameter(pts) <= curve_length(pts, closed=True) + 1e-12
 
     def test_containment_strict(self):
-        assert containment(PointCloud(positions=np.zeros((1, 2))), 1.0)
-        on_boundary = PointCloud(positions=np.array([[1.0, 0.0]]))
+        assert containment(np.zeros((1, 2)), 1.0)
+        on_boundary = np.array([[1.0, 0.0]])
         assert not containment(on_boundary, 1.0)
 
     def test_containment_translation(self):
-        cloud = PointCloud(positions=np.array([[2.0, 2.0], [2.1, 2.0]]))
+        cloud = np.array([[2.0, 2.0], [2.1, 2.0]])
         assert containment(cloud, 0.5, center=[2.05, 2.0])
         assert not containment(cloud, 0.5, center=[0.0, 0.0])
 
     def test_containment_monotone_in_radius(self):
         rng = np.random.default_rng(3)
-        cloud = PointCloud(positions=rng.normal(size=(5, 2)))
+        cloud = rng.normal(size=(5, 2))
         radii = np.linspace(0.1, 6.0, 25)
         flags = [containment(cloud, r) for r in radii]
         assert flags == sorted(flags)  # once inside, stays inside
@@ -109,9 +126,8 @@ class TestObservables:
 
 class TestEulerFlow:
     def test_trivial_model_rigid_translation(self, trivial_model):
-        cloud = PointCloud(positions=np.array([[0., 0.], [1., 0.], [0., 2.]]))
-        traj = euler_flow(trivial_model, cloud, 0.0, 1.0, 0.01,
-                          rng=np.random.default_rng(4))
+        _, traj = simulate_one(trivial_model, [[0., 0.], [1., 0.], [0., 2.]],
+                               1.0, 0.01, seed=4)
         d0 = diameter(traj[0])
         # every point gets the same increment, so only the rounding of
         # the position updates moves the diameter
@@ -119,20 +135,18 @@ class TestEulerFlow:
             assert diameter(snap) == pytest.approx(d0, abs=1e-12)
 
     def test_zero_noise_linear_drift_decays(self, d2_potential_atom):
-        cloud = PointCloud(positions=np.array([[1.0, 0.0]]))
-        traj = euler_flow(d2_potential_atom, cloud, 0.0, 1.0, 1e-3,
-                          drift=drift_linear(-np.eye(2)), zero_noise=True)
-        end = traj[-1].positions[0]
+        # noise_scale 0 adds exactly +-0 to each step
+        _, traj = simulate_one(d2_potential_atom, [[1.0, 0.0]], 1.0, 1e-3,
+                               drift=drift_linear(-np.eye(2)), noise_scale=0.0)
+        end = traj[-1, 0]
         assert end[0] == pytest.approx(math.exp(-1.0), abs=2e-3)
         assert end[1] == 0.0
 
     def test_single_point_increments_are_brownian(self, d2_mixed):
-        cloud = PointCloud(positions=np.zeros((1, 2)))
         dt = 1e-3
-        traj = euler_flow(d2_mixed, cloud, 0.0, 10.0, dt,
-                          rng=np.random.default_rng(5), snapshot_stride=1)
-        xs = np.array([s.positions[0] for s in traj])
-        inc = np.diff(xs, axis=0) / math.sqrt(dt)
+        _, traj = simulate_one(d2_mixed, np.zeros((1, 2)), 10.0, dt, seed=5,
+                               stride=1)
+        inc = np.diff(traj[:, 0], axis=0) / math.sqrt(dt)
         n = inc.shape[0]
         # one-point motion is standard Brownian: unit variance, no memory
         assert abs(inc[:, 0].mean()) < 5 / math.sqrt(n)
@@ -141,52 +155,42 @@ class TestEulerFlow:
         assert abs(lag1) < 5 / math.sqrt(n)
 
     def test_snapshot_times_and_exact_landing(self, d2_mixed):
-        cloud = PointCloud(positions=np.zeros((1, 2)))
-        traj = euler_flow(d2_mixed, cloud, 0.0, 0.333, 0.01,
-                          rng=np.random.default_rng(6), snapshot_stride=10)
-        times = [s.time for s in traj]
+        times, _ = simulate_one(d2_mixed, np.zeros((1, 2)), 0.333, 0.01,
+                                seed=6, stride=10)
         assert times[0] == 0.0
         assert times[-1] == 0.333
         assert times[1] == pytest.approx(0.1, abs=1e-15)
 
-    def test_requires_rng_unless_zero_noise(self, d2_mixed):
-        cloud = PointCloud(positions=np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            euler_flow(d2_mixed, cloud, 0.0, 1.0, 0.1)
-
     def test_dt_validation(self, d2_mixed):
-        cloud = PointCloud(positions=np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            euler_flow(d2_mixed, cloud, 0.0, 1.0, 2.0,
-                       rng=np.random.default_rng(0))
+            simulate_one(d2_mixed, np.zeros((1, 2)), 1.0, 2.0)
         with pytest.raises(ValueError):
-            euler_flow(d2_mixed, cloud, 1.0, 1.0, 0.1,
-                       rng=np.random.default_rng(0))
+            flow_engine._simulate(d2_mixed, np.zeros((1, 1, 2)), 1.0, 1.0,
+                                  0.1, [np.random.default_rng(0)],
+                                  lambda t, k, x: None)
 
 
 class TestOdeFlow:
     def test_linear_decay_reference(self):
-        times, xs = ode_flow(drift_linear(-np.eye(2)), np.array([1.0, 0.0]),
+        times, xs = ode_flow(drift_linear(-np.eye(2)), np.array([[1.0, 0.0]]),
                              1.0, 1e-3)
-        assert xs[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+        assert xs[-1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
         assert times[-1] == 1.0
 
     def test_zero_field_fixed_point(self):
-        _, xs = ode_flow(drift_linear(np.zeros((2, 2))), np.array([0.3, -0.7]),
-                         1.0, 0.1)
-        assert np.array_equal(xs[-1], np.array([0.3, -0.7]))
+        _, xs = ode_flow(drift_linear(np.zeros((2, 2))),
+                         np.array([[0.3, -0.7]]), 1.0, 0.1)
+        assert np.array_equal(xs[-1], np.array([[0.3, -0.7]]))
 
     def test_radial_field_contracts_inside_band(self, d2_potential_atom):
-        v = drift_radial_rkhs(d2_potential_atom, 1.0, scale=1.0)
-        theta = np.array([math.cos(1.1), math.sin(1.1)])
-        _, xs = ode_flow(v, theta, 2.0, 1e-2)
-        radii = np.linalg.norm(xs, axis=-1)
+        theta = np.array([[math.cos(1.1), math.sin(1.1)]])
+        _, xs = ode_flow(radial(d2_potential_atom), theta, 2.0, 1e-2)
+        radii = np.linalg.norm(xs[:, 0], axis=-1)
         assert np.all(np.diff(radii) < 0.0)
 
     def test_batched_integration(self, d2_potential_atom):
-        v = drift_radial_rkhs(d2_potential_atom, 1.0, scale=1.0)
         x0 = np.array([[1.0, 0.0], [0.0, 0.5]])
-        _, xs = ode_flow(v, x0, 1.0, 1e-2)
+        _, xs = ode_flow(radial(d2_potential_atom), x0, 1.0, 1e-2)
         assert xs.shape == (101, 2, 2)
 
 
@@ -195,14 +199,26 @@ class TestLyapunov:
         res = lyapunov_estimate(trivial_model, T=2.0, dt=1e-2, n_pairs=8,
                                 renorm_eps=1e-3, seed=0)
         # common increments cancel up to the rounding of the positions
-        assert abs(res.estimate) < 1e-8
+        assert abs(res.aggregate["estimate"]) < 1e-8
+
+    def test_result_holds_rates_and_statistics(self, d2_potential_atom):
+        res = lyapunov_estimate(d2_potential_atom, T=0.3, dt=1e-2, n_pairs=5,
+                                seed=2)
+        assert res.times.tolist() == [0.3]
+        rates = res.series["estimate"]
+        assert list(res.series) == ["estimate"] and rates.shape == (5, 1)
+        ag = res.aggregate
+        assert ag["estimate"] == rates.mean()
+        assert ag["standard_error"] == rates.std(ddof=1) / math.sqrt(5)
+        assert (ag["rank_min"], ag["rank_max"]) == (
+            res.numerics[0].min(), res.numerics[1].max())
 
     def test_reproducible(self, d2_potential_atom):
         a = lyapunov_estimate(d2_potential_atom, T=0.5, dt=1e-2, n_pairs=6, seed=3)
         b = lyapunov_estimate(d2_potential_atom, T=0.5, dt=1e-2, n_pairs=6, seed=3)
-        assert a.pair_estimates == b.pair_estimates
+        assert same_result(a, b)
         c = lyapunov_estimate(d2_potential_atom, T=0.5, dt=1e-2, n_pairs=6, seed=4)
-        assert a.pair_estimates != c.pair_estimates
+        assert not np.array_equal(a.series["estimate"], c.series["estimate"])
 
     def test_jobs_do_not_change_results(self, d2_potential_atom):
         # the chunks' threads add into disjoint slices of one array; more
@@ -216,7 +232,7 @@ class TestLyapunov:
                                   n_pairs=130, seed=3, jobs=4)
         finally:
             sys.setswitchinterval(interval)
-        assert a.pair_estimates == b.pair_estimates
+        assert same_result(a, b)
 
     def test_renorm_eps_validated(self, d2_potential_atom):
         for eps in (1e-9, 0.5, 1e-2):
@@ -241,13 +257,13 @@ class TestStreams:
         for cap in (flow_engine._DRAW_CAP, 1):  # cap 1: one step per draw
             monkeypatch.setattr(flow_engine, "_DRAW_CAP", cap)
             rep = length_decay_experiment(
-                d2_potential_atom, PointCloud(positions=ring), T=0.2,
-                dt=1e-2, n_paths=3, seed=4, closed=True)
+                d2_potential_atom, ring, T=0.2, dt=1e-2, n_paths=3, seed=4,
+                closed=True)
             lyap = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
                                      n_pairs=3, seed=4)
-            runs.append((rep, lyap.pair_estimates))
+            runs.append((rep, lyap))
         assert same_result(runs[0][0], runs[1][0])
-        assert runs[0][1] == runs[1][1]
+        assert same_result(runs[0][1], runs[1][1])
 
     def test_path_independent_of_batch_and_position(self, d2_mixed):
         # fixed point sets whose covariances have different ranks: path
@@ -288,23 +304,21 @@ class TestStreams:
 
         def record(n_paths, i):
             if shape == "lyapunov":
-                res = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
+                rep = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
                                         n_pairs=n_paths, seed=3)
-                return (res.pair_estimates[i], *(n[i] for n in res.numerics))
-            if shape == "tracking":
-                x0 = PointCloud(positions=np.array([[0.5, 0.0], [0.0, 0.7]]))
-                res = tilted_tracking_error(
-                    d2_potential_atom, 1.0, c=16.0, x0=x0, T=0.2, dt=1e-2,
-                    n_paths=n_paths, seed=3)
-                return (res.sup_deviations[i], *(n[i] for n in res.numerics))
-            if shape == "shell":
+            elif shape == "tracking":
+                rep = tracking_experiment(
+                    d2_potential_atom, radial(d2_potential_atom),
+                    [4.0, 16.0], np.array([[0.5, 0.0], [0.0, 0.7]]), T=0.2,
+                    dt=1e-2, n_paths=n_paths, seed=3)
+            elif shape == "shell":
                 rep = squeeze_experiment(
                     d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
                     n_boundary=64, dt=2e-3, n_paths=n_paths, seed=3)
             else:
                 rep = length_decay_experiment(
-                    d2_potential_atom, PointCloud(positions=ring), T=0.2,
-                    dt=1e-2, n_paths=n_paths, seed=3, closed=True)
+                    d2_potential_atom, ring, T=0.2, dt=1e-2, n_paths=n_paths,
+                    seed=3, closed=True)
             return (*(series[i] for series in rep.series.values()),
                     *(n[i] for n in rep.numerics))
 
@@ -323,26 +337,63 @@ class TestStreams:
 
 class TestTracking:
     def test_deterministic_limit_floor(self, d2_potential_atom):
-        x0 = PointCloud(positions=np.array([[0.5, 0.0], [0.0, 1.0]]))
-        res = tilted_tracking_error(d2_potential_atom, 1.0, c=1e9, x0=x0,
-                                    T=2.0, dt=1e-3, n_paths=1, seed=0,
-                                    zero_noise=True)
-        # pure Euler-vs-RK4 discretization gap
-        assert res.mean < 1e-3
+        # at c = 1e300 the noise, 1e-150 per step, is lost in the rounding
+        # of the positions: what is left is the Euler-vs-RK4 gap
+        res = tracking_experiment(d2_potential_atom, radial(d2_potential_atom),
+                                  [1e300], np.array([[0.5, 0.0], [0.0, 1.0]]),
+                                  T=2.0, dt=1e-3, n_paths=1, seed=0)
+        assert res.series["sup_deviation"][0, 0] < 1e-3
 
     def test_bitwise_reproducible(self, d2_potential_atom):
-        x0 = PointCloud(positions=np.array([[0.5, 0.0]]))
-        a = tilted_tracking_error(d2_potential_atom, 1.0, c=16.0, x0=x0,
-                                  T=0.3, dt=1e-2, n_paths=3, seed=11)
-        b = tilted_tracking_error(d2_potential_atom, 1.0, c=16.0, x0=x0,
-                                  T=0.3, dt=1e-2, n_paths=3, seed=11)
-        assert a.sup_deviations == b.sup_deviations
+        args = (d2_potential_atom, radial(d2_potential_atom), [16.0, 64.0],
+                np.array([[0.5, 0.0]]))
+        a = tracking_experiment(*args, T=0.3, dt=1e-2, n_paths=3, seed=11)
+        b = tracking_experiment(*args, T=0.3, dt=1e-2, n_paths=3, seed=11)
+        assert same_result(a, b)
+        assert a.aggregate == b.aggregate
+
+    def test_one_reference_serves_every_c(self, d2_potential_atom,
+                                          monkeypatch):
+        # each c's column, statistics and numerics are those of a run of
+        # that c alone, and the RK4 reference is integrated once
+        v, x0 = radial(d2_potential_atom), np.array([[0.5, 0.0], [0.0, 0.7]])
+        cs = [4.0, 16.0, 64.0]
+        alone = [tracking_experiment(d2_potential_atom, v, [c], x0, T=0.2,
+                                     dt=1e-2, n_paths=3, seed=5, jobs=1)
+                 for c in cs]
+        calls = []
+        real = flow_engine.ode_flow
+        monkeypatch.setattr(flow_engine, "ode_flow",
+                            lambda *a: calls.append(a) or real(*a))
+        res = tracking_experiment(d2_potential_atom, v, cs, x0, T=0.2,
+                                  dt=1e-2, n_paths=3, seed=5, snapshot_stride=10)
+        assert len(calls) == 1
+        assert res.series["sup_deviation"].shape == (3, 3)
+        for j, one in enumerate(alone):
+            assert np.array_equal(res.series["sup_deviation"][:, j],
+                                  one.series["sup_deviation"][:, 0])
+            assert res.aggregate["per_c"][str(cs[j])] == \
+                one.aggregate["per_c"][str(cs[j])]
+        want = (np.min([one.numerics[0] for one in alone], axis=0),
+                np.max([one.numerics[1] for one in alone], axis=0),
+                np.max([one.numerics[2] for one in alone], axis=0))
+        assert all(np.array_equal(x, y) for x, y in zip(res.numerics, want))
+        means = [res.aggregate["per_c"][str(c)]["mean"] for c in cs]
+        assert res.aggregate["slope"] == np.polyfit(np.log(cs),
+                                                    np.log(means), 1)[0]
 
     def test_c_validation(self, d2_potential_atom):
-        x0 = PointCloud(positions=np.array([[0.5, 0.0]]))
-        with pytest.raises(ValueError):
-            tilted_tracking_error(d2_potential_atom, 1.0, c=0.5, x0=x0,
-                                  T=0.3, dt=1e-2, n_paths=1, seed=0)
+        for cs in ([0.5], [], [4.0, 4.0], [math.inf]):
+            with pytest.raises(ValueError):
+                tracking_experiment(
+                    d2_potential_atom, radial(d2_potential_atom), cs,
+                    np.array([[0.5, 0.0]]), T=0.3, dt=1e-2, n_paths=1, seed=0)
+
+    def test_start_must_be_finite(self, d2_potential_atom):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            tracking_experiment(d2_potential_atom, radial(d2_potential_atom),
+                                [4.0], np.array([[np.nan, 0.0]]), T=0.3,
+                                dt=1e-2, n_paths=1, seed=0)
 
 
 class TestSqueezeExperiment:
@@ -411,7 +462,7 @@ class TestSqueezeExperiment:
 class TestLengthDecay:
     def test_polyline_bounds_and_records(self, d2_solenoidal_atom):
         ang = 2 * np.pi * np.arange(24) / 24
-        circle = PointCloud(positions=np.column_stack([np.cos(ang), np.sin(ang)]))
+        circle = np.column_stack([np.cos(ang), np.sin(ang)])
         rep = length_decay_experiment(d2_solenoidal_atom, circle, T=0.5,
                                       dt=5e-3, n_paths=4, seed=2, closed=True)
         lengths, diams = rep.series["length"], rep.series["diam"]
@@ -423,7 +474,7 @@ class TestLengthDecay:
         assert len(ag["terminal_rates"]) == 4
 
     def test_deterministic(self, d2_solenoidal_atom):
-        seg = PointCloud(positions=np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]))
+        seg = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         a = length_decay_experiment(d2_solenoidal_atom, seg, T=0.2, dt=1e-2,
                                     n_paths=3, seed=8)
         b = length_decay_experiment(d2_solenoidal_atom, seg, T=0.2, dt=1e-2,
@@ -433,15 +484,30 @@ class TestLengthDecay:
 
     def test_broken_length_invariant_raises(self, d2_solenoidal_atom,
                                             monkeypatch):
-        monkeypatch.setattr(flow_engine, "_length_batch",
-                            lambda x, closed: np.zeros(x.shape[0]))
-        seg = PointCloud(positions=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        # a diameter beyond every length (a zero length would be refused
+        # as the start curve's)
+        monkeypatch.setattr(flow_engine, "_diam_batch",
+                            lambda x: np.full(x.shape[0], np.inf))
+        seg = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(FloatingPointError, match="path 0, t = 0"):
             length_decay_experiment(d2_solenoidal_atom, seg, T=0.1, dt=1e-2,
                                     n_paths=2, seed=0)
 
     def test_needs_two_vertices(self, d2_solenoidal_atom):
         with pytest.raises(ValueError):
+            length_decay_experiment(d2_solenoidal_atom, np.zeros((1, 2)),
+                                    T=0.2, dt=1e-2, n_paths=1, seed=0)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_needs_positive_length(self, d2_solenoidal_atom, closed):
+        # every terminal rate of a zero-length curve would be log(0 / 0)
+        with pytest.raises(ValueError, match="length 0.0 must be positive"):
             length_decay_experiment(
-                d2_solenoidal_atom, PointCloud(positions=np.zeros((1, 2))),
+                d2_solenoidal_atom, np.array([[0.3, 0.1], [0.3, 0.1]]),
+                T=0.2, dt=1e-2, n_paths=1, seed=0, closed=closed)
+
+    def test_vertices_must_be_finite(self, d2_solenoidal_atom):
+        with pytest.raises(ValueError, match="curve vertices must be finite"):
+            length_decay_experiment(
+                d2_solenoidal_atom, np.array([[0.0, 0.0], [np.inf, 0.0]]),
                 T=0.2, dt=1e-2, n_paths=1, seed=0)

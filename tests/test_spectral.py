@@ -62,10 +62,6 @@ class TestIntegrate:
             integrate(m, lambda s: np.where(s > 1.0, np.inf, s))
         assert err.value.abscissa == 2.0
 
-    def test_scalar_only_integrand_accepted(self):
-        m = SpectralMeasure(atoms=((2.0, 1.0), (3.0, 1.0)))
-        assert integrate(m, lambda s: float(s) ** 2) == pytest.approx(13.0)
-
 
 class TestNormalization:
     @pytest.mark.parametrize("d", [2, 3, 4])
