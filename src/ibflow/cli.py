@@ -31,7 +31,7 @@ from ._version import __version__
 from . import covariance, flow_engine, rkhs, spectral
 from .covariance import IbfModel, ModelError
 from .field_sampler import (DriftField, drift_custom_table, drift_linear,
-                            drift_radial_rkhs, radial_resolution)
+                            drift_radial_rkhs)
 from .flow_engine import ExperimentResult
 from .spectral import MeasureError, SpectralMeasure
 
@@ -66,10 +66,6 @@ MAX_POINTS = 2 ** 16
 # on n^2 node pairs in chunks of 2e6 pairs (about 190 MB each), 1.1e9
 # pairs at this bound, minutes per rho at about 170 ns a pair
 MAX_RULE_NODES = 2 ** 15
-# Radial-drift sphere-rule nodes n: drift_radial_rkhs probes 2048 radii
-# against every node at once, about 12 doubles per (radius, node), so
-# about 190 MiB at this bound
-MAX_DRIFT_NODES = 1024
 
 # Failures a run reports (numeric breakdowns, invalid values met while
 # computing, a run too large for memory, output that cannot be written);
@@ -200,7 +196,7 @@ def _parse_model(spec, command: str, path: str = "model"
 
 
 _DRIFT_FIELDS = {"none": set(), "linear": {"matrix"},
-                 "radial_rkhs": {"rho", "scale", "resolution"},
+                 "radial_rkhs": {"rho", "scale"},
                  "custom_table": {"axes", "values"}}
 
 
@@ -223,8 +219,7 @@ def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
 def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
                       ) -> tuple[DriftField | None, dict]:
     """The drift a config's model.drift describes (None for kind none),
-    checked field by field, and its echo: the same fields in config form,
-    a radial drift's resolution filled in."""
+    checked field by field, and its echo: the same fields in config form."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be an object")
     kind = spec.get("kind")
@@ -246,11 +241,8 @@ def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
             rho = _as_number(_need(spec, "rho", path), f"{path}.rho",
                              exclusive_min=0.0)
             scale = _as_number(spec.get("scale", 1.0), f"{path}.scale")
-            res = spec.get("resolution")
-            res = (radial_resolution(d) if res is None else _as_resolution(
-                res, d, f"{path}.resolution", MAX_DRIFT_NODES))
-            drift = drift_radial_rkhs(model, rho, scale=scale, resolution=res)
-            echo.update(rho=rho, scale=scale, resolution=res)
+            drift = drift_radial_rkhs(model, rho, scale=scale)
+            echo.update(rho=rho, scale=scale)
         elif kind == "custom_table":
             axes = _need(spec, "axes", path)
             if not (isinstance(axes, list) and len(axes) == d):
@@ -279,14 +271,14 @@ def _parse_vectors(value, d: int, path: str) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _as_resolution(value, d: int, path: str, max_nodes: int) -> int:
+def _as_resolution(value, d: int, path: str) -> int:
     """A sphere-rule resolution whose rule (resolution^2 nodes in d = 3,
-    resolution otherwise) has at most max_nodes nodes."""
+    resolution otherwise) has at most MAX_RULE_NODES nodes."""
     res = _as_int(value, path, minimum=1)
     nodes = res * res if d == 3 else res
-    if nodes > max_nodes:
+    if nodes > MAX_RULE_NODES:
         raise ConfigError(f"{path}: a rule of {nodes} nodes is more than "
-                          f"{max_nodes}")
+                          f"{MAX_RULE_NODES}")
     return res
 
 
@@ -355,8 +347,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
                        for i, r in enumerate(rhos)]
         default_res = 512 if model.d == 2 else 48
         out["resolution"] = _as_resolution(p.get("resolution", default_res),
-                                           model.d, f"{path}.resolution",
-                                           MAX_RULE_NODES)
+                                           model.d, f"{path}.resolution")
     elif command == "lyapunov":
         if model.is_trivial:
             raise ConfigError(
@@ -393,6 +384,10 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         _cap_series(out, "n_paths", path,
                     _snapshots(out["T2"], out["dt"], out["stride"]))
     elif command == "track-control":
+        if model.mu1 == 0.0:
+            raise ConfigError(
+                "model.mu1: track-control follows the mean inward field, "
+                "which is zero without a potential part (mu1 = 0)")
         _no_extras(p, {"rho", "cs", "T", "dt", "n_paths", "x0", "stride"}, path)
         out["rho"] = _as_number(_need(p, "rho", path), f"{path}.rho",
                                 exclusive_min=0.0)

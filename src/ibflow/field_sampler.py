@@ -74,102 +74,50 @@ RADIAL_SPAN = 12.0
 RADIAL_KNOTS = 2048
 
 
-def radial_resolution(d: int) -> int:
-    """The sphere-rule resolution of a radial drift that names none."""
-    return {2: 256, 3: 24}.get(d, 512)
+def _radial_profile(model: IbfModel,
+                    rho: float) -> tuple[CubicTable, float]:
+    """The radial profile G of the mean inward field at radius rho as
+    the cubic Hermite interpolant of its exact values and slopes
+    (rkhs.inward_profile) at the RADIAL_KNOTS knots, one cubic per
+    interval, and its bound: the larger of the steepest knot slope and
+    the steepest knot secant through the origin, the radial and the
+    tangential rate of G(|x|) x / |x|."""
+    h = RADIAL_SPAN * rho / (RADIAL_KNOTS - 1)
+    knots = h * np.arange(RADIAL_KNOTS)
+    g, dg = rkhs.inward_profile(model, rho, knots)
+    bound = max(np.max(np.abs(dg)), np.max(np.abs(g[1:] / knots[1:])))
+    return (CubicTable(np.array(hermite_rows(g, dg, h)), 0.0, h, knots[-1]),
+            float(bound))
 
 
-def _radial_profile(model: IbfModel, rho: float,
-                    rule: rkhs.SphereRule) -> CubicTable:
-    """The radial profile of the mean inward field at radius rho: the
-    not-a-knot cubic spline through its sphere quadrature by rule at the
-    RADIAL_KNOTS radii, stored one cubic per interval."""
-    r_top = RADIAL_SPAN * rho
-    grid = np.linspace(0.0, r_top, RADIAL_KNOTS)
-    probe = np.zeros((RADIAL_KNOTS, model.d))
-    probe[:, 0] = grid
-    g = rkhs.mean_inward_field(model, rho, rule, probe)[:, 0]
-    g[0] = 0.0  # exact by symmetry of the sphere average
-    rows = hermite_rows(g, _not_a_knot_slopes(grid, g), np.diff(grid))
-    return CubicTable(np.array(rows), 0.0, grid[1], r_top)
-
-
-def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0,
-                      resolution: int | None = None) -> DriftField:
+def drift_radial_rkhs(model: IbfModel, rho: float,
+                      scale: float = 1.0) -> DriftField:
     """Drift scale * V with V the mean inward field at radius rho.
 
-    V is radially symmetric, so its radial profile is tabulated once
-    (_radial_profile, whose interpolation error is far below the
-    quadrature's) and evaluated by the same direct-index Horner code as
-    the kernel's profile; queries beyond RADIAL_SPAN rho fall back to
-    direct quadrature. The bound is the larger of the profile's steepest
-    knot slope and its steepest secant through the origin.
+    V is radially symmetric with a closed-form profile (Bessel integral
+    against m_p; rkhs.inward_profile), tabulated once (_radial_profile)
+    and evaluated by the same direct-index Horner code as the kernel's
+    profile; queries beyond RADIAL_SPAN rho evaluate the profile
+    directly. A model with mu1 = 0 has V = 0 and raises ModelError.
     """
     if rho <= 0.0:
         raise ModelError("rho must be > 0")
     rho, scale = float(rho), float(scale)
-    rule = rkhs.sphere_rule(model.d, radial_resolution(model.d)
-                            if resolution is None else resolution)
-    table = _radial_profile(model, rho, rule)
+    table, bound = _radial_profile(model, rho)
 
     def field(pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(pts, axis=-1)
         inside = r <= table.hi
-        g = np.empty_like(r)
+        far = ~inside & (r < np.inf)
+        g = np.full_like(r, np.nan)  # a non-finite point has no drift
         g[inside] = table(r[inside])[0]
-        if not inside.all():
-            far = pts[~inside]
-            g[~inside] = np.einsum(
-                "md,md->m", rkhs.mean_inward_field(model, rho, rule, far),
-                far) / r[~inside]
+        if far.any():
+            g[far] = rkhs.inward_profile(model, rho, r[far])[0]
         unit = np.divide(pts, r[..., None], out=np.zeros_like(pts),
                          where=r[..., None] > 0.0)
         return scale * g[..., None] * unit
 
-    _, c1, c2, c3 = table.rows
-    # knot slopes: each piece's at its first knot, the last piece's at hi
-    u = table.hi - (table.lo + (c1.size - 1) * table.h)
-    end = c1[-1] + u * (2.0 * c2[-1] + 3.0 * u * c3[-1])
-    slope = max(np.max(np.abs(c1)), abs(end))
-    grid = np.linspace(table.lo, table.hi, c1.size + 1)[1:]
-    secant = np.max(np.abs(table(grid)[0] / grid))
-    return DriftField(field, abs(scale) * float(max(slope, secant)))
-
-
-def _not_a_knot_slopes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Knot slopes of the not-a-knot cubic spline through (x, f), at
-    least 4 knots: continuous second derivatives at interior knots and
-    a continuous third derivative at the second and the next-to-last
-    knot (de Boor, "A Practical Guide to Splines", ch. IV), each row in
-    units of the knot spacings, solved by forward elimination and back
-    substitution.
-    """
-    dx = np.diff(x).tolist()
-    secant = (np.diff(f) / np.diff(x)).tolist()
-    n = len(x)
-    lower, diag, upper, rhs = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
-    for i in range(1, n - 1):
-        lower[i] = dx[i]
-        diag[i] = 2.0 * (dx[i - 1] + dx[i])
-        upper[i] = dx[i - 1]
-        rhs[i] = 3.0 * (dx[i] * secant[i - 1] + dx[i - 1] * secant[i])
-    span = x[2] - x[0]
-    diag[0], upper[0] = dx[1], span
-    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * secant[0]
-              + dx[0] ** 2 * secant[1]) / span
-    span = x[-1] - x[-3]
-    lower[-1], diag[-1] = span, dx[-2]
-    rhs[-1] = (dx[-1] ** 2 * secant[-2]
-               + (2.0 * span + dx[-1]) * dx[-2] * secant[-1]) / span
-    for i in range(1, n):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    g = [0.0] * n
-    g[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        g[i] = (rhs[i] - upper[i] * g[i + 1]) / diag[i]
-    return np.array(g)
+    return DriftField(field, abs(scale) * bound)
 
 
 def drift_custom_table(axes, values) -> DriftField:

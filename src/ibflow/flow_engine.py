@@ -166,16 +166,18 @@ def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
     return rank_min, rank_max, dropped_max
 
 
-def ode_flow(drift: DriftField, x0, t1: float, dt: float):
+def ode_flow(drift: DriftField, x0, t1: float, dt: float, stride: int = 1):
     """Classical RK4 integration of xdot = V(x) from 0 to t1 for (m, d)
-    start points; returns (times, states), states (steps + 1, m, d)
-    recorded at every step.
+    start points; returns (times, states), the states (snapshots, m, d)
+    recorded where _simulate observes: at 0, after every stride-th step
+    and after the last, so step k's state is states[ceil(k / stride)].
     """
     if not math.isfinite(drift.lipschitz):
         raise ValueError("drift must declare a finite Lipschitz constant")
     x = np.asarray(x0, dtype=float)
     hs, times = _step_sizes(0.0, t1, dt)
-    out = np.empty((len(hs) + 1,) + x.shape)
+    kept = [*range(0, len(hs), stride), len(hs)]
+    out = np.empty((len(kept),) + x.shape)
     out[0] = x
     for k, h in enumerate(hs):
         k1 = eval_drift(drift, x)
@@ -183,8 +185,9 @@ def ode_flow(drift: DriftField, x0, t1: float, dt: float):
         k3 = eval_drift(drift, x + 0.5 * h * k2)
         k4 = eval_drift(drift, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = x
-    return times, out
+        if (k + 1) % stride == 0 or k + 1 == len(hs):
+            out[-(-(k + 1) // stride)] = x
+    return times[kept], out
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +456,11 @@ def tracking_experiment(model: IbfModel, drift: DriftField, cs, x0,
     if len(set(cs)) < len(cs):
         raise ValueError("each c must be distinct")
     pts = _start_points(x0, "x0")
-    _, ref = ode_flow(drift, pts, T, dt)
+    _, ref = ode_flow(drift, pts, T, dt, snapshot_stride)
 
     def observe(t, k, x, lo):
-        return {"dev": np.linalg.norm(x - ref[k], axis=-1).max(axis=1)}
+        return {"dev": np.linalg.norm(x - ref[-(-k // snapshot_stride)],
+                                      axis=-1).max(axis=1)}
 
     sups, runs = [], []
     for c in cs:

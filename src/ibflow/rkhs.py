@@ -7,7 +7,10 @@ s -> J_{d/2}(rho s), and when positive it equals the squared norm of a
 kernel-space vector field whose negative points strictly inward on the
 sphere of radius rho. This module computes both sides of that identity
 numerically: the left by tensorized sphere quadrature, the right by a
-Bessel integral against the potential measure.
+Bessel integral against the potential measure. That field, the mean
+inward field, is radial: mean_inward_field computes it by sphere
+quadrature, and inward_profile its radial profile as one more Bessel
+integral, exact in every d, which the radial drift tabulates.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import spectral
 from .bessel import bessel_j, bessel_j_ratio
-from .covariance import IbfModel, ModelError, covariance_scalars
+from .covariance import (_QUAD_PAIRS, IbfModel, ModelError, _nodes,
+                         covariance_scalars)
 
 ZERO_SEARCH_MAX = 200.0
 _ZERO_GRID_STEP = 0.05
@@ -191,6 +195,44 @@ def mean_inward_field(model: IbfModel, rho: float, rule: SphereRule, x):
         raise ModelError(f"points must have length d = {model.d}")
     out = -_sphere_average_field(model, rho, rule, pts)
     return out[0] if single else out
+
+
+def inward_profile(model: IbfModel, rho: float,
+                   r) -> tuple[np.ndarray, np.ndarray]:
+    """The mean inward field's radial profile G and its slope dG/dr at
+    the radii r >= 0 (a flat array): V(x) = G(|x|) x / |x|.
+
+    The solenoidal part averages to zero over the sphere, and the
+    potential part is one Bessel integral against m_p,
+
+      G(r) = -mu1 2^(d-2) Gamma(d/2)^2 int (rho k) J~(rho k) (r k) J~(r k) dm_p(k),
+
+    J~(z) = J_{d/2}(z) / z^{d/2}: at r = rho it is minus
+    squeeze_functional's rhs. The slope uses
+    d/dz [z J~_nu(z)] = J~_nu(z) - z^2 J~_(nu+1)(z). Runs over at most
+    _QUAD_PAIRS (radius, node) pairs at a time, each radius's sum
+    row-wise, so a radius's value does not depend on the batch.
+    """
+    if rho <= 0.0:
+        raise ValueError("rho must be > 0")
+    if model.mu1 == 0.0:
+        raise ModelError("the mean inward field is zero without a potential "
+                         "part (mu1 = 0)")
+    nu = model.d / 2.0
+    locs, wts = _nodes(model.m_p)
+    at_rho = rho * locs
+    w = (-model.mu1 * 2.0 ** (model.d - 2) * math.gamma(nu) ** 2
+         * wts * at_rho * bessel_j_ratio(nu, at_rho))
+    r = np.asarray(r, dtype=float)
+    g, dg = np.empty_like(r), np.empty_like(r)
+    step = max(1, _QUAD_PAIRS // locs.size)
+    for lo in range(0, r.size, step):
+        z = r[lo:lo + step, None] * locs
+        jr = bessel_j_ratio(nu, z)
+        g[lo:lo + step] = (z * jr * w).sum(axis=-1)
+        dg[lo:lo + step] = ((jr - z * z * bessel_j_ratio(nu + 1.0, z))
+                            * (w * locs)).sum(axis=-1)
+    return g, dg
 
 
 def squeeze_functional(model: IbfModel, rho: float,

@@ -211,8 +211,7 @@ def test_criterion_09_reproducibility(tmp_path):
     doc = {
         "model": {"d": 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
                   "m_p": {"atoms": [[1.0, 1.0]], "density": []},
-                  "drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 32.0,
-                            "resolution": 64}},
+                  "drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 32.0}},
         "command": "squeeze",
         "params": {"R": 1.0, "delta": 0.1, "T1": 0.1, "T2": 0.2, "dt": 0.005,
                    "n_paths": 8, "n_boundary": 16},

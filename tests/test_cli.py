@@ -245,9 +245,6 @@ class TestParseConfig:
         ("verify-identity:resolution", cli.MAX_RULE_NODES, True),
         ("verify-identity:resolution:d3", math.isqrt(cli.MAX_RULE_NODES),
          True),
-        ("squeeze:model.drift.resolution", cli.MAX_DRIFT_NODES, False),
-        ("squeeze:model.drift.resolution:d3",
-         math.isqrt(cli.MAX_DRIFT_NODES), False),
     ])
     def test_run_size_capped(self, tmp_path, capsys, field, limit, cheap):
         # what a run allocates in proportion to these fields is bounded
@@ -274,14 +271,10 @@ class TestParseConfig:
         def doc_with(n):
             doc = {"model": copy.deepcopy(model), "command": command,
                    "params": dict(params), "seed": 1}
-            if name == "model.drift.resolution":
-                doc["model"]["drift"] = {"kind": "radial_rkhs", "rho": 1.0,
-                                         "resolution": n}
-            else:
-                doc["params"][name] = n
+            doc["params"][name] = n
             return doc
 
-        where = name if name.startswith("model.") else f"params.{name}"
+        where = f"params.{name}"
         if cheap:
             parse_config(doc_with(limit))
         doc = doc_with(limit + 1)
@@ -335,14 +328,54 @@ class TestParseConfig:
     def test_drift_spec_parsed(self):
         doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
                           drift={"kind": "radial_rkhs", "rho": 1.0,
-                                 "scale": 2.0, "resolution": 32})
+                                 "scale": 2.0})
         cfg = parse_config(doc)
         assert isinstance(cfg.drift, DriftField)
         assert cfg.echo["model"]["drift"] == {
-            "kind": "radial_rkhs", "rho": 1.0, "scale": 2.0, "resolution": 32}
-        # a radial drift naming no resolution echoes the one it ran with
-        del doc["model"]["drift"]["resolution"]
-        assert parse_config(doc).echo["model"]["drift"]["resolution"] == 256
+            "kind": "radial_rkhs", "rho": 1.0, "scale": 2.0}
+
+    def test_drift_resolution_is_unknown(self, tmp_path, capsys):
+        # the radial drift is a closed form with no sphere rule to size
+        doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
+                          drift={"kind": "radial_rkhs", "rho": 1.0,
+                                 "resolution": 32})
+        with pytest.raises(ConfigError, match="^model.drift.resolution: "
+                                              "unknown field"):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["squeeze", "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "model.drift.resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,where", [("squeeze", "model.drift"),
+                                               ("track-control", "model.mu1")])
+    def test_zero_radial_drift_rejected(self, tmp_path, capsys, command,
+                                        where):
+        # without a potential part the mean inward field is zero, so a
+        # radial drift, and track-control, which follows one, exit 2
+        sol = {"m_s": {"atoms": [[1.0, 1.0]], "density": []}, "mu1": 0.0,
+               "mu2": 1.0}
+        if command == "squeeze":
+            doc = atom_config(command=command, params=SQUEEZE_PARAMS,
+                              drift={"kind": "radial_rkhs", "rho": 1.0,
+                                     "scale": 64.0}, **sol)
+        else:
+            doc = atom_config(command=command, params={
+                "rho": 1.0, "cs": [4.0, 16.0], "T": 0.1, "dt": 0.05,
+                "n_paths": 2, "x0": [[0.5, 0.0]]}, **sol)
+        del doc["model"]["m_p"]
+        with pytest.raises(ConfigError, match=f"^{where}: "):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert where in capsys.readouterr().err
+        assert not out.exists()
 
     def test_drift_unknown_kind(self):
         doc = atom_config(command="squeeze", params=SQUEEZE_PARAMS,
@@ -503,8 +536,7 @@ class TestRunCommands:
             command="squeeze",
             params={"R": 1.0, "delta": 0.1, "T1": 0.1, "T2": 0.2, "dt": 0.005,
                     "n_paths": 4, "n_boundary": 16},
-            drift={"kind": "radial_rkhs", "rho": 1.0, "scale": 32.0,
-                   "resolution": 64})
+            drift={"kind": "radial_rkhs", "rho": 1.0, "scale": 32.0})
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_command("squeeze", parse_config(doc), out_dir=out1, quiet=True)
         run_command("squeeze", parse_config(doc), out_dir=out2, quiet=True)
@@ -569,8 +601,7 @@ _CONTRACT_CASES = {
                         {"model": _MIXED_D2}),
     "lyapunov": ({"T": 0.1, "dt": 0.05, "n_pairs": 3}, {}),
     "squeeze": (dict(SQUEEZE_PARAMS, n_paths=3, stride=3),
-                {"drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0,
-                           "resolution": 32}}),
+                {"drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0}}),
     "expand": (dict(SQUEEZE_PARAMS, n_paths=2, n_boundary=8),
                {"drift": {"kind": "custom_table",
                           "axes": [[-2.0, 2.0], [-2.0, 2.0]],
@@ -648,8 +679,7 @@ class TestReportContract:
 _JOBS_CASES = {
     "squeeze": (dict(SQUEEZE_PARAMS, T1=0.01, T2=0.02, dt=0.01, n_paths=65,
                      n_boundary=8, stride=1),
-                {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0,
-                 "resolution": 32}),
+                {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0}),
     "expand": (dict(SQUEEZE_PARAMS, T1=0.01, T2=0.03, dt=0.01, n_paths=66,
                     n_boundary=8), None),
     "lyapunov": ({"T": 0.03, "dt": 0.01, "n_pairs": 66}, None),

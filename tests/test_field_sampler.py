@@ -11,15 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import RegularGridInterpolator
 
 import ibflow
 from ibflow import (CovarianceFactorError, DriftEvaluationError, DriftField,
-                    ModelError, covariance_tensor,
+                    ModelError, SpectralMeasure, covariance_tensor,
                     drift_custom_table, drift_linear, drift_radial_rkhs,
                     eval_drift, field_sampler, flow_engine,
-                    kernel_rows, mean_inward_field, pivoted_cholesky_batch,
-                    psd_probe, sphere_rule, tensor_field)
+                    inward_profile, kernel_rows, make_model,
+                    mean_inward_field, pivoted_cholesky_batch, psd_probe,
+                    sphere_rule, tensor_field)
 
 from conftest import J1_AT_1, random_rotation
 
@@ -308,6 +309,47 @@ class TestDriftFields:
         v = drift_radial_rkhs(d2_potential_atom, 1.0)
         assert np.array_equal(eval_drift(v, np.zeros(2)), np.zeros(2))
 
+    def test_radial_non_finite_point(self, d2_mixed):
+        # a diverged point has no drift, so the factor names its path
+        # and step
+        v = drift_radial_rkhs(d2_mixed, 1.0, scale=-1e300)
+        with np.errstate(invalid="ignore"):
+            out = eval_drift(v, np.array([[np.inf, 0.0], [np.nan, 1.0]]))
+        assert np.isnan(out).all()
+        cloud = np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(CovarianceFactorError,
+                              match="^path 0, step 1: .*is not finite$"):
+            flow_engine._simulate(
+                d2_mixed, cloud, 0.0, 0.1, 0.01, [np.random.default_rng(0)],
+                lambda t, k, x: None, drift=v)
+
+    def test_radial_needs_potential_part(self, d2_solenoidal_atom):
+        # with mu1 = 0 the mean inward field is identically zero
+        with pytest.raises(ModelError, match="mu1 = 0"):
+            drift_radial_rkhs(d2_solenoidal_atom, 1.0)
+
+    def test_radial_bound_exact_in_d5(self):
+        # the closed form's bound at scale 64 in d = 5; a 512-node
+        # Monte-Carlo sphere rule read 501
+        atom = make_model(5, 0.0, 1.0, 0.0,
+                          m_p=SpectralMeasure(atoms=((1.0, 1.0),)))
+        v = drift_radial_rkhs(atom, 1.0, scale=64.0)
+        assert v.lipschitz == pytest.approx(11.9, rel=0.01)
+
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d3_mixed"])
+    def test_radial_bound_holds(self, name, request):
+        # pairs at separations from 1e-4 to 3, inside the 12 rho table
+        # and beyond it
+        model = request.getfixturevalue(name)
+        v = drift_radial_rkhs(model, 1.0, scale=64.0)
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-14.0, 14.0, size=(10 ** 4, model.d))
+        y = x + (rng.normal(size=x.shape)
+                 * 10.0 ** rng.uniform(-4.0, 0.5, size=(len(x), 1)))
+        gap = np.linalg.norm(eval_drift(v, x) - eval_drift(v, y), axis=1)
+        assert np.all(gap <= v.lipschitz * np.linalg.norm(x - y, axis=1))
+
     def test_custom_table_interpolation(self):
         axes = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
         vals = np.zeros((3, 2, 2))
@@ -351,33 +393,33 @@ class TestDriftFields:
 
 
 class TestDriftOracles:
-    """The numpy drift interpolators against the scipy ones they replace."""
+    """The numpy drift interpolators against their oracles: the radial
+    table against the closed form it interpolates, the custom table
+    against scipy's multilinear interpolator."""
 
     @pytest.mark.parametrize("name", ["d2_potential_atom", "d3_mixed"])
-    def test_radial_profile_is_the_not_a_knot_spline(self, name, request):
+    def test_radial_table_is_the_closed_form(self, name, request):
         model = request.getfixturevalue(name)
         v = drift_radial_rkhs(model, 1.0)
-        rule = sphere_rule(model.d, field_sampler.radial_resolution(model.d))
-        table = field_sampler._radial_profile(model, 1.0, rule)
-        grid = np.linspace(0.0, 12.0, 2048)
-        probe = np.zeros((grid.size, model.d))
-        probe[:, 0] = grid
-        g = mean_inward_field(model, 1.0, rule, probe)[:, 0]
-        g[0] = 0.0
-        spline = CubicSpline(grid, g)
+        table, bound = field_sampler._radial_profile(model, 1.0)
+        knots = table.h * np.arange(2048)
+        assert (table.lo, table.hi) == (0.0, knots[-1])
+        assert knots[-1] == pytest.approx(12.0, rel=1e-15)
+        g, dg = inward_profile(model, 1.0, knots)
+        # each piece starts at its knot's exact value and slope
+        assert np.array_equal(table.rows[0], g[:-1])
+        assert np.array_equal(table.rows[1], dg[:-1])
         tol = 4.0 * np.finfo(float).eps * np.max(np.abs(g))
+        assert np.max(np.abs(table(knots)[0] - g)) <= tol
+        # the drift along the first axis is its profile
         mids = np.random.default_rng(12).uniform(0.0, 12.0, 5000)
-        for r in (grid, mids):
-            assert np.max(np.abs(table(r)[0] - spline(r))) <= tol
-            # the drift along the first axis is its profile
+        for r in (knots, mids):
             along = np.zeros((r.size, model.d))
             along[:, 0] = r
             assert np.array_equal(eval_drift(v, along)[:, 0], table(r)[0])
-        assert np.max(np.abs(table.rows[1] - spline(grid[:-1], 1))) <= tol
-        slope = np.max(np.abs(spline(grid, 1)))
-        secant = np.max(np.abs(spline(grid[1:]) / grid[1:]))
-        assert v.lipschitz == pytest.approx(max(slope, secant),
-                                            rel=1e-14, abs=0.0)
+        slope = np.max(np.abs(dg))
+        secant = np.max(np.abs(g[1:] / knots[1:]))
+        assert v.lipschitz == bound == max(slope, secant)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_custom_table_is_multilinear(self, d):
@@ -404,8 +446,7 @@ def test_no_run_imports_scipy(tmp_path):
     config = {
         "model": {"d": 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
                   "m_p": {"atoms": [[1.0, 1.0]], "density": []},
-                  "drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 4.0,
-                            "resolution": 32}},
+                  "drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 4.0}},
         "command": "squeeze",
         "params": {"R": 1.0, "delta": 0.1, "T1": 0.05, "T2": 0.1,
                    "dt": 0.01, "n_paths": 2, "n_boundary": 8},

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,30 @@ class TestOdeFlow:
         x0 = np.array([[1.0, 0.0], [0.0, 0.5]])
         _, xs = ode_flow(radial(d2_potential_atom), x0, 1.0, 1e-2)
         assert xs.shape == (101, 2, 2)
+
+    @pytest.mark.parametrize("stride", [1, 7, 10, 101, 500])
+    def test_records_the_snapshots(self, d2_potential_atom, stride):
+        # the states at 0, every stride-th step and the last (101 steps,
+        # the last partial), bitwise as recorded at every step
+        x0 = np.array([[1.0, 0.0], [0.0, 0.5]])
+        times, xs = ode_flow(radial(d2_potential_atom), x0, 1.005, 1e-2)
+        kept = [*range(0, 101, stride), 101]
+        got_t, got = ode_flow(radial(d2_potential_atom), x0, 1.005, 1e-2,
+                              stride)
+        assert np.array_equal(got_t, times[kept])
+        assert np.array_equal(got, xs[kept])
+
+    def test_snapshot_memory(self):
+        # 256 points over 10^4 steps at stride 10^4 keep two states
+        x0 = np.random.default_rng(3).normal(size=(256, 2))
+        tracemalloc.start()
+        try:
+            _, xs = ode_flow(drift_linear(-np.eye(2)), x0, 1.0, 1e-4, 10 ** 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xs.shape == (2, 256, 2)
+        assert peak < 2 ** 20
 
 
 class TestLyapunov:
