@@ -62,9 +62,11 @@ MAX_SERIES = 2 ** 19
 # 200 bytes a point, so a run at this bound peaks near 41 MiB (tracemalloc,
 # d = 3, a measure of 97 nodes)
 MAX_POINTS = 2 ** 16
-# verify-identity sphere-rule nodes n: the double sum evaluates the kernel
-# on n^2 node pairs in chunks of 2e6 pairs (about 190 MB each), 1.1e9
-# pairs at this bound, minutes per rho at about 170 ns a pair
+# verify-identity sphere-rule nodes n: the double sum evaluates one kernel
+# row of n node pairs per rotation orbit, in chunks of 2e6 pairs (about
+# 190 MB each): n pairs in d = 2, n^1.5 in d = 3 and n^2 in d >= 4. At
+# this bound that is 3.3e4, 5.9e6 and 1.1e9 pairs; at about 170 ns a
+# pair only d >= 4 takes minutes per rho
 MAX_RULE_NODES = 2 ** 15
 
 # Failures a run reports (numeric breakdowns, invalid values met while
@@ -673,7 +675,8 @@ def _run_verify_identity(cfg: RunConfig, jobs: int) -> Measured:
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-6)
         worst = max(worst, gap)
         rows.append((rho, lhs, rhs, gap))
-    aggregate = {"max_rel_gap": worst, "resolution": cfg.params["resolution"]}
+    aggregate = {"max_rel_gap": worst, "resolution": cfg.params["resolution"],
+                 "lhs_rows": int(rule.representatives.size)}
     summary = f"verify-identity: max relative lhs/rhs gap = {worst:.3e}"
     return Measured(["rho", "lhs", "rhs", "rel_gap"], rows, aggregate, summary)
 

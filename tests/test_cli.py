@@ -476,6 +476,21 @@ class TestRunCommands:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "verify-identity_report.json").read_text())
         assert report["aggregate"]["max_rel_gap"] < 1e-4
+        rows = (tmp_path / "verify-identity.csv").read_text().splitlines()
+        assert rows[0] == "rho,lhs,rhs,rel_gap"
+
+    @pytest.mark.parametrize("d,res,rows", [(2, 64, 1), (3, 6, 6),
+                                            (4, 40, 40)])
+    def test_verify_identity_reports_lhs_rows(self, tmp_path, d, res, rows):
+        doc = atom_config(command="verify-identity",
+                          params={"rhos": [0.5, 1.0], "resolution": res})
+        doc["model"]["d"] = d
+        cfg = parse_config(doc)
+        code, _ = run_command("verify-identity", cfg, out_dir=tmp_path,
+                              quiet=True)
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "verify-identity_report.json").read_text())
+        assert report["aggregate"]["lhs_rows"] == rows
 
     def test_lyapunov_report_carries_analytics(self, tmp_path):
         doc = atom_config(command="lyapunov",

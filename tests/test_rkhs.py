@@ -8,7 +8,8 @@ import pytest
 from ibflow import (ModelError, SpectralMeasure, check_condition,
                     inward_profile, make_model, mean_inward_field,
                     sphere_rule, squeeze_functional)
-from ibflow.rkhs import _sphere_average_field
+from ibflow import rkhs
+from ibflow.rkhs import SphereRule, _sphere_average_field
 
 from conftest import J1_AT_1, J1_FIRST_ZERO, random_model
 
@@ -64,6 +65,48 @@ class TestSphereRule:
         mom = rule.weights @ rule.nodes[:, 0] ** 2
         assert mom == pytest.approx(1 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("d,res,rows", [(2, 7, 1), (2, 512, 1),
+                                            (3, 5, 5), (3, 48, 48),
+                                            (5, 64, 64)])
+    def test_orbits(self, d, res, rows):
+        rule = sphere_rule(d, res)
+        n = rule.nodes.shape[0]
+        reps = rule.representatives
+        assert reps.size == rows
+        assert rule.orbits.sum() == n
+        assert np.all(rule.orbits[reps] == n // rows)
+        if d == 3:
+            # each ring: one representative, one polar cosine, one weight
+            rings = rule.nodes[:, 2].reshape(res, res)
+            assert np.array_equal(reps, np.arange(0, n, res))
+            assert np.all(rings == rings[:, :1])
+            assert np.all(rule.weights.reshape(res, res)
+                          == rule.weights[reps, None])
+
+    def test_hand_built_rule_orbits_default_to_ones(self):
+        base = sphere_rule(3, 4)
+        rule = SphereRule(nodes=base.nodes, weights=base.weights)
+        assert np.array_equal(rule.orbits, np.ones(16, dtype=int))
+        assert np.array_equal(rule.representatives, np.arange(16))
+
+    @pytest.mark.parametrize("orbits", [
+        [2, -1, 2],          # negative size
+        [1, 1, 0],           # sums to 2, not 3
+        [3, 1, 0],           # sums to 4
+        [3],                 # not one size per node
+        [1.0, 1.0, 1.0],     # not integers
+    ])
+    def test_invalid_orbits_rejected(self, orbits):
+        base = sphere_rule(2, 3)
+        with pytest.raises(ValueError, match="orbits"):
+            SphereRule(nodes=base.nodes, weights=base.weights,
+                       orbits=np.asarray(orbits))
+
+    def test_one_weight_per_node(self):
+        base = sphere_rule(2, 4)
+        with pytest.raises(ValueError, match="one per node"):
+            SphereRule(nodes=base.nodes, weights=np.full(2, 0.5))
+
     def test_mc_rule_seeded(self):
         a = sphere_rule(5, 64, mc_seed=9)
         b = sphere_rule(5, 64, mc_seed=9)
@@ -86,6 +129,11 @@ class TestMeanInwardField:
             theta = np.array([math.cos(ang), math.sin(ang)])
             v = mean_inward_field(d2_potential_atom, 1.0, rule, theta)
             assert v @ theta == pytest.approx(-rhs, abs=1e-8)
+
+    def test_rule_dimension_must_match(self, d3_mixed, monkeypatch):
+        monkeypatch.setattr(rkhs, "covariance_scalars", None)
+        with pytest.raises(ModelError, match="d = 2.*d = 3"):
+            mean_inward_field(d3_mixed, 1.0, sphere_rule(2, 64), np.zeros(3))
 
     def test_solenoidal_no_radial_component(self, d2_solenoidal_atom):
         rule = sphere_rule(2, 512)
@@ -229,3 +277,76 @@ class TestSqueezeIdentity:
             satisfied = check_condition(model, rho).satisfied
             assert lhs >= -1e-9
             assert satisfied == (lhs > 1e-8), (model.d, rho, lhs, satisfied)
+
+
+def _double_sum(model, rho, rule):
+    """The squeeze identity's lhs as the full n^2 double sum, every row
+    evaluated, in chunks of about 2e6 (row, node) pairs: summed by the
+    chunked einsum, and the same n row terms summed exactly (math.fsum)."""
+    nodes, w = rule.nodes, rule.weights
+    n = nodes.shape[0]
+    chunk = max(1, int(2_000_000 // n))
+    lhs, terms = 0.0, []
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        vt = _sphere_average_field(model, rho, rule, rho * nodes[start:stop])
+        lhs += float(np.einsum("m,md,md->", w[start:stop], vt,
+                               nodes[start:stop]))
+        terms.append(w[start:stop]
+                     * np.einsum("md,md->m", vt, nodes[start:stop]))
+    return lhs, math.fsum(np.concatenate(terms))
+
+
+@pytest.fixture
+def d2_zero_atom():
+    """Potential atom on J_1's first zero: the lhs at rho = 1 is about 0."""
+    return make_model(2, 0.0, 1.0, 0.0,
+                      m_p=SpectralMeasure(atoms=((J1_FIRST_ZERO, 1.0),)))
+
+
+@pytest.fixture
+def d3_solenoidal_atom():
+    return make_model(3, 0.0, 0.0, 1.0, m_s=SpectralMeasure(atoms=((1.0, 1.0),)))
+
+
+class TestOrbitSum:
+    """squeeze_functional's one row per rotation orbit against every row."""
+
+    @pytest.mark.parametrize("name,res,floor", [
+        ("d2_mixed", 512, 1e-16), ("d2_mixed", 7, 1e-16),
+        ("d2_zero_atom", 512, 1e-16),
+        ("d3_mixed", 48, 1e-16), ("d3_mixed", 5, 1e-16),
+        # without a potential part the lhs is zero, and both sums are the
+        # rounding noise of O(1) terms, about 1e-14
+        ("d2_solenoidal_atom", 512, 1e-14), ("d3_solenoidal_atom", 16, 1e-14),
+    ])
+    def test_matches_double_sum(self, name, res, floor, request):
+        model = request.getfixturevalue(name)
+        rule = sphere_rule(model.d, res)
+        for rho in (0.4, 1.0, 1.7, 2.5):
+            _, ref = _double_sum(model, rho, rule)
+            lhs, _ = squeeze_functional(model, rho, rule)
+            assert abs(lhs - ref) <= max(1e-14 * abs(ref), floor), (rho, lhs,
+                                                                    ref)
+
+    @pytest.mark.parametrize("res", [64, 1500])  # 1500: two row chunks
+    def test_mc_rule_bitwise(self, res):
+        model = make_model(5, 0.1, 0.6, 0.3,
+                           m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
+                           m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
+        rule = sphere_rule(5, res)
+        for rho in (0.7, 1.9):
+            lhs, _ = squeeze_functional(model, rho, rule)
+            assert lhs == _double_sum(model, rho, rule)[0]
+
+    def test_hand_built_rule_bitwise(self, d3_mixed):
+        base = sphere_rule(3, 6)
+        rule = SphereRule(nodes=base.nodes, weights=base.weights)
+        lhs, _ = squeeze_functional(d3_mixed, 1.3, rule)
+        assert lhs == _double_sum(d3_mixed, 1.3, rule)[0]
+
+    def test_rule_dimension_must_match(self, d3_mixed, monkeypatch):
+        # a d = 2 rule on a d = 3 model used to return a wrong lhs
+        monkeypatch.setattr(rkhs, "covariance_scalars", None)
+        with pytest.raises(ModelError, match="d = 2.*d = 3"):
+            squeeze_functional(d3_mixed, 1.0, sphere_rule(2, 64))
