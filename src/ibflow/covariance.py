@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -275,18 +275,29 @@ class SmallSeries:
     s0: float
     coef_l: tuple[float, ...]
     coef_n: tuple[float, ...]
+    # the (B_L, B_N) coefficient pairs, highest degree first
+    stacked: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stacked",
+                           tuple(zip(self.coef_l, self.coef_n))[::-1])
 
     def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B_L, B_N) on a flat array s, by one Horner pass over the rows
+        of a (2, n) array (a scalar operand per row is cheaper than a
+        broadcast (2, 1) one)."""
         t = s * s
-        return _horner(self.coef_l, t), _horner(self.coef_n, t)
-
-
-def _horner(coef: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    out = np.full(t.shape, coef[-1])
-    for c in coef[-2::-1]:
-        out *= t
-        out += c
-    return out
+        out = np.empty((2, t.size))
+        b_l, b_n = out
+        b_l.fill(self.stacked[0][0])
+        b_n.fill(self.stacked[0][1])
+        for c_l, c_n in self.stacked[1:]:
+            b_l *= t
+            b_l += c_l
+            b_n *= t
+            b_n += c_n
+        return b_l, b_n
 
 
 @lru_cache(maxsize=32)
@@ -454,7 +465,9 @@ def tensor_field(model: IbfModel, xs: np.ndarray) -> np.ndarray:
     xs has shape (..., d); the result has shape (..., d, d). At x = 0
     the tensor is exactly the identity. It is built one component pair
     at a time (|x|^2 too, in component order): broadcasting over the tiny
-    trailing axes would cost more than the arithmetic.
+    trailing axes would cost more than the arithmetic. The increment
+    sampler's rows (field_sampler.kernel_rows) repeat this arithmetic
+    entry for entry, so a change here must be made there too.
     """
     xs = np.asarray(xs, dtype=float)
     d = model.d

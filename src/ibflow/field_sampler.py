@@ -6,8 +6,9 @@ covariance C[i][j] = b(x_i - x_j). C is routinely singular (a band-limited
 field has few degrees of freedom on a small or dense cloud), so it is
 factored by a rank-revealing pivoted Cholesky: a degenerate law is
 sampled exactly, and the rank and the dropped trace are reported. The
-factor reads C one kernel row per pivot, built on demand from
-tensor_field; C itself is never assembled.
+factor reads C one kernel row per pivot and C itself is never
+assembled: the scalars of a pivot point's separations are held per
+point, and each row builds only its own component from them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rkhs
-from .covariance import (CubicTable, IbfModel, ModelError, hermite_rows,
-                         tensor_field)
+from . import covariance, rkhs
+from .covariance import CubicTable, IbfModel, ModelError, hermite_rows
 
 _EPS = np.finfo(float).eps
 # Kernel scalars served from the mid-range profile are accurate to about
@@ -188,22 +188,42 @@ def kernel_rows(model: IbfModel, x: np.ndarray):
     """pivoted_cholesky_batch's row source and diagonal (exactly 1) for
     the covariances C_b[i][j] = b(x_i - x_j) of point sets (B, N, d).
 
-    Row (i, a) is component a of tensor_field(x_i - x_j) over all j; one
-    call serves the d rows of point i, held until a path pivots on
-    another point.
+    Row (i, a) is component a of the tensors b(x_i - x_j) over all j,
+    with tensor_field's arithmetic, so bitwise its row: entry (j, c) is
+    coef * (dx_a * dx_c), plus B_N where c = a, with dx = x_i - x_j,
+    s = |dx| and coef = (B_L - B_N) / s^2 (0 where s^2 is 0). dx, B_N and coef
+    of each path's pivot point are computed once and held while every
+    path pivots on the same point as at the last row; a row builds only
+    its own component from them.
     """
     x = np.asarray(x, dtype=float)
     nb, n, d = x.shape
     if d != model.d:
         raise ModelError(f"points must have dimension d = {model.d}")
     paths = np.arange(nb)
-    held = [None, None]  # per-path point, its (B, N, d, d) tensors
+    planes = x.transpose(2, 0, 1).copy()  # (d, B, N), one per component
+    held = [None, None, None, None]  # per-path point, dx (d, B, N), B_N, coef
 
     def row(p: np.ndarray) -> np.ndarray:
         point, comp = np.divmod(p, d)
         if held[0] is None or (point != held[0]).any():
-            held[:] = point, tensor_field(model, x[paths, point, None] - x)
-        return held[1][paths, :, comp].reshape(nb, n * d)
+            dx = planes[:, paths, point][:, :, None] - planes
+            sq = dx * dx
+            s = np.sqrt(sum(sq[1:], sq[0]))
+            # looked up on the module, so a wrapper installed there sees it
+            b_l, b_n = covariance.covariance_scalars(model, s)
+            s2 = s * s
+            held[:] = point, dx, b_n, np.divide(
+                b_l - b_n, s2, out=np.zeros(s2.shape), where=s2 > 0.0)
+        _, dx, b_n, coef = held
+        lead = dx[comp, paths]
+        out = np.empty((nb, n, d))
+        for c in range(d):
+            part = lead * dx[c]
+            part *= coef
+            out[..., c] = part
+        out[paths, :, comp] += b_n
+        return out.reshape(nb, n * d)
 
     return row, np.ones((nb, n * d))
 

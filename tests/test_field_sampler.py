@@ -15,7 +15,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import ibflow
 from ibflow import (CovarianceFactorError, DriftEvaluationError, DriftField,
-                    ModelError, SpectralMeasure, covariance_tensor,
+                    ModelError, SpectralMeasure, covariance, covariance_tensor,
                     drift_custom_table, drift_linear, drift_radial_rkhs,
                     eval_drift, field_sampler, flow_engine,
                     inward_profile, kernel_rows, make_model,
@@ -75,33 +75,64 @@ class TestBuildSampler:
         assert np.array_equal(inc[0], inc[1])
         assert not np.array_equal(inc[0], inc[2])
 
-    def test_offdiagonal_block_is_covariance_tensor(self, d2_mixed, d3_mixed):
+    def test_offdiagonal_block_is_covariance_tensor(self, d2_mixed, d3_mixed,
+                                                    monkeypatch):
         # whatever the order of the pivots, each row served is bitwise the
         # matching row of the tensor_field blocks b(x_i - x_j): coincident
-        # tracers included, and the block at j = i is the identity
+        # tracers included, the block at j = i is the identity, and the
+        # separations take all three kernel routes (series below s0,
+        # profile on [s0, 64], quadrature beyond). The pivots alternate
+        # between hold hits (every path pivots on its last point again)
+        # and misses (one path moves), and only a miss evaluates scalars
+        calls, scalars = [], covariance.covariance_scalars
+
+        def counted(model, s):
+            calls.append(np.size(s))
+            return scalars(model, s)
+
+        monkeypatch.setattr(covariance, "covariance_scalars", counted)
+        d4_mixed = make_model(
+            4, 0.1, 0.6, 0.3, m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
+            m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
         rng = np.random.default_rng(12)
-        for model in (d2_mixed, d3_mixed):
+        nb, n = 3, 7
+        for model in (d2_mixed, d3_mixed, d4_mixed):
             d = model.d
-            pts = rng.normal(size=(3, 4, d))
-            pts[1, 3] = pts[1, 0]
+            s0 = covariance._small_s_series(model).s0
+            pts = np.concatenate([0.1 * s0 * rng.normal(size=(nb, 3, d)),
+                                  rng.normal(size=(nb, 2, d)),
+                                  100.0 + 60.0 * rng.normal(size=(nb, 2, d))],
+                                 axis=1)
+            pts[1, 2] = pts[1, 0]
+            sep = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1)
+            assert ((0.0 < sep) & (sep < s0)).any()
+            assert ((s0 <= sep) & (sep <= 64.0)).any() and (sep > 64.0).any()
             blocks = tensor_field(model,
                                   pts[:, :, None, :] - pts[:, None, :, :])
-            assert np.array_equal(blocks[1, 0, 3], np.eye(d))
+            assert np.array_equal(blocks[1, 0, 2], np.eye(d))
             assert np.array_equal(
                 blocks[0, 0, 1], covariance_tensor(model, pts[0, 0] - pts[0, 1]))
+            calls.clear()
             row, diag = kernel_rows(model, pts)
-            assert np.array_equal(diag, np.ones((3, 4 * d)))
-            pivots = [np.zeros(3, dtype=int), np.ones(3, dtype=int)]
-            pivots += list(rng.integers(0, 4 * d, size=(12, 3)))
-            for p in pivots:
+            assert np.array_equal(diag, np.ones((nb, n * d)))
+            p = rng.integers(0, n * d, size=nb)
+            for k in range(16):
+                point, comp = np.divmod(p, d)
+                if k % 2:   # a hit: each path takes another component
+                    comp = (comp + rng.integers(1, d, size=nb)) % d
+                else:       # a miss: one path takes another point
+                    b = rng.integers(nb)
+                    point[b] = (point[b] + rng.integers(1, n)) % n
+                p = point * d + comp
                 rows = row(p)
-                for b, (i, a) in enumerate(zip(*np.divmod(p, d))):
+                for b, (i, a) in enumerate(zip(point, comp)):
                     assert np.array_equal(rows[b], blocks[b, i, :, a].ravel())
                     assert np.array_equal(rows[b, i * d:(i + 1) * d],
                                           np.eye(d)[a])
                 rows[:] = np.nan  # a fresh array: the next row is unaffected
             assert np.array_equal(row(p)[0],
                                   blocks[0, p[0] // d, :, p[0] % d].ravel())
+            assert calls == [nb * n] * 8
 
     def test_cloud_dimension_checked(self, d3_mixed):
         with pytest.raises(ModelError):

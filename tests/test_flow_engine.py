@@ -40,6 +40,11 @@ def simulate_one(model, points, t1, dt, seed=0, **step):
     return np.array(times), np.array(states)
 
 
+# the length-decay shape: a 24-vertex circle of radius 0.005
+TINY_CIRCLE = 0.005 * np.column_stack([np.cos(2 * np.pi * np.arange(24) / 24),
+                                       np.sin(2 * np.pi * np.arange(24) / 24)])
+
+
 def radial(model):
     """The inward radial drift at rho 1 and scale 1 that tracking follows."""
     return drift_radial_rkhs(model, 1.0, scale=1.0)
@@ -324,8 +329,6 @@ class TestStreams:
         # ODE reference. Path 0 alone or with 7 others, and path 64 as the
         # first path of a second chunk holding 1 or 8 paths, keep every bit
         # of every recorded series and of their rank numerics
-        ring = 0.005 * np.column_stack([np.cos(2 * np.pi * np.arange(24) / 24),
-                                        np.sin(2 * np.pi * np.arange(24) / 24)])
 
         def record(n_paths, i):
             if shape == "lyapunov":
@@ -342,8 +345,8 @@ class TestStreams:
                     n_boundary=64, dt=2e-3, n_paths=n_paths, seed=3)
             else:
                 rep = length_decay_experiment(
-                    d2_potential_atom, ring, T=0.2, dt=1e-2, n_paths=n_paths,
-                    seed=3, closed=True)
+                    d2_potential_atom, TINY_CIRCLE, T=0.2, dt=1e-2,
+                    n_paths=n_paths, seed=3, closed=True)
             return (*(series[i] for series in rep.series.values()),
                     *(n[i] for n in rep.numerics))
 
@@ -352,6 +355,27 @@ class TestStreams:
 
         assert same(record(1, 0), record(8, 0))
         assert same(record(65, 64), record(72, 64))
+
+    @pytest.mark.parametrize("shape", ["shell", "circle"])
+    def test_chunk_size_keeps_every_bit(self, d2_potential_atom, monkeypatch,
+                                        shape):
+        # chunks of 1, 7, 64 and all 70 paths batch the paths differently,
+        # so the row source's held scalars are hit and missed at different
+        # pivots; every series and rank numeric must keep every bit
+        def run(chunk):
+            monkeypatch.setattr(flow_engine, "_CHUNK", chunk)
+            if shape == "shell":
+                return squeeze_experiment(
+                    d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
+                    n_boundary=64, dt=2e-3, n_paths=70, seed=3)
+            return length_decay_experiment(
+                d2_potential_atom, TINY_CIRCLE, T=0.2, dt=1e-2, n_paths=70,
+                seed=3, closed=True)
+
+        whole = run(70)
+        assert len(set(whole.numerics[1].tolist())) > 1  # ranks differ by path
+        for chunk in (1, 7, 64):
+            assert same_result(run(chunk), whole)
 
     def test_streams_distinct_across_seed_and_path(self):
         # under seed XOR path, (5, 1) and (6, 2) shared one stream
