@@ -212,8 +212,9 @@ def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
         return [numbers(v, f"{where}[{i}]", level + 1)
                 for i, v in enumerate(node)]
 
+    nested = numbers(value, path, 0)  # a ConfigError here names the entry
     try:
-        return np.array(numbers(value, path, 0), dtype=float)
+        return np.array(nested, dtype=float)
     except ValueError:
         raise ConfigError(f"{path}: must be a rectangular array") from None
 
@@ -382,7 +383,8 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["n_boundary"] = _as_int(p.get("n_boundary", 64),
                                     f"{path}.n_boundary", minimum=8,
                                     maximum=MAX_COORDS // model.d)
-        out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
+        out["stride"] = _as_int(p.get("stride", flow_engine.DEFAULT_STRIDE),
+                                f"{path}.stride", minimum=1)
         _cap_series(out, "n_paths", path,
                     _snapshots(out["T2"], out["dt"], out["stride"]))
     elif command == "track-control":
@@ -406,7 +408,8 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
                                  minimum=2)
         out["x0"] = _parse_vectors(_need(p, "x0", path), model.d, f"{path}.x0")
-        out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
+        out["stride"] = _as_int(p.get("stride", flow_engine.DEFAULT_STRIDE),
+                                f"{path}.stride", minimum=1)
         _cap_series(out, "n_paths", path,
                     _snapshots(out["T"], out["dt"], out["stride"])
                     + len(out["cs"]))
@@ -430,10 +433,8 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
                                  maximum=MAX_COORDS // model.d)
             center = curve.get("center", [0.0] * model.d)
             center = _parse_vectors([center], model.d, f"{path}.curve.center")[0]
-            ang = 2.0 * math.pi * np.arange(n_vertices) / n_vertices
             ring = np.zeros((n_vertices, model.d))
-            ring[:, 0] = np.cos(ang)
-            ring[:, 1] = np.sin(ang)
+            ring[:, :2] = rkhs.sphere_rule(2, n_vertices).nodes
             out["positions"] = center + radius * ring
             out["closed"] = True
         elif kind == "points":
@@ -454,11 +455,10 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         if not 0.0 < length < math.inf:
             raise ConfigError(f"{path}.curve.positions: the curve's length "
                               f"{length!r} must be positive and finite")
-        out["stride"] = _as_int(p.get("stride", 10), f"{path}.stride", minimum=1)
+        out["stride"] = _as_int(p.get("stride", flow_engine.DEFAULT_STRIDE),
+                                f"{path}.stride", minimum=1)
         _cap_series(out, "n_paths", path,
                     _snapshots(out["T"], out["dt"], out["stride"]))
-    else:
-        raise ConfigError(f"command: unknown command {command!r}")
     return out
 
 

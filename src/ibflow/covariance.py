@@ -121,8 +121,8 @@ class FlowConstants:
 
 
 @lru_cache(maxsize=128)
-def _nodes(measure: SpectralMeasure, points: int = spectral.DEFAULT_QUAD_POINTS):
-    return spectral.quadrature_nodes(measure, points)
+def _nodes(measure: SpectralMeasure):
+    return spectral.quadrature_nodes(measure, spectral.DEFAULT_QUAD_POINTS)
 
 
 def _c_norm(d: int) -> float:
@@ -459,25 +459,36 @@ def covariance_scalars(model: IbfModel, s):
     return b_l.reshape(arr.shape), b_n.reshape(arr.shape)
 
 
+def tensor_scalars(model: IbfModel, comps) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, B_N), b(x) = coef x x^T + B_N I, at the separations x whose
+    d components are comps (on axis 0); coef = (B_L - B_N) / |x|^2, 0 at
+    x = 0. The one copy of the tensor arithmetic: |x|^2 sums the squares
+    in component order, and covariance_scalars is looked up on this
+    module, so a wrapper installed here sees every call."""
+    sq = comps[0] * comps[0]
+    for x in comps[1:]:
+        sq += x * x
+    s = np.sqrt(sq)
+    b_l, b_n = covariance_scalars(model, s)
+    s2 = s * s
+    coef = np.divide(b_l - b_n, s2, out=np.zeros(s2.shape), where=s2 > 0.0)
+    return coef, b_n
+
+
 def tensor_field(model: IbfModel, xs: np.ndarray) -> np.ndarray:
     """Covariance tensors b(x) for a batch of separation vectors.
 
     xs has shape (..., d); the result has shape (..., d, d). At x = 0
-    the tensor is exactly the identity. It is built one component pair
-    at a time (|x|^2 too, in component order): broadcasting over the tiny
-    trailing axes would cost more than the arithmetic. The increment
-    sampler's rows (field_sampler.kernel_rows) repeat this arithmetic
-    entry for entry, so a change here must be made there too.
+    the tensor is exactly the identity. It is filled from tensor_scalars
+    one component pair at a time: broadcasting over the tiny trailing
+    axes would cost more than the arithmetic.
     """
     xs = np.asarray(xs, dtype=float)
     d = model.d
     if xs.shape[-1] != d:
         raise ModelError(f"separation vectors must have length d = {d}")
     comps = [xs[..., a] for a in range(d)]
-    s = np.sqrt(sum(x * x for x in comps))
-    b_l, b_n = covariance_scalars(model, s)
-    s2 = s * s
-    coef = np.divide(b_l - b_n, s2, out=np.zeros_like(s2), where=s2 > 0.0)
+    coef, b_n = tensor_scalars(model, comps)
     out = np.empty(xs.shape + (d,))
     for a in range(d):
         for c in range(a, d):

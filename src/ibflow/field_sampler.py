@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import covariance, rkhs
-from .covariance import CubicTable, IbfModel, ModelError, hermite_rows
+from . import rkhs
+from .covariance import (CubicTable, IbfModel, ModelError, hermite_rows,
+                         tensor_scalars)
 
 _EPS = np.finfo(float).eps
 # Kernel scalars served from the mid-range profile are accurate to about
@@ -189,12 +190,12 @@ def kernel_rows(model: IbfModel, x: np.ndarray):
     the covariances C_b[i][j] = b(x_i - x_j) of point sets (B, N, d).
 
     Row (i, a) is component a of the tensors b(x_i - x_j) over all j,
-    with tensor_field's arithmetic, so bitwise its row: entry (j, c) is
-    coef * (dx_a * dx_c), plus B_N where c = a, with dx = x_i - x_j,
-    s = |dx| and coef = (B_L - B_N) / s^2 (0 where s^2 is 0). dx, B_N and coef
-    of each path's pivot point are computed once and held while every
-    path pivots on the same point as at the last row; a row builds only
-    its own component from them.
+    bitwise as tensor_field gives it: entry (j, c) is coef * (dx_a * dx_c),
+    plus B_N where c = a, with dx = x_i - x_j and (coef, B_N) from
+    covariance.tensor_scalars. dx, coef and B_N of each path's pivot
+    point are computed once and held while every path pivots on the same
+    point as at the last row; a row builds only its own component from
+    them.
     """
     x = np.asarray(x, dtype=float)
     nb, n, d = x.shape
@@ -202,20 +203,14 @@ def kernel_rows(model: IbfModel, x: np.ndarray):
         raise ModelError(f"points must have dimension d = {model.d}")
     paths = np.arange(nb)
     planes = x.transpose(2, 0, 1).copy()  # (d, B, N), one per component
-    held = [None, None, None, None]  # per-path point, dx (d, B, N), B_N, coef
+    held = [None, None, None, None]  # per-path point, dx (d, B, N), coef, B_N
 
     def row(p: np.ndarray) -> np.ndarray:
         point, comp = np.divmod(p, d)
         if held[0] is None or (point != held[0]).any():
             dx = planes[:, paths, point][:, :, None] - planes
-            sq = dx * dx
-            s = np.sqrt(sum(sq[1:], sq[0]))
-            # looked up on the module, so a wrapper installed there sees it
-            b_l, b_n = covariance.covariance_scalars(model, s)
-            s2 = s * s
-            held[:] = point, dx, b_n, np.divide(
-                b_l - b_n, s2, out=np.zeros(s2.shape), where=s2 > 0.0)
-        _, dx, b_n, coef = held
+            held[:] = point, dx, *tensor_scalars(model, dx)
+        _, dx, coef, b_n = held
         lead = dx[comp, paths]
         out = np.empty((nb, n, d))
         for c in range(d):
@@ -273,14 +268,10 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
         idx = base + pivot
         top = flat_resid[idx]
         going = top > tol
-        if going.all():
-            root = np.sqrt(top)
-            done = idx
-        elif going.any():
-            root = np.sqrt(np.where(going, top, np.inf))  # a stopped column is 0
-            done = idx[going]
-        else:
+        if not going.any():
             break
+        root = np.sqrt(np.where(going, top, np.inf))  # a stopped column is 0
+        done = idx[going]
         # column k from the pivot rows (C is symmetric) and the columns so far
         col = row(pivot)
         check_finite(col)

@@ -20,6 +20,7 @@ import numpy as np
 from .covariance import IbfModel
 from .field_sampler import (DriftField, eval_drift, kernel_rows,
                             pivoted_cholesky_batch)
+from .rkhs import sphere_rule
 
 DEFAULT_STRIDE = 10
 _CHUNK = 64  # paths per batch; fixed so results never depend on --jobs
@@ -114,27 +115,26 @@ def step_count(span: float, dt: float) -> int:
     return max(1, math.ceil(span / dt - 1e-9))
 
 
-def _step_sizes(t0: float, t1: float, dt: float):
-    span = t1 - t0
-    if span <= 0.0:
-        raise ValueError("t1 must exceed t0")
-    if dt <= 0.0 or dt > span * (1 + 1e-9):
-        raise ValueError("dt must lie in (0, t1 - t0]")
-    n = step_count(span, dt)
+def _step_sizes(t1: float, dt: float):
+    if t1 <= 0.0:
+        raise ValueError("t1 must exceed 0")
+    if dt <= 0.0 or dt > t1 * (1 + 1e-9):
+        raise ValueError("dt must lie in (0, t1]")
+    n = step_count(t1, dt)
     hs = np.full(n, dt)
-    hs[-1] = span - (n - 1) * dt
-    times = t0 + dt * np.arange(n + 1)
+    hs[-1] = t1 - (n - 1) * dt
+    times = dt * np.arange(n + 1)
     times[-1] = t1
     return hs, times
 
 
-def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
+def _simulate(model: IbfModel, x0: np.ndarray, t1: float, dt: float,
               gens, observer, drift: DriftField | None = None,
               stride: int = DEFAULT_STRIDE, noise_scale: float = 1.0,
               path_offset: int = 0):
-    """Batched Euler stepping of (B, N, d) tracer states.
+    """Batched Euler stepping of (B, N, d) tracer states from 0 to t1.
 
-    observer(t, k, X) fires at t0 (k = 0), after every stride-th step k,
+    observer(t, k, X) fires at 0 (k = 0), after every stride-th step k,
     and at t1 (the final partial step lands exactly on t1). It may move
     X in place; the next step starts from the moved points. Returns
     per-path (rank_min, rank_max, dropped_trace_max) of the increment
@@ -142,7 +142,7 @@ def _simulate(model: IbfModel, x0: np.ndarray, t0: float, t1: float, dt: float,
     """
     x = np.array(x0, dtype=float, copy=True)
     b, n_pts, d = x.shape
-    hs, times = _step_sizes(t0, t1, dt)
+    hs, times = _step_sizes(t1, dt)
     rank_min = np.full(b, n_pts * d)
     rank_max = np.zeros(b, dtype=int)
     dropped_max = np.zeros(b)
@@ -175,7 +175,7 @@ def ode_flow(drift: DriftField, x0, t1: float, dt: float, stride: int = 1):
     if not math.isfinite(drift.lipschitz):
         raise ValueError("drift must declare a finite Lipschitz constant")
     x = np.asarray(x0, dtype=float)
-    hs, times = _step_sizes(0.0, t1, dt)
+    hs, times = _step_sizes(t1, dt)
     kept = [*range(0, len(hs), stride), len(hs)]
     out = np.empty((len(kept),) + x.shape)
     out[0] = x
@@ -241,7 +241,7 @@ def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
                 times.append(float(t))
                 rows.append(row)
 
-        numerics = _simulate(model, start, 0.0, T, dt, gens, observer,
+        numerics = _simulate(model, start, T, dt, gens, observer,
                              path_offset=lo, **step)
         return times, {key: np.column_stack([r[key] for r in rows])
                        for key in rows[0]}, numerics
@@ -261,27 +261,24 @@ def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
 
 
 def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
-    """Tracer discretization of a sphere: uniform angles in d=2,
-    Fibonacci spiral in d=3, seeded Monte-Carlo beyond."""
+    """Tracer discretization of a sphere: the Fibonacci spiral in d=3,
+    sphere_rule's nodes otherwise (uniform angles in d=2, seeded
+    Monte-Carlo beyond)."""
     if n < 1:
         raise ValueError("need at least one tracer")
-    if d == 2:
-        ang = 2.0 * math.pi * np.arange(n) / n
-        return radius * np.column_stack([np.cos(ang), np.sin(ang)])
     if d == 3:
         i = np.arange(n) + 0.5
         z = 1.0 - 2.0 * i / n
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = math.pi * (1.0 + math.sqrt(5.0)) * i
         return radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    from .rkhs import sphere_rule
-    return radius * sphere_rule(d, n, mc_seed=0).nodes
+    return radius * sphere_rule(d, n).nodes
 
 
-def _aggregate_numerics(*runs) -> dict:
-    """What the factorization did over every step of every path of one or
-    more runs' numerics."""
-    rank_min, rank_max, dropped = (np.concatenate(part) for part in zip(*runs))
+def _aggregate_numerics(numerics) -> dict:
+    """What the factorization did over every step of every path of a
+    run's per-path numerics."""
+    rank_min, rank_max, dropped = numerics
     return {"rank_min": int(rank_min.min()), "rank_max": int(rank_max.max()),
             "dropped_trace_max": float(dropped.max())}
 

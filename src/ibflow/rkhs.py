@@ -32,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 from . import spectral
 from .bessel import bessel_j, bessel_j_ratio
 from .covariance import (_QUAD_PAIRS, IbfModel, ModelError, _nodes,
-                         covariance_scalars)
+                         tensor_scalars)
 
 ZERO_SEARCH_MAX = 200.0
 _ZERO_GRID_STEP = 0.05
@@ -178,15 +178,14 @@ def sphere_rule(d: int, resolution: int, mc_seed: int | None = None) -> SphereRu
         raise ValueError("dimension must be in [2, 16]")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    ang = 2.0 * math.pi * np.arange(resolution) / resolution
     if d == 2:
-        ang = 2.0 * math.pi * np.arange(resolution) / resolution
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         weights = np.full(resolution, 1.0 / resolution)
         orbits = np.zeros(resolution, dtype=np.int64)
         orbits[0] = resolution
     elif d == 3:
         u, v = leggauss(resolution)
-        ang = 2.0 * math.pi * np.arange(resolution) / resolution
         rad = np.sqrt(1.0 - u * u)
         nodes = np.empty((resolution * resolution, 3))
         weights = np.empty(resolution * resolution)
@@ -218,9 +217,7 @@ def _sphere_average_field(model: IbfModel, rho: float, rule: SphereRule,
     """Quadrature of phi -> b(rho*phi - x) phi over the rule, batched in x."""
     nodes, w = rule.nodes, rule.weights
     diffs = rho * nodes[None, :, :] - points[:, None, :]   # (m, n, d)
-    s = np.linalg.norm(diffs, axis=-1)
-    b_l, b_n = covariance_scalars(model, s)
-    coef = np.divide(b_l - b_n, s * s, out=np.zeros_like(s), where=s > 0.0)
+    coef, b_n = tensor_scalars(model, np.moveaxis(diffs, -1, 0))
     dots = np.einsum("mnd,nd->mn", diffs, nodes)
     out = np.einsum("mn,mnd->md", w * coef * dots, diffs)
     out += np.einsum("mn,nd->md", w * b_n, nodes)

@@ -35,6 +35,21 @@ def atom_config(command="covariance", params=None, seed=7, **model_extra):
             "seed": seed}
 
 
+# length-decay's params before its curve
+_DECAY = {"T": 0.1, "dt": 0.05, "n_paths": 2}
+
+
+def _config(command="covariance", params=None, model_fields=(), drop=None,
+            **top):
+    """atom_config with model fields set, top-level keys replaced and one
+    top-level key dropped."""
+    doc = atom_config(command=command, params=params)
+    doc["model"].update(model_fields)
+    doc.update(top)
+    doc.pop(drop, None)
+    return doc
+
+
 class TestParseConfig:
     def test_minimal_config_echoes_normalized_measures(self):
         cfg = parse_config(json.dumps(atom_config()))
@@ -84,6 +99,56 @@ class TestParseConfig:
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="unknown command"):
             parse_config(atom_config(command="frobnicate"))
+
+    @pytest.mark.parametrize("doc,message", [
+        (_config(model_fields={"mu0": -0.5}),
+         "model.mu0: must be >= 0.0, got -0.5"),
+        (_config(params={"s_max": 5.0, "n_points": 1}),
+         "params.n_points: must be >= 2, got 1"),
+        (_config(model=[]), "model: must be an object"),
+        (_config(model_fields={"allow_trivial": "yes"}),
+         "model.allow_trivial: must be a boolean"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={"drift": 5}),
+         "model.drift: must be an object"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={
+            "drift": {"kind": "linear", "matrix": []}}),
+         "model.drift.matrix: must be a non-empty list of 2-vectors"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={
+            "drift": {"kind": "linear", "matrix": [[1.0, 0.0]]}}),
+         "model.drift.matrix: must be 2 x 2"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={
+            "drift": {"kind": "custom_table", "axes": [[0.0, 1.0]]}}),
+         "model.drift.axes: must be a list of 2 axes"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={
+            "drift": {"kind": "custom_table", "axes": [[0.0, 1.0], 5]}}),
+         "model.drift.axes[1]: must be a list"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={
+            "drift": {"kind": "custom_table", "axes": [[0.0, 1.0]] * 2,
+                      "values": [[[0, 0], [0, 0]], [[0, 0], [0, "a"]]]}}),
+         "model.drift.values[1][1][1]: must be a number, got 'a'"),
+        (_config("squeeze", SQUEEZE_PARAMS, model_fields={
+            "drift": {"kind": "custom_table", "axes": [[0.0, 1.0]] * 2,
+                      "values": [[[0, 0], [0, 0]], [[0, 0], [0]]]}}),
+         "model.drift.values: must be a rectangular array"),
+        (_config(params=[]), "params: must be an object"),
+        (_config("verify-identity", {"rhos": []}),
+         "params.rhos: must be a non-empty list"),
+        (_config("length-decay", dict(_DECAY, curve="circle")),
+         "params.curve: must be an object"),
+        (_config("length-decay", dict(_DECAY, curve={"kind": "spiral"})),
+         "params.curve.kind: must be 'circle' or 'points'"),
+        (_config("length-decay", dict(_DECAY, curve={
+            "kind": "points", "positions": [[0.0, 0.0]]})),
+         "params.curve: needs at least two vertices"),
+        (_config(drop="command"),
+         "command: missing (give it in the config or CLI)"),
+        (_config(output=[]), "output: must be an object"),
+        (_config(output={"dir": 5}), "output.dir: must be a string"),
+    ])
+    def test_rejection_message(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == message
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -302,7 +367,7 @@ class TestParseConfig:
     def test_one_step_count_rule(self, monkeypatch):
         # the series cap and the stepper count steps with one function
         monkeypatch.setattr(flow_engine, "step_count", lambda span, dt: 7)
-        assert len(flow_engine._step_sizes(0.0, 1.0, 0.5)[0]) == 7
+        assert len(flow_engine._step_sizes(1.0, 0.5)[0]) == 7
         assert cli._snapshots(1.0, 0.5, 3) == 1 + 3
 
     @pytest.mark.parametrize("rho,code", [(250.0, EXIT_CONFIG),
@@ -467,6 +532,20 @@ class TestRunCommands:
         report = json.loads((tmp_path / "check-condition_report.json").read_text())
         assert report["aggregate"]["satisfied"] is False
         assert report["config"]["seed"] == 7
+
+    def test_check_condition_density_piece_row(self, tmp_path):
+        # a density piece has no distance to a zero: its row carries its
+        # span and mass, normalized, and nan
+        doc = atom_config(command="check-condition", params={"rho": 1.0})
+        doc["model"]["m_p"]["density"] = [[0.5, 1.5, 0.4]]
+        cfg = parse_config(doc)
+        run_command("check-condition", cfg, out_dir=tmp_path, quiet=True)
+        with open(tmp_path / "check-condition.csv") as fh:
+            rows = list(csv.reader(fh))
+        (lo, hi, h), = cfg.model.m_p.density_pieces
+        assert (lo, hi) == (0.5, 1.5)
+        assert rows[-1] == ["piece", "0.5", "1.5", cli._fmt(h * (hi - lo)),
+                            "nan"]
 
     def test_verify_identity_small(self, tmp_path):
         doc = atom_config(command="verify-identity",

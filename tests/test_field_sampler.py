@@ -216,7 +216,7 @@ class TestSampleIncrement:
                 pytest.raises(CovarianceFactorError,
                               match="^path 0, step 1: .*is not finite$"):
             flow_engine._simulate(
-                d2_mixed, cloud, 0.0, 3.0, 1.0, [np.random.default_rng(0)],
+                d2_mixed, cloud, 3.0, 1.0, [np.random.default_rng(0)],
                 lambda t, k, x: None, drift=drift_linear(1e308 * np.eye(2)))
         # in a batch, the path that overflowed is named, offset by the
         # chunk's first path
@@ -226,7 +226,7 @@ class TestSampleIncrement:
                 pytest.raises(CovarianceFactorError,
                               match="^path 6, step 1: .*is not finite$"):
             flow_engine._simulate(
-                d2_mixed, x0, 0.0, 3.0, 1.0,
+                d2_mixed, x0, 3.0, 1.0,
                 [np.random.default_rng(k) for k in range(3)],
                 lambda t, k, x: None, drift=drift_linear(1e3 * np.eye(2)),
                 path_offset=5)
@@ -235,7 +235,7 @@ class TestSampleIncrement:
         for dt in (0.0, -0.1):
             with pytest.raises(ValueError):
                 flow_engine._simulate(
-                    d2_mixed, np.zeros((1, 1, 2)), 0.0, 1.0, dt,
+                    d2_mixed, np.zeros((1, 1, 2)), 1.0, dt,
                     [np.random.default_rng(0)], lambda t, k, x: None)
 
     def test_brownian_scaling(self, d2_mixed):
@@ -352,7 +352,7 @@ class TestDriftFields:
                 pytest.raises(CovarianceFactorError,
                               match="^path 0, step 1: .*is not finite$"):
             flow_engine._simulate(
-                d2_mixed, cloud, 0.0, 0.1, 0.01, [np.random.default_rng(0)],
+                d2_mixed, cloud, 0.1, 0.01, [np.random.default_rng(0)],
                 lambda t, k, x: None, drift=v)
 
     def test_radial_needs_potential_part(self, d2_solenoidal_atom):

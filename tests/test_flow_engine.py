@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ibflow import (containment, curve_length, diameter, drift_linear,
-                    drift_radial_rkhs, flow_engine, kernel_rows,
-                    length_decay_experiment, lyapunov_estimate, ode_flow,
-                    pivoted_cholesky_batch, squeeze_experiment,
-                    tracking_experiment, wilson_interval)
+from ibflow import (SpectralMeasure, containment, curve_length, diameter,
+                    drift_linear, drift_radial_rkhs, flow_engine, kernel_rows,
+                    length_decay_experiment, lyapunov_estimate, make_model,
+                    ode_flow, pivoted_cholesky_batch, sphere_rule,
+                    squeeze_experiment, tracking_experiment, wilson_interval)
 
 from conftest import random_rotation
 
@@ -34,9 +34,8 @@ def simulate_one(model, points, t1, dt, seed=0, **step):
         times.append(t)
         states.append(x[0].copy())
 
-    flow_engine._simulate(model, np.asarray(points, dtype=float)[None], 0.0,
-                          t1, dt, [np.random.default_rng(seed)], observer,
-                          **step)
+    flow_engine._simulate(model, np.asarray(points, dtype=float)[None], t1,
+                          dt, [np.random.default_rng(seed)], observer, **step)
     return np.array(times), np.array(states)
 
 
@@ -171,8 +170,8 @@ class TestEulerFlow:
         with pytest.raises(ValueError):
             simulate_one(d2_mixed, np.zeros((1, 2)), 1.0, 2.0)
         with pytest.raises(ValueError):
-            flow_engine._simulate(d2_mixed, np.zeros((1, 1, 2)), 1.0, 1.0,
-                                  0.1, [np.random.default_rng(0)],
+            flow_engine._simulate(d2_mixed, np.zeros((1, 1, 2)), 0.0, 0.1,
+                                  [np.random.default_rng(0)],
                                   lambda t, k, x: None)
 
 
@@ -263,6 +262,39 @@ class TestLyapunov:
         finally:
             sys.setswitchinterval(interval)
         assert same_result(a, b)
+
+    def test_renormalization_resets_partner(self, d2_potential_atom,
+                                            monkeypatch):
+        # a pair that left [eps/10, 10 eps] adds log(r / eps) and has its
+        # partner put back at distance eps along its separation; a pair
+        # inside the band is left alone until the final reading
+        eps, T = 1e-4, 1.0
+        sep = np.array([[50 * eps, 0.0], [0.0, 0.05 * eps], [2 * eps, eps]])
+        x = np.zeros((3, 2, 2))
+        x[:, 0] = [0.3, -0.2]
+        x[:, 1] = x[:, 0] + sep
+        start = x.copy()
+
+        def run_paths(model, x0, T, dt, seed, n_pairs, jobs, observe, **step):
+            assert observe(0.5 * T, 1, x, 0) is None
+            rates = observe(T, 2, x, 0)["estimate"]
+            return (np.array([T]), {"estimate": rates[:, None]},
+                    (np.ones(3, dtype=int), np.ones(3, dtype=int), np.zeros(3)))
+
+        monkeypatch.setattr(flow_engine, "_run_paths", run_paths)
+        res = lyapunov_estimate(d2_potential_atom, T=T, dt=0.5, n_pairs=3,
+                                renorm_eps=eps)
+        for i in (0, 1):
+            moved = x[i, 1] - x[i, 0]
+            assert np.linalg.norm(moved) == pytest.approx(eps, rel=1e-12)
+            unit = sep[i] / np.linalg.norm(sep[i])
+            np.testing.assert_allclose(moved / eps, unit, atol=1e-12)
+        assert np.array_equal(x[2], start[2])
+        # the renormalized pairs end at distance eps, which adds log 1 = 0
+        np.testing.assert_allclose(
+            res.series["estimate"][:, 0] * T,
+            [math.log(50.0), math.log(0.05), math.log(math.sqrt(5.0))],
+            rtol=0, atol=1e-12)
 
     def test_renorm_eps_validated(self, d2_potential_atom):
         for eps in (1e-9, 0.5, 1e-2):
@@ -495,6 +527,40 @@ class TestSqueezeExperiment:
         with pytest.raises(ValueError):
             squeeze_experiment(d2_potential_atom, R=0.5, delta=0.6, T1=0.1,
                                T2=0.2, n_boundary=16, dt=1e-2, n_paths=1)
+
+    @pytest.mark.parametrize("mode", ["squeeze", "expand"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_shell_beyond_the_plane(self, d, mode):
+        # d = 3 starts from the Fibonacci spiral, d >= 4 from sphere_rule's
+        # Monte-Carlo nodes: n tracers on the sphere of the radius asked
+        radius = 1.1 if mode == "squeeze" else 0.9
+        shell = flow_engine.boundary_shell(d, radius, 12)
+        assert shell.shape == (12, d)
+        np.testing.assert_allclose(np.linalg.norm(shell, axis=1), radius,
+                                   rtol=1e-14)
+        model = make_model(d, 0.0, 1.0, 0.0,
+                           m_p=SpectralMeasure(atoms=((1.0, 1.0),)))
+        rep = squeeze_experiment(model, R=1.0, delta=0.1, T1=0.01, T2=0.02,
+                                 n_boundary=12, dt=5e-3, n_paths=2, seed=3,
+                                 mode=mode)
+        assert rep.times[-1] == 0.02
+        assert rep.series["diam"].shape == (2, rep.times.size)
+        assert rep.series["diam"][0, 0] == diameter(shell)
+        ag = rep.aggregate
+        assert 1 <= ag["rank_min"] <= ag["rank_max"] <= 12 * d
+        assert ag["rank_min"] == rep.numerics[0].min()
+        assert ag["rank_max"] == rep.numerics[1].max()
+        assert 0.0 <= ag["dropped_trace_max"] == rep.numerics[2].max()
+
+    @pytest.mark.parametrize("n", [1, 8, 24, 61])
+    def test_plane_shell_is_the_sphere_rule(self, n):
+        # one circle: the d = 2 shell is sphere_rule's equal-angle nodes,
+        # bitwise, and those are cos and sin of 2 pi k / n
+        shell = flow_engine.boundary_shell(2, 0.7, n)
+        assert np.array_equal(shell, 0.7 * sphere_rule(2, n).nodes)
+        ang = 2.0 * math.pi * np.arange(n) / n
+        assert np.array_equal(
+            shell, 0.7 * np.column_stack([np.cos(ang), np.sin(ang)]))
 
     def test_time_grid_refinement_stability(self, d2_potential_atom):
         tilt = drift_radial_rkhs(d2_potential_atom, 1.0, scale=24.0)

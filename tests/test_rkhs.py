@@ -8,7 +8,7 @@ import pytest
 from ibflow import (ModelError, SpectralMeasure, check_condition,
                     inward_profile, make_model, mean_inward_field,
                     sphere_rule, squeeze_functional)
-from ibflow import rkhs
+from ibflow import covariance
 from ibflow.rkhs import SphereRule, _sphere_average_field
 
 from conftest import J1_AT_1, J1_FIRST_ZERO, random_model
@@ -131,7 +131,7 @@ class TestMeanInwardField:
             assert v @ theta == pytest.approx(-rhs, abs=1e-8)
 
     def test_rule_dimension_must_match(self, d3_mixed, monkeypatch):
-        monkeypatch.setattr(rkhs, "covariance_scalars", None)
+        monkeypatch.setattr(covariance, "covariance_scalars", None)
         with pytest.raises(ModelError, match="d = 2.*d = 3"):
             mean_inward_field(d3_mixed, 1.0, sphere_rule(2, 64), np.zeros(3))
 
@@ -347,6 +347,6 @@ class TestOrbitSum:
 
     def test_rule_dimension_must_match(self, d3_mixed, monkeypatch):
         # a d = 2 rule on a d = 3 model used to return a wrong lhs
-        monkeypatch.setattr(rkhs, "covariance_scalars", None)
+        monkeypatch.setattr(covariance, "covariance_scalars", None)
         with pytest.raises(ModelError, match="d = 2.*d = 3"):
             squeeze_functional(d3_mixed, 1.0, sphere_rule(2, 64))
