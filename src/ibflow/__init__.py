@@ -7,9 +7,8 @@ tracking, Lyapunov exponents, and curve-length decay.
 """
 
 from ._version import __version__
-from .spectral import (SpectralMeasure, MeasureError, KernelEvaluationError,
-                       total_mass, moment, integrate, normalize_potential,
-                       normalize_solenoidal)
+from .spectral import (SpectralMeasure, MeasureError, total_mass, moment,
+                       normalize_potential, normalize_solenoidal)
 from .covariance import (IbfModel, FlowConstants, ModelError, make_model,
                          b_scalar, covariance_scalars, covariance_tensor,
                          tensor_field, flow_constants, psd_probe)

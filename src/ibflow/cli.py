@@ -63,10 +63,11 @@ MAX_SERIES = 2 ** 19
 # d = 3, a measure of 97 nodes)
 MAX_POINTS = 2 ** 16
 # verify-identity sphere-rule nodes n: the double sum evaluates one kernel
-# row of n node pairs per rotation orbit, in chunks of 2e6 pairs (about
-# 190 MB each): n pairs in d = 2, n^1.5 in d = 3 and n^2 in d >= 4. At
-# this bound that is 3.3e4, 5.9e6 and 1.1e9 pairs; at about 170 ns a
-# pair only d >= 4 takes minutes per rho
+# row of n node pairs per rotation orbit, over covariance._QUAD_PAIRS
+# pairs at a time (peak RSS of a d = 3 run at resolution 181, 2 rhos:
+# 61 MiB, where chunks of 2e6 pairs took 240 MiB): n pairs in d = 2,
+# n^1.5 in d = 3 and n^2 in d >= 4. At this bound that is 3.3e4, 5.9e6
+# and 1.1e9 pairs; at about 170 ns a pair only d >= 4 takes minutes per rho
 MAX_RULE_NODES = 2 ** 15
 
 # Failures a run reports (numeric breakdowns, invalid values met while
@@ -169,7 +170,8 @@ def _parse_model(spec, command: str, path: str = "model"
         raise ConfigError(f"{path}: must be an object")
     _no_extras(spec, {"d", "mu0", "mu1", "mu2", "m_p", "m_s", "drift",
                       "allow_trivial"}, path)
-    d = _as_int(_need(spec, "d", path), f"{path}.d", minimum=2, maximum=16)
+    d = _as_int(_need(spec, "d", path), f"{path}.d",
+                minimum=covariance.MIN_DIM, maximum=covariance.MAX_DIM)
     mu0 = _as_number(_need(spec, "mu0", path), f"{path}.mu0", minimum=0.0)
     mu1 = _as_number(_need(spec, "mu1", path), f"{path}.mu1", minimum=0.0)
     mu2 = _as_number(_need(spec, "mu2", path), f"{path}.mu2", minimum=0.0)
@@ -361,9 +363,11 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         out["dt"] = _as_step(p, out["T"], path)
         out["n_pairs"] = _as_int(_need(p, "n_pairs", path), f"{path}.n_pairs",
                                  minimum=2)
-        out["renorm_eps"] = _as_number(p.get("renorm_eps", 1e-4),
-                                       f"{path}.renorm_eps",
-                                       exclusive_min=1e-8, maximum=1e-2)
+        eps = p.get("renorm_eps", 1e-4)
+        out["renorm_eps"] = _as_number(eps, f"{path}.renorm_eps",
+                                       exclusive_min=1e-8)
+        if not out["renorm_eps"] < 1e-2:  # lyapunov_estimate's open interval
+            raise ConfigError(f"{path}.renorm_eps: must be < 0.01, got {eps!r}")
         _cap_series(out, "n_pairs", path, 1)
     elif command in ("squeeze", "expand"):
         _no_extras(p, {"R", "delta", "T1", "T2", "dt", "n_paths",

@@ -122,7 +122,7 @@ class FlowConstants:
 
 @lru_cache(maxsize=128)
 def _nodes(measure: SpectralMeasure):
-    return spectral.quadrature_nodes(measure, spectral.DEFAULT_QUAD_POINTS)
+    return spectral.quadrature_nodes(measure)
 
 
 def _c_norm(d: int) -> float:

@@ -96,8 +96,9 @@ def _length_batch(x: np.ndarray, closed: bool) -> np.ndarray:
     return seg
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial frequency."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial frequency."""
+    z = 1.96
     if n == 0:
         return 0.0, 1.0
     p = successes / n

@@ -9,8 +9,9 @@ sphere of radius rho. This module computes both sides of that identity
 numerically: the left by tensorized sphere quadrature, the right by a
 Bessel integral against the potential measure. That field, the mean
 inward field, is radial: mean_inward_field computes it by sphere
-quadrature, and inward_profile its radial profile as one more Bessel
-integral, exact in every d, which the radial drift tabulates.
+quadrature, and inward_profile its radial profile G as a Bessel
+integral, exact in every d, which the radial drift tabulates and whose
+negative at rho is the right side.
 
 The left side's integrand is invariant under rotating theta and phi
 together, since the kernel is isotropic: b(R x) = R b(x) R^T. A rule
@@ -31,8 +32,8 @@ from numpy.polynomial.legendre import leggauss
 
 from . import spectral
 from .bessel import bessel_j, bessel_j_ratio
-from .covariance import (_QUAD_PAIRS, IbfModel, ModelError, _nodes,
-                         tensor_scalars)
+from .covariance import (_QUAD_PAIRS, MAX_DIM, MIN_DIM, IbfModel,
+                         ModelError, _nodes, tensor_scalars)
 
 ZERO_SEARCH_MAX = 200.0
 _ZERO_GRID_STEP = 0.05
@@ -164,18 +165,18 @@ def check_condition(model: IbfModel, rho: float, tol: float = 1e-8) -> Condition
                            zero_locations_checked=tuple(zeros))
 
 
-def sphere_rule(d: int, resolution: int, mc_seed: int | None = None) -> SphereRule:
+def sphere_rule(d: int, resolution: int) -> SphereRule:
     """Quadrature for the uniform sphere measure.
 
     d=2: equally spaced angles (trapezoid rule, spectrally accurate),
     one orbit of rotations by 2 pi / resolution; d=3: Gauss-Legendre in
     the polar cosine times uniform azimuth, resolution^2 nodes, each
-    ring one orbit of rotations about the polar axis; d>=4: seeded
-    Monte-Carlo nodes with equal weights (seed defaults to 0 so rules
-    are reproducible), every node its own orbit.
+    ring one orbit of rotations about the polar axis; d>=4: Monte-Carlo
+    nodes with equal weights, drawn from seed 0 so rules are
+    reproducible, every node its own orbit.
     """
-    if not (2 <= d <= 16):
-        raise ValueError("dimension must be in [2, 16]")
+    if not (MIN_DIM <= d <= MAX_DIM):
+        raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}]")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     ang = 2.0 * math.pi * np.arange(resolution) / resolution
@@ -198,7 +199,7 @@ def sphere_rule(d: int, resolution: int, mc_seed: int | None = None) -> SphereRu
         orbits = np.zeros(resolution * resolution, dtype=np.int64)
         orbits[::resolution] = resolution
     else:
-        rng = np.random.default_rng(0 if mc_seed is None else mc_seed)
+        rng = np.random.default_rng(0)
         raw = rng.standard_normal((resolution, d))
         nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         weights = np.full(resolution, 1.0 / resolution)
@@ -283,41 +284,31 @@ def squeeze_functional(model: IbfModel, rho: float,
 
     lhs: tensorized double quadrature of <b(rho theta - rho phi) theta, phi>;
     rhs: mu1 * 2^(d-2) * Gamma(d/2)^2 * integral of the squared scaled
-    Bessel kernel against the potential measure. They agree up to
-    quadrature error, and are zero exactly when the support condition
-    fails.
+    Bessel kernel against the potential measure, which is -G(rho) of
+    inward_profile (0 when mu1 = 0). They agree up to quadrature error,
+    and are zero exactly when the support condition fails.
 
     The lhs sums (orbit size x weight x row sum) over the rule's orbit
     representatives: a rotation mapping the rule to itself leaves the
     integrand unchanged, so every row of an orbit has the same sum, and
     this is the full double sum up to rounding. That is one kernel row
-    in d = 2, resolution rows in d = 3 and all n rows in d >= 4, in
-    chunks of about 2e6 (row, node) pairs.
+    in d = 2, resolution rows in d = 3 and all n rows in d >= 4, over
+    at most _QUAD_PAIRS (row, node) pairs at a time.
     """
     if rho <= 0.0:
         raise ValueError("rho must be > 0")
     _check_rule(model, rule)
     nodes, w = rule.nodes, rule.weights
-    n = nodes.shape[0]
     reps = rule.representatives
     scale = rule.orbits[reps] * w[reps]
-    chunk = max(1, int(2_000_000 // max(n, 1)))
+    chunk = max(1, _QUAD_PAIRS // nodes.shape[0])
     lhs = 0.0
     for start in range(0, reps.size, chunk):
         rows = reps[start:start + chunk]
         vt = _sphere_average_field(model, rho, rule, rho * nodes[rows])
         lhs += float(np.einsum("m,md,md->", scale[start:start + chunk], vt,
                                nodes[rows]))
-
     if model.mu1 == 0.0:
-        rhs = 0.0
-    else:
-        d = model.d
-        const = model.mu1 * 2.0 ** (d - 2) * math.gamma(d / 2.0) ** 2
-
-        def integrand(s):
-            z = rho * np.asarray(s, dtype=float)
-            return (z * bessel_j_ratio(d / 2.0, z)) ** 2
-
-        rhs = const * spectral.integrate(model.m_p, integrand)
-    return lhs, rhs
+        return lhs, 0.0  # no potential part, which inward_profile refuses
+    g, _ = inward_profile(model, rho, [rho])
+    return lhs, -float(g[0])

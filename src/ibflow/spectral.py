@@ -12,26 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 MAX_MOMENT = 8
-DEFAULT_QUAD_POINTS = 32
+# Gauss-Legendre nodes per density piece
+QUAD_POINTS = 32
 
 
 class MeasureError(ValueError):
     """Rejected spectral-measure input."""
-
-
-class KernelEvaluationError(RuntimeError):
-    """Integrand returned a non-finite value; carries the abscissa."""
-
-    def __init__(self, abscissa: float):
-        self.abscissa = float(abscissa)
-        super().__init__(
-            f"integrand evaluated to a non-finite value at s = {abscissa!r}")
 
 
 @dataclass(frozen=True)
@@ -95,36 +86,19 @@ def moment(m: SpectralMeasure, k: int) -> float:
     return float(total)
 
 
-def quadrature_nodes(
-    m: SpectralMeasure, points_per_piece: int = DEFAULT_QUAD_POINTS
-) -> tuple[np.ndarray, np.ndarray]:
+def quadrature_nodes(m: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Node/weight pairs integrating the measure: atoms exactly,
-    Gauss-Legendre per density piece (spectrally accurate for smooth f)."""
-    if points_per_piece < 1:
-        raise MeasureError("points_per_piece must be >= 1")
+    QUAD_POINTS Gauss-Legendre nodes per density piece (spectrally
+    accurate for smooth f)."""
     locs = [s for s, _ in m.atoms]
     wts = [w for _, w in m.atoms]
     if m.density_pieces:
-        t, v = leggauss(points_per_piece)
+        t, v = leggauss(QUAD_POINTS)
         for lo, hi, h in m.density_pieces:
             mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
             locs.extend(mid + rad * t)
             wts.extend(h * rad * v)
     return np.asarray(locs, dtype=float), np.asarray(wts, dtype=float)
-
-
-def integrate(
-    m: SpectralMeasure,
-    f: Callable[[np.ndarray], np.ndarray],
-    quad_points_per_piece: int = DEFAULT_QUAD_POINTS,
-) -> float:
-    """Integral of f against the measure; f must accept numpy arrays."""
-    locs, wts = quadrature_nodes(m, quad_points_per_piece)
-    vals = np.asarray(f(locs), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise KernelEvaluationError(locs[bad][0])
-    return float(wts @ vals)
 
 
 def scale_mass(m: SpectralMeasure, factor: float) -> SpectralMeasure:

@@ -144,6 +144,10 @@ class TestParseConfig:
          "command: missing (give it in the config or CLI)"),
         (_config(output=[]), "output: must be an object"),
         (_config(output={"dir": 5}), "output.dir: must be a string"),
+        # lyapunov_estimate takes renorm_eps in the open (1e-8, 1e-2)
+        (_config("lyapunov", {"T": 0.1, "dt": 0.05, "n_pairs": 2,
+                              "renorm_eps": 0.01}),
+         "params.renorm_eps: must be < 0.01, got 0.01"),
     ])
     def test_rejection_message(self, doc, message):
         with pytest.raises(ConfigError) as err:
@@ -250,6 +254,9 @@ class TestParseConfig:
                           "curve": {"kind": "points",
                                     "positions": [[1e308, 0.0], [-1e308, 0.0]]}},
          "params.curve.positions"),
+        # lyapunov_estimate would refuse it once the output directory exists
+        ("lyapunov", {"T": 0.1, "dt": 0.05, "n_pairs": 2, "renorm_eps": 0.01},
+         "params.renorm_eps"),
     ])
     def test_degenerate_params_exit_2(self, tmp_path, capsys, command, params,
                                       where):

@@ -11,7 +11,7 @@ from ibflow import (ModelError, SpectralMeasure, check_condition,
 from ibflow import covariance
 from ibflow.rkhs import SphereRule, _sphere_average_field
 
-from conftest import J1_AT_1, J1_FIRST_ZERO, random_model
+from conftest import J1_AT_1, J1_FIRST_ZERO, random_model, series_j_oracle
 
 
 class TestCheckCondition:
@@ -108,12 +108,13 @@ class TestSphereRule:
             SphereRule(nodes=base.nodes, weights=np.full(2, 0.5))
 
     def test_mc_rule_seeded(self):
-        a = sphere_rule(5, 64, mc_seed=9)
-        b = sphere_rule(5, 64, mc_seed=9)
-        c = sphere_rule(5, 64, mc_seed=10)
-        assert np.array_equal(a.nodes, b.nodes)
-        assert not np.array_equal(a.nodes, c.nodes)
-        assert np.allclose(np.linalg.norm(a.nodes, axis=1), 1.0, atol=1e-12)
+        # d >= 4 nodes are normalized Gaussian draws from seed 0
+        rule = sphere_rule(5, 64)
+        raw = np.random.default_rng(0).standard_normal((64, 5))
+        assert np.array_equal(
+            rule.nodes, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        assert np.array_equal(rule.nodes, sphere_rule(5, 64).nodes)
+        assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-12)
 
 
 class TestMeanInwardField:
@@ -199,17 +200,22 @@ class TestInwardProfile:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_identity_at_rho(self, d):
-        # -G(rho) is the squeeze identity's right-hand side
-        atom = SpectralMeasure(atoms=((1.0, 1.0),))
-        mixed = make_model(d, 0.1, 0.6, 0.3, m_p=SpectralMeasure(
-            atoms=((1.3, 1.0),), density_pieces=((0.5, 2.5, 0.4),)),
-            m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
+        # -G(rho) is the squeeze identity's right-hand side: on atoms it is
+        # mu1 2^(d-2) Gamma(d/2)^2 sum w (z^(1-d/2) J_{d/2}(z))^2, z = rho s,
+        # here with J from the mpmath series
+        atoms = SpectralMeasure(atoms=((1.0, 1.0), (2.3, 0.4)))
+        mixed = make_model(d, 0.1, 0.6, 0.3, m_p=atoms,
+                           m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
         rule = sphere_rule(d, 4)
-        for model in (make_model(d, 0.0, 1.0, 0.0, m_p=atom), mixed):
+        for model in (make_model(d, 0.0, 1.0, 0.0, m_p=atoms), mixed):
+            const = model.mu1 * 2.0 ** (d - 2) * math.gamma(d / 2) ** 2
             for rho in (0.5, 1.0, 1.7):
                 _, rhs = squeeze_functional(model, rho, rule)
-                g, _ = inward_profile(model, rho, np.array([rho]))
-                assert -g[0] == pytest.approx(rhs, rel=1e-12, abs=0.0)
+                ref = const * math.fsum(
+                    w * (rho * s) ** (2 - d)
+                    * series_j_oracle(d / 2, rho * s) ** 2
+                    for s, w in model.m_p.atoms)
+                assert rhs == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("name", ["d2_potential_atom", "d3_mixed"])
     def test_slope_is_the_derivative(self, name, request):
@@ -267,6 +273,24 @@ class TestSqueezeIdentity:
             checked += 1
         assert checked == 8
 
+    def test_kernel_calls_within_pair_budget(self, monkeypatch):
+        # d = 5 at 1500 nodes: 1500 rows of 1500 pairs, more than one
+        # _QUAD_PAIRS budget, so the rows must split into several calls
+        seen = []
+        inner = covariance.covariance_scalars
+
+        def counting(model, s):
+            seen.append(np.size(s))
+            return inner(model, s)
+
+        monkeypatch.setattr(covariance, "covariance_scalars", counting)
+        model = make_model(5, 0.1, 0.6, 0.3,
+                           m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
+                           m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
+        squeeze_functional(model, 1.1, sphere_rule(5, 1500))
+        assert sum(seen) == 1500 * 1500
+        assert max(seen) <= covariance._QUAD_PAIRS
+
     def test_sign_link_with_condition(self):
         rng = np.random.default_rng(13)
         rules = {2: sphere_rule(2, 256), 3: sphere_rule(3, 32)}
@@ -281,11 +305,12 @@ class TestSqueezeIdentity:
 
 def _double_sum(model, rho, rule):
     """The squeeze identity's lhs as the full n^2 double sum, every row
-    evaluated, in chunks of about 2e6 (row, node) pairs: summed by the
-    chunked einsum, and the same n row terms summed exactly (math.fsum)."""
+    evaluated, over at most _QUAD_PAIRS (row, node) pairs at a time: summed
+    by the chunked einsum, and the same n row terms summed exactly
+    (math.fsum)."""
     nodes, w = rule.nodes, rule.weights
     n = nodes.shape[0]
-    chunk = max(1, int(2_000_000 // n))
+    chunk = max(1, covariance._QUAD_PAIRS // n)
     lhs, terms = 0.0, []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
@@ -329,7 +354,7 @@ class TestOrbitSum:
             assert abs(lhs - ref) <= max(1e-14 * abs(ref), floor), (rho, lhs,
                                                                     ref)
 
-    @pytest.mark.parametrize("res", [64, 1500])  # 1500: two row chunks
+    @pytest.mark.parametrize("res", [64, 1500])  # 1500: nine row chunks
     def test_mc_rule_bitwise(self, res):
         model = make_model(5, 0.1, 0.6, 0.3,
                            m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
