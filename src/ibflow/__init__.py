@@ -13,9 +13,8 @@ from .covariance import (IbfModel, FlowConstants, ModelError, make_model,
                          b_scalar, covariance_scalars, covariance_tensor,
                          tensor_field, flow_constants, psd_probe)
 from .bessel import bessel_j, bessel_j_ratio
-from .rkhs import (SphereRule, ConditionReport, bessel_zeros, check_condition,
-                   sphere_rule, inward_profile, mean_inward_field,
-                   squeeze_functional)
+from .rkhs import (ConditionReport, bessel_zeros, check_condition,
+                   inward_profile, squeeze_functional)
 from .field_sampler import (DriftField, CovarianceFactorError,
                             DriftEvaluationError, eval_drift, drift_linear,
                             drift_radial_rkhs, drift_custom_table,

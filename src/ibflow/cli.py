@@ -62,13 +62,10 @@ MAX_SERIES = 2 ** 19
 # 200 bytes a point, so a run at this bound peaks near 41 MiB (tracemalloc,
 # d = 3, a measure of 97 nodes)
 MAX_POINTS = 2 ** 16
-# verify-identity sphere-rule nodes n: the double sum evaluates one kernel
-# row of n node pairs per rotation orbit, over covariance._QUAD_PAIRS
-# pairs at a time (peak RSS of a d = 3 run at resolution 181, 2 rhos:
-# 61 MiB, where chunks of 2e6 pairs took 240 MiB): n pairs in d = 2,
-# n^1.5 in d = 3 and n^2 in d >= 4. At this bound that is 3.3e4, 5.9e6
-# and 1.1e9 pairs; at about 170 ns a pair only d >= 4 takes minutes per rho
-MAX_RULE_NODES = 2 ** 15
+# verify-identity t-rule nodes n (params.resolution): the rule is the
+# eigen-decomposition of a dense n x n Jacobi matrix, about 0.2 s at this
+# bound, and n = 64 already resolves rho * support_max <= 50 to about 1e-12
+MAX_RULE_NODES = 2 ** 10
 
 # Failures a run reports (numeric breakdowns, invalid values met while
 # computing, a run too large for memory, output that cannot be written);
@@ -276,17 +273,6 @@ def _parse_vectors(value, d: int, path: str) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _as_resolution(value, d: int, path: str) -> int:
-    """A sphere-rule resolution whose rule (resolution^2 nodes in d = 3,
-    resolution otherwise) has at most MAX_RULE_NODES nodes."""
-    res = _as_int(value, path, minimum=1)
-    nodes = res * res if d == 3 else res
-    if nodes > MAX_RULE_NODES:
-        raise ConfigError(f"{path}: a rule of {nodes} nodes is more than "
-                          f"{MAX_RULE_NODES}")
-    return res
-
-
 def _cap_series(out: dict, key: str, path: str, per_path: int) -> None:
     """params.<key> paths recording per_path values each: at most
     MAX_SERIES values in all."""
@@ -350,9 +336,9 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
             raise ConfigError(f"{path}.rhos: must be a non-empty list")
         out["rhos"] = [_as_number(r, f"{path}.rhos[{i}]", exclusive_min=0.0)
                        for i, r in enumerate(rhos)]
-        default_res = 512 if model.d == 2 else 48
-        out["resolution"] = _as_resolution(p.get("resolution", default_res),
-                                           model.d, f"{path}.resolution")
+        out["resolution"] = _as_int(p.get("resolution", 64),
+                                    f"{path}.resolution", minimum=1,
+                                    maximum=MAX_RULE_NODES)
     elif command == "lyapunov":
         if model.is_trivial:
             raise ConfigError(
@@ -438,7 +424,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
             center = curve.get("center", [0.0] * model.d)
             center = _parse_vectors([center], model.d, f"{path}.curve.center")[0]
             ring = np.zeros((n_vertices, model.d))
-            ring[:, :2] = rkhs.sphere_rule(2, n_vertices).nodes
+            ring[:, :2] = flow_engine.boundary_shell(2, 1.0, n_vertices)
             out["positions"] = center + radius * ring
             out["closed"] = True
         elif kind == "points":
@@ -671,16 +657,15 @@ def _run_check_condition(cfg: RunConfig, jobs: int) -> Measured:
 
 
 def _run_verify_identity(cfg: RunConfig, jobs: int) -> Measured:
-    rule = rkhs.sphere_rule(cfg.model.d, cfg.params["resolution"])
     rows = []
     worst = 0.0
     for rho in cfg.params["rhos"]:
-        lhs, rhs = rkhs.squeeze_functional(cfg.model, rho, rule)
+        lhs, rhs = rkhs.squeeze_functional(cfg.model, rho,
+                                           cfg.params["resolution"])
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-6)
         worst = max(worst, gap)
         rows.append((rho, lhs, rhs, gap))
-    aggregate = {"max_rel_gap": worst, "resolution": cfg.params["resolution"],
-                 "lhs_rows": int(rule.representatives.size)}
+    aggregate = {"max_rel_gap": worst}
     summary = f"verify-identity: max relative lhs/rhs gap = {worst:.3e}"
     return Measured(["rho", "lhs", "rhs", "rel_gap"], rows, aggregate, summary)
 

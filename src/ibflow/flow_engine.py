@@ -20,7 +20,6 @@ import numpy as np
 from .covariance import IbfModel
 from .field_sampler import (DriftField, eval_drift, kernel_rows,
                             pivoted_cholesky_batch)
-from .rkhs import sphere_rule
 
 DEFAULT_STRIDE = 10
 _CHUNK = 64  # paths per batch; fixed so results never depend on --jobs
@@ -262,18 +261,22 @@ def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
 
 
 def boundary_shell(d: int, radius: float, n: int) -> np.ndarray:
-    """Tracer discretization of a sphere: the Fibonacci spiral in d=3,
-    sphere_rule's nodes otherwise (uniform angles in d=2, seeded
-    Monte-Carlo beyond)."""
+    """Tracer discretization of a sphere: n equal angles in d=2, the
+    Fibonacci spiral in d=3, normalized Gaussian draws from seed 0 (so
+    shells are reproducible) beyond."""
     if n < 1:
         raise ValueError("need at least one tracer")
+    if d == 2:
+        ang = 2.0 * math.pi * np.arange(n) / n
+        return radius * np.column_stack([np.cos(ang), np.sin(ang)])
     if d == 3:
         i = np.arange(n) + 0.5
         z = 1.0 - 2.0 * i / n
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         phi = math.pi * (1.0 + math.sqrt(5.0)) * i
         return radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return radius * sphere_rule(d, n).nodes
+    raw = np.random.default_rng(0).standard_normal((n, d))
+    return radius * (raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
 def _aggregate_numerics(numerics) -> dict:

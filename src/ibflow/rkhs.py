@@ -1,83 +1,43 @@
-"""Support condition, sphere quadrature, and the mean inward field.
+"""Support condition, the mean inward field, and the squeeze identity.
 
 The squeezing mechanism rests on one scalar: the double sphere average
-of <b(rho*theta - rho*phi) theta, phi>. It is nonnegative, vanishes
-exactly when the potential measure lives on the zero set of
-s -> J_{d/2}(rho s), and when positive it equals the squared norm of a
-kernel-space vector field whose negative points strictly inward on the
-sphere of radius rho. This module computes both sides of that identity
-numerically: the left by tensorized sphere quadrature, the right by a
-Bessel integral against the potential measure. That field, the mean
-inward field, is radial: mean_inward_field computes it by sphere
-quadrature, and inward_profile its radial profile G as a Bessel
-integral, exact in every d, which the radial drift tabulates and whose
-negative at rho is the right side.
+of <b(rho*theta - rho*phi) theta, phi> over independent uniform unit
+vectors theta and phi. It is nonnegative, vanishes exactly when the
+potential measure lives on the zero set of s -> J_{d/2}(rho s), and
+when positive it equals the squared norm of a kernel-space vector
+field, the mean inward field V(x) = -E_phi[b(rho*phi - x) phi], which
+points strictly inward on the sphere of radius rho. V is radial:
+inward_profile gives its profile G as a Bessel integral against the
+potential measure, exact in every d; the radial drift tabulates it,
+and -G(rho) is the identity's right side.
 
-The left side's integrand is invariant under rotating theta and phi
-together, since the kernel is isotropic: b(R x) = R b(x) R^T. A rule
-whose nodes and weights a rotation group maps to themselves (the d = 2
-equal-angle rule, and each azimuthal ring of the d = 3 rule) therefore
-has equal inner sums over every node of one orbit, and the double sum
-needs one kernel row per orbit, weighted by the orbit's size.
-SphereRule.orbits carries that structure.
+The left side is one integral in t = theta.phi. With
+x = rho theta - rho phi and s = |x| = rho sqrt(2(1 - t)), the isotropic
+kernel b(x) = B_N I + (B_L - B_N) x x^T / s^2 gives
+
+  <b(x) theta, phi> = B_N(s) t - (B_L(s) - B_N(s)) (1 - t) / 2,
+
+and t has density proportional to (1 - t^2)^((d-3)/2) on [-1, 1].
+squeeze_functional sums that against the n-point Gauss rule of this
+weight (_t_rule), which converges spectrally in every d because B_L
+and B_N are even entire functions of s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from . import spectral
+from . import covariance, spectral
 from .bessel import bessel_j, bessel_j_ratio
-from .covariance import (_QUAD_PAIRS, MAX_DIM, MIN_DIM, IbfModel,
-                         ModelError, _nodes, tensor_scalars)
+from .covariance import _QUAD_PAIRS, IbfModel, ModelError, _nodes
 
 ZERO_SEARCH_MAX = 200.0
 _ZERO_GRID_STEP = 0.05
 _ZERO_BISECT_TOL = 1e-10
-
-
-@dataclass(eq=False)
-class SphereRule:
-    """Quadrature rule for the uniform probability measure on the sphere.
-
-    orbits[i] > 0 marks node i as the representative of a rotation orbit
-    of that many nodes, all of weight weights[i], which a rotation of
-    the sphere maps onto one another; the other nodes of the orbit
-    carry 0. By default every node is its own orbit.
-    """
-
-    nodes: np.ndarray    # (n, d) unit vectors
-    weights: np.ndarray  # (n,) positive, summing to 1
-    orbits: np.ndarray | None = None  # (n,) integer orbit sizes, summing to n
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        n = self.nodes.shape[0]
-        norms = np.linalg.norm(self.nodes, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("rule nodes must be unit vectors")
-        if self.weights.shape != (n,):
-            raise ValueError(f"rule weights must be {n}, one per node")
-        if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights <= 0.0):
-            raise ValueError("rule weights must be positive and sum to 1")
-        if self.orbits is None:
-            self.orbits = np.ones(n, dtype=np.int64)
-        self.orbits = np.asarray(self.orbits)
-        if (self.orbits.shape != (n,)
-                or not np.issubdtype(self.orbits.dtype, np.integer)
-                or np.any(self.orbits < 0) or self.orbits.sum() != n):
-            raise ValueError(f"rule orbits must be {n} non-negative integers "
-                             f"summing to {n}")
-
-    @property
-    def representatives(self) -> np.ndarray:
-        """Indices of the nodes that stand for their orbits."""
-        return np.flatnonzero(self.orbits)
 
 
 @dataclass(frozen=True)
@@ -165,85 +125,11 @@ def check_condition(model: IbfModel, rho: float, tol: float = 1e-8) -> Condition
                            zero_locations_checked=tuple(zeros))
 
 
-def sphere_rule(d: int, resolution: int) -> SphereRule:
-    """Quadrature for the uniform sphere measure.
-
-    d=2: equally spaced angles (trapezoid rule, spectrally accurate),
-    one orbit of rotations by 2 pi / resolution; d=3: Gauss-Legendre in
-    the polar cosine times uniform azimuth, resolution^2 nodes, each
-    ring one orbit of rotations about the polar axis; d>=4: Monte-Carlo
-    nodes with equal weights, drawn from seed 0 so rules are
-    reproducible, every node its own orbit.
-    """
-    if not (MIN_DIM <= d <= MAX_DIM):
-        raise ValueError(f"dimension must be in [{MIN_DIM}, {MAX_DIM}]")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    ang = 2.0 * math.pi * np.arange(resolution) / resolution
-    if d == 2:
-        nodes = np.column_stack([np.cos(ang), np.sin(ang)])
-        weights = np.full(resolution, 1.0 / resolution)
-        orbits = np.zeros(resolution, dtype=np.int64)
-        orbits[0] = resolution
-    elif d == 3:
-        u, v = leggauss(resolution)
-        rad = np.sqrt(1.0 - u * u)
-        nodes = np.empty((resolution * resolution, 3))
-        weights = np.empty(resolution * resolution)
-        for i in range(resolution):
-            rows = slice(i * resolution, (i + 1) * resolution)
-            nodes[rows, 0] = rad[i] * np.cos(ang)
-            nodes[rows, 1] = rad[i] * np.sin(ang)
-            nodes[rows, 2] = u[i]
-            weights[rows] = 0.5 * v[i] / resolution
-        orbits = np.zeros(resolution * resolution, dtype=np.int64)
-        orbits[::resolution] = resolution
-    else:
-        rng = np.random.default_rng(0)
-        raw = rng.standard_normal((resolution, d))
-        nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        weights = np.full(resolution, 1.0 / resolution)
-        orbits = None
-    return SphereRule(nodes=nodes, weights=weights, orbits=orbits)
-
-
-def _check_rule(model: IbfModel, rule: SphereRule) -> None:
-    if rule.nodes.shape[1] != model.d:
-        raise ModelError(f"the sphere rule is for d = {rule.nodes.shape[1]}, "
-                         f"the model has d = {model.d}")
-
-
-def _sphere_average_field(model: IbfModel, rho: float, rule: SphereRule,
-                          points: np.ndarray) -> np.ndarray:
-    """Quadrature of phi -> b(rho*phi - x) phi over the rule, batched in x."""
-    nodes, w = rule.nodes, rule.weights
-    diffs = rho * nodes[None, :, :] - points[:, None, :]   # (m, n, d)
-    coef, b_n = tensor_scalars(model, np.moveaxis(diffs, -1, 0))
-    dots = np.einsum("mnd,nd->mn", diffs, nodes)
-    out = np.einsum("mn,mnd->md", w * coef * dots, diffs)
-    out += np.einsum("mn,nd->md", w * b_n, nodes)
-    return out
-
-
-def mean_inward_field(model: IbfModel, rho: float, rule: SphereRule, x):
-    """Inward-pointing candidate field: minus the sphere average of the
-    kernel sections, evaluated at x (or a batch of points)."""
-    if rho <= 0.0:
-        raise ValueError("rho must be > 0")
-    _check_rule(model, rule)
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != model.d:
-        raise ModelError(f"points must have length d = {model.d}")
-    out = -_sphere_average_field(model, rho, rule, pts)
-    return out[0] if single else out
-
-
 def inward_profile(model: IbfModel, rho: float,
                    r) -> tuple[np.ndarray, np.ndarray]:
     """The mean inward field's radial profile G and its slope dG/dr at
-    the radii r >= 0 (a flat array): V(x) = G(|x|) x / |x|.
+    the radii r >= 0 (a flat array): V(x) = -E_phi[b(rho phi - x) phi]
+    = G(|x|) x / |x|.
 
     The solenoidal part averages to zero over the sphere, and the
     potential part is one Bessel integral against m_p,
@@ -278,36 +164,49 @@ def inward_profile(model: IbfModel, rho: float,
     return g, dg
 
 
+@lru_cache(maxsize=32)
+def _t_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of t = theta.phi: nodes and weights for the
+    probability weight proportional to (1 - t^2)^((d-3)/2) on [-1, 1]
+    (Gauss-Jacobi, alpha = beta = (d-3)/2). The nodes are the eigenvalues
+    of the Jacobi matrix of the monic recurrence, whose coefficients are
+    b_k^2 = k(k + d - 3) / ((2k + d - 4)(2k + d - 2)), or 1/2 at k = 1 and
+    1/4 after in d = 2 (Chebyshev); the weights are the squared first
+    components of its eigenvectors (Golub & Welsch 1969), rescaled to
+    sum to 1 to rounding."""
+    k = np.arange(1.0, n)
+    if d == 2:
+        b2 = np.full(n - 1, 0.25)
+        b2[:1] = 0.5
+    else:
+        b2 = k * (k + d - 3) / ((2 * k + d - 4) * (2 * k + d - 2))
+    off = np.sqrt(b2)
+    t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    return t, w / w.sum()
+
+
 def squeeze_functional(model: IbfModel, rho: float,
-                       rule: SphereRule) -> tuple[float, float]:
+                       n: int) -> tuple[float, float]:
     """Both sides of the squeeze identity.
 
-    lhs: tensorized double quadrature of <b(rho theta - rho phi) theta, phi>;
+    lhs: the double sphere average of <b(rho theta - rho phi) theta, phi>
+    as the n-point t-rule sum of B_N(s) t - (B_L(s) - B_N(s)) (1 - t) / 2,
+    s = rho sqrt(2(1 - t)), from one covariance_scalars call (looked up
+    on the covariance module) of n separations;
     rhs: mu1 * 2^(d-2) * Gamma(d/2)^2 * integral of the squared scaled
     Bessel kernel against the potential measure, which is -G(rho) of
     inward_profile (0 when mu1 = 0). They agree up to quadrature error,
     and are zero exactly when the support condition fails.
-
-    The lhs sums (orbit size x weight x row sum) over the rule's orbit
-    representatives: a rotation mapping the rule to itself leaves the
-    integrand unchanged, so every row of an orbit has the same sum, and
-    this is the full double sum up to rounding. That is one kernel row
-    in d = 2, resolution rows in d = 3 and all n rows in d >= 4, over
-    at most _QUAD_PAIRS (row, node) pairs at a time.
     """
     if rho <= 0.0:
         raise ValueError("rho must be > 0")
-    _check_rule(model, rule)
-    nodes, w = rule.nodes, rule.weights
-    reps = rule.representatives
-    scale = rule.orbits[reps] * w[reps]
-    chunk = max(1, _QUAD_PAIRS // nodes.shape[0])
-    lhs = 0.0
-    for start in range(0, reps.size, chunk):
-        rows = reps[start:start + chunk]
-        vt = _sphere_average_field(model, rho, rule, rho * nodes[rows])
-        lhs += float(np.einsum("m,md,md->", scale[start:start + chunk], vt,
-                               nodes[rows]))
+    if n < 1:
+        raise ValueError("the t-rule needs n >= 1 nodes")
+    t, w = _t_rule(model.d, n)
+    s = rho * np.sqrt(2.0 * (1.0 - t))
+    b_l, b_n = covariance.covariance_scalars(model, s)
+    lhs = float(w @ (b_n * t - 0.5 * (b_l - b_n) * (1.0 - t)))
     if model.mu1 == 0.0:
         return lhs, 0.0  # no potential part, which inward_profile refuses
     g, _ = inward_profile(model, rho, [rho])

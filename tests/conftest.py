@@ -3,14 +3,20 @@
 The oracles deliberately avoid the package's own evaluation paths:
 Bessel references come from a high-precision ascending series evaluated
 with mpmath arithmetic, and zeros from sign-change bisection on that
-series.
+series. The mean inward field's oracle averages the package's kernel
+over a sphere quadrature rule, a route independent of inward_profile's
+Bessel integral and of squeeze_functional's one-dimensional rule.
 """
+
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from ibflow import SpectralMeasure, make_model
+from ibflow import SpectralMeasure, boundary_shell, make_model
+from ibflow.covariance import tensor_scalars
 
 # first positive zero of J_1, frozen from the series bisection oracle below
 J1_FIRST_ZERO = 3.8317059702075123
@@ -55,6 +61,51 @@ def bessel_zero_oracle(nu, lo: float, hi: float, tol: float = 1e-12) -> float:
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+class SphereRule(NamedTuple):
+    """Quadrature rule for the uniform probability measure on the sphere."""
+
+    nodes: np.ndarray    # (n, d) unit vectors
+    weights: np.ndarray  # (n,) positive, summing to 1
+
+
+def sphere_rule(d: int, resolution: int) -> SphereRule:
+    """d = 3: Gauss-Legendre in the polar cosine times `resolution` equal
+    azimuths, resolution^2 nodes. Otherwise boundary_shell's unit vectors
+    at equal weights: equal angles in d = 2 (the trapezoid rule,
+    spectrally accurate), seeded Monte-Carlo nodes in d >= 4."""
+    if d != 3:
+        return SphereRule(boundary_shell(d, 1.0, resolution),
+                          np.full(resolution, 1.0 / resolution))
+    u, v = leggauss(resolution)
+    ang = 2.0 * np.pi * np.arange(resolution) / resolution
+    rad = np.sqrt(1.0 - u * u)
+    nodes = np.stack([np.outer(rad, np.cos(ang)), np.outer(rad, np.sin(ang)),
+                      np.repeat(u[:, None], resolution, axis=1)], axis=-1)
+    return SphereRule(nodes.reshape(-1, 3),
+                      np.repeat(0.5 * v / resolution, resolution))
+
+
+def sphere_average_field(model, rho: float, rule: SphereRule,
+                         points: np.ndarray) -> np.ndarray:
+    """Quadrature of phi -> b(rho*phi - x) phi over the rule at each of
+    the (m, d) points x."""
+    nodes, w = rule
+    diffs = rho * nodes[None, :, :] - points[:, None, :]   # (m, n, d)
+    coef, b_n = tensor_scalars(model, np.moveaxis(diffs, -1, 0))
+    dots = np.einsum("mnd,nd->mn", diffs, nodes)
+    out = np.einsum("mn,mnd->md", w * coef * dots, diffs)
+    out += np.einsum("mn,nd->md", w * b_n, nodes)
+    return out
+
+
+def mean_inward_field(model, rho: float, rule: SphereRule, x) -> np.ndarray:
+    """The mean inward field -E_phi[b(rho*phi - x) phi] at a point x (d,)
+    or a batch (m, d), by sphere quadrature."""
+    pts = np.asarray(x, dtype=float)
+    out = -sphere_average_field(model, rho, rule, np.atleast_2d(pts))
+    return out.reshape(pts.shape)
 
 
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:

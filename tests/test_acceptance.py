@@ -14,7 +14,7 @@ import pytest
 from ibflow import (SpectralMeasure, b_scalar, bessel_j, check_condition,
                     covariance_tensor, drift_radial_rkhs, flow_constants,
                     length_decay_experiment, lyapunov_estimate, make_model,
-                    sphere_rule, squeeze_functional, squeeze_experiment,
+                    squeeze_functional, squeeze_experiment,
                     tracking_experiment)
 from ibflow.cli import parse_config, run_command
 
@@ -55,9 +55,9 @@ def test_criterion_01_normalization_identity():
 
 
 def test_criterion_02_squeeze_identity_sweep():
-    """Double sphere quadrature equals the Bessel integral to 1e-4
-    relative across >= 20 (model, rho) pairs at the stated resolutions."""
-    rules = {2: sphere_rule(2, 512), 3: sphere_rule(3, 48)}
+    """The double sphere average, as the 64-node rule in t = theta.phi,
+    equals the Bessel integral to 1e-4 relative across >= 20 (model, rho)
+    pairs."""
     rng = np.random.default_rng(202)
     pairs = 0
     worst = 0.0
@@ -66,7 +66,7 @@ def test_criterion_02_squeeze_identity_sweep():
                              m_p=SpectralMeasure(atoms=((1.0, 1.0),))))
     for model in models:
         for rho in rng.uniform(0.4, 2.5, size=2):
-            lhs, rhs = squeeze_functional(model, float(rho), rules[model.d])
+            lhs, rhs = squeeze_functional(model, float(rho), 64)
             gap = abs(lhs - rhs) / max(abs(rhs), 1e-6)
             worst = max(worst, gap)
             pairs += 1
@@ -86,14 +86,14 @@ def test_criterion_03_degeneracy_detection():
         degen = make_model(d, 0.0, 1.0, 0.0,
                            m_p=SpectralMeasure(atoms=((zero / rho, 1.0),)))
         report = check_condition(degen, rho)
-        lhs, rhs = squeeze_functional(degen, rho, sphere_rule(d, 512 if d == 2 else 48))
+        lhs, rhs = squeeze_functional(degen, rho, 64)
         assert not report.satisfied
         assert abs(lhs) < 1e-6 and abs(rhs) < 1e-10
         dens = make_model(d, 0.2, 0.5, 0.3,
                           m_p=SpectralMeasure(density_pieces=((0.5, 2.0, 1.0),)),
                           m_s=SpectralMeasure(atoms=((1.0, 1.0),)))
         report2 = check_condition(dens, rho)
-        lhs2, _ = squeeze_functional(dens, rho, sphere_rule(d, 512 if d == 2 else 48))
+        lhs2, _ = squeeze_functional(dens, rho, 64)
         assert report2.satisfied and lhs2 > 0.0
         details.append(f"d={d}: degenerate lhs {lhs:.1e}, density lhs {lhs2:.3f}")
     _pass(3, "degeneracy detection", "; ".join(details))

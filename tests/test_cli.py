@@ -315,16 +315,14 @@ class TestParseConfig:
         ("lyapunov:n_pairs", cli.MAX_SERIES, True),
         ("covariance:n_points", cli.MAX_POINTS, True),
         ("verify-identity:resolution", cli.MAX_RULE_NODES, True),
-        ("verify-identity:resolution:d3", math.isqrt(cli.MAX_RULE_NODES),
-         True),
     ])
     def test_run_size_capped(self, tmp_path, capsys, field, limit, cheap):
         # what a run allocates in proportion to these fields is bounded
         # while parsing, so an oversized run exits 2 before any output;
         # the sampling runs below take 2 steps at stride 1 (3 snapshots),
         # and track-control's two cs add 2 recorded values per path
-        command, name, *dim = field.split(":")
-        model = {"d": 3 if dim else 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
+        command, name = field.split(":")
+        model = {"d": 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
                  "m_p": {"atoms": [[1.0, 1.0]], "density": []}}
         params = {
             "squeeze": dict(SQUEEZE_PARAMS, T2=0.2, dt=0.1, stride=1),
@@ -564,19 +562,17 @@ class TestRunCommands:
         assert report["aggregate"]["max_rel_gap"] < 1e-4
         rows = (tmp_path / "verify-identity.csv").read_text().splitlines()
         assert rows[0] == "rho,lhs,rhs,rel_gap"
-
-    @pytest.mark.parametrize("d,res,rows", [(2, 64, 1), (3, 6, 6),
-                                            (4, 40, 40)])
-    def test_verify_identity_reports_lhs_rows(self, tmp_path, d, res, rows):
-        doc = atom_config(command="verify-identity",
-                          params={"rhos": [0.5, 1.0], "resolution": res})
-        doc["model"]["d"] = d
-        cfg = parse_config(doc)
-        code, _ = run_command("verify-identity", cfg, out_dir=tmp_path,
-                              quiet=True)
-        assert code == EXIT_OK
-        report = json.loads((tmp_path / "verify-identity_report.json").read_text())
-        assert report["aggregate"]["lhs_rows"] == rows
+        # the rule in t needs no sphere quadrature, so at its default 64
+        # nodes it shows the identity as sharply in d >= 4 as in d = 2
+        for d in (4, 8, 16):
+            doc = {"model": dict(_MIXED_D2, d=d), "command": "verify-identity",
+                   "params": {"rhos": [0.4, 1.1, 2.5]}, "seed": 1}
+            code, _ = run_command("verify-identity", parse_config(doc),
+                                  out_dir=tmp_path, quiet=True)
+            assert code == EXIT_OK
+            report = json.loads(
+                (tmp_path / "verify-identity_report.json").read_text())
+            assert report["aggregate"]["max_rel_gap"] <= 1e-11, d
 
     def test_lyapunov_report_carries_analytics(self, tmp_path):
         doc = atom_config(command="lyapunov",

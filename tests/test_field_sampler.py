@@ -19,10 +19,9 @@ from ibflow import (CovarianceFactorError, DriftEvaluationError, DriftField,
                     drift_custom_table, drift_linear, drift_radial_rkhs,
                     eval_drift, field_sampler, flow_engine,
                     inward_profile, kernel_rows, make_model,
-                    mean_inward_field, pivoted_cholesky_batch, psd_probe,
-                    sphere_rule, tensor_field)
+                    pivoted_cholesky_batch, psd_probe, tensor_field)
 
-from conftest import J1_AT_1, random_rotation
+from conftest import J1_AT_1, mean_inward_field, random_rotation, sphere_rule
 
 
 def kernel_matrices(model, pts):
@@ -473,8 +472,10 @@ class TestDriftOracles:
 
 def test_no_run_imports_scipy(tmp_path):
     # the runtime depends on numpy alone: a squeeze run under a radial
-    # drift and a custom-table evaluation leave no scipy module loaded
-    config = {
+    # drift, a d = 5 verify-identity run (the t-rule is numpy's eigh, not
+    # scipy's roots_jacobi) and a custom-table evaluation leave no scipy
+    # module loaded
+    squeeze = {
         "model": {"d": 2, "mu0": 0.0, "mu1": 1.0, "mu2": 0.0,
                   "m_p": {"atoms": [[1.0, 1.0]], "density": []},
                   "drift": {"kind": "radial_rkhs", "rho": 1.0, "scale": 4.0}},
@@ -482,19 +483,28 @@ def test_no_run_imports_scipy(tmp_path):
         "params": {"R": 1.0, "delta": 0.1, "T1": 0.05, "T2": 0.1,
                    "dt": 0.01, "n_paths": 2, "n_boundary": 8},
         "seed": 3}
-    path = tmp_path / "squeeze.json"
-    path.write_text(json.dumps(config))
+    identity = {
+        "model": {"d": 5, "mu0": 0.1, "mu1": 0.6, "mu2": 0.3,
+                  "m_p": {"atoms": [[1.3, 1.0]], "density": []},
+                  "m_s": {"atoms": [[2.0, 1.0]], "density": []}},
+        "command": "verify-identity", "params": {"rhos": [1.1]}, "seed": 3}
+    paths = {}
+    for config in (squeeze, identity):
+        path = tmp_path / f"{config['command']}.json"
+        path.write_text(json.dumps(config))
+        paths[config["command"]] = str(path)
     script = textwrap.dedent(f"""
         import json, sys
         import numpy as np
         from ibflow import cli, drift_custom_table, eval_drift
-        code = cli.main(["squeeze", "--config", {str(path)!r},
-                         "--out", {str(tmp_path)!r}, "--quiet"])
+        codes = [cli.main([cmd, "--config", path, "--out", {str(tmp_path)!r},
+                           "--quiet"])
+                 for cmd, path in {paths!r}.items()]
         axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
         v = drift_custom_table(axes, np.ones((2, 3, 2)))
         eval_drift(v, np.array([[0.5, 0.5], [3.0, -1.0]]))
-        print(json.dumps([code, sorted(m for m in sys.modules
-                                       if m.startswith("scipy"))]))
+        print(json.dumps([codes, sorted(m for m in sys.modules
+                                        if m.startswith("scipy"))]))
     """)
     src = str(Path(ibflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -502,7 +512,8 @@ def test_no_run_imports_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
     assert loaded == []
     assert (tmp_path / "squeeze.csv").exists()
+    assert (tmp_path / "verify-identity.csv").exists()

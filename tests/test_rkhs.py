@@ -1,17 +1,19 @@
-"""Condition checks, sphere rules, inward field, squeeze identity."""
+"""Condition checks, the t-rule, inward field, squeeze identity."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from ibflow import (ModelError, SpectralMeasure, check_condition,
-                    inward_profile, make_model, mean_inward_field,
-                    sphere_rule, squeeze_functional)
+                    inward_profile, make_model, squeeze_functional)
 from ibflow import covariance
-from ibflow.rkhs import SphereRule, _sphere_average_field
+from ibflow.rkhs import _t_rule
 
-from conftest import J1_AT_1, J1_FIRST_ZERO, random_model, series_j_oracle
+from conftest import (J1_AT_1, J1_FIRST_ZERO, mean_inward_field,
+                      random_model, series_j_oracle, sphere_average_field,
+                      sphere_rule)
 
 
 class TestCheckCondition:
@@ -47,6 +49,8 @@ class TestCheckCondition:
 
 
 class TestSphereRule:
+    """The oracles' sphere rules: boundary_shell's nodes outside d = 3."""
+
     def test_d2_equally_spaced(self):
         rule = sphere_rule(2, 4)
         expected = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
@@ -65,48 +69,6 @@ class TestSphereRule:
         mom = rule.weights @ rule.nodes[:, 0] ** 2
         assert mom == pytest.approx(1 / 3, abs=1e-10)
 
-    @pytest.mark.parametrize("d,res,rows", [(2, 7, 1), (2, 512, 1),
-                                            (3, 5, 5), (3, 48, 48),
-                                            (5, 64, 64)])
-    def test_orbits(self, d, res, rows):
-        rule = sphere_rule(d, res)
-        n = rule.nodes.shape[0]
-        reps = rule.representatives
-        assert reps.size == rows
-        assert rule.orbits.sum() == n
-        assert np.all(rule.orbits[reps] == n // rows)
-        if d == 3:
-            # each ring: one representative, one polar cosine, one weight
-            rings = rule.nodes[:, 2].reshape(res, res)
-            assert np.array_equal(reps, np.arange(0, n, res))
-            assert np.all(rings == rings[:, :1])
-            assert np.all(rule.weights.reshape(res, res)
-                          == rule.weights[reps, None])
-
-    def test_hand_built_rule_orbits_default_to_ones(self):
-        base = sphere_rule(3, 4)
-        rule = SphereRule(nodes=base.nodes, weights=base.weights)
-        assert np.array_equal(rule.orbits, np.ones(16, dtype=int))
-        assert np.array_equal(rule.representatives, np.arange(16))
-
-    @pytest.mark.parametrize("orbits", [
-        [2, -1, 2],          # negative size
-        [1, 1, 0],           # sums to 2, not 3
-        [3, 1, 0],           # sums to 4
-        [3],                 # not one size per node
-        [1.0, 1.0, 1.0],     # not integers
-    ])
-    def test_invalid_orbits_rejected(self, orbits):
-        base = sphere_rule(2, 3)
-        with pytest.raises(ValueError, match="orbits"):
-            SphereRule(nodes=base.nodes, weights=base.weights,
-                       orbits=np.asarray(orbits))
-
-    def test_one_weight_per_node(self):
-        base = sphere_rule(2, 4)
-        with pytest.raises(ValueError, match="one per node"):
-            SphereRule(nodes=base.nodes, weights=np.full(2, 0.5))
-
     def test_mc_rule_seeded(self):
         # d >= 4 nodes are normalized Gaussian draws from seed 0
         rule = sphere_rule(5, 64)
@@ -115,6 +77,41 @@ class TestSphereRule:
             rule.nodes, raw / np.linalg.norm(raw, axis=1, keepdims=True))
         assert np.array_equal(rule.nodes, sphere_rule(5, 64).nodes)
         assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-12)
+
+
+class TestTRule:
+    """The Gauss rule of t = theta.phi, weight (1 - t^2)^((d-3)/2)."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    def test_moments(self, d, n):
+        # for independent uniform theta, phi: E[t^2] = 1/d and
+        # E[t^4] = 3/(d(d+2)), exact for n >= 3 nodes
+        t, w = _t_rule(d, n)
+        assert abs(w.sum() - 1.0) <= 1e-15
+        assert abs(w @ t**2 - 1.0 / d) <= 1e-15
+        assert abs(w @ t**4 - 3.0 / (d * (d + 2))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_d3_is_gauss_legendre(self, n):
+        # t is uniform on [-1, 1] in d = 3
+        t, w = _t_rule(3, n)
+        u, v = leggauss(n)
+        assert np.max(np.abs(t - u)) <= 1e-15
+        assert np.max(np.abs(w - v / 2)) <= 4e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_d2_is_chebyshev(self, n):
+        # weight (1 - t^2)^(-1/2): the recurrence's b_1^2 = 1/2, where the
+        # general formula reads 0/0, is what makes this rule Chebyshev's
+        t, w = _t_rule(2, n)
+        nodes = np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n))
+        assert np.max(np.abs(t - nodes)) <= 1e-15
+        assert np.max(np.abs(w - 1.0 / n)) <= 4e-15
+
+    def test_needs_a_node(self, d2_mixed):
+        with pytest.raises(ValueError, match="n >= 1"):
+            squeeze_functional(d2_mixed, 1.0, 0)
 
 
 class TestMeanInwardField:
@@ -130,11 +127,6 @@ class TestMeanInwardField:
             theta = np.array([math.cos(ang), math.sin(ang)])
             v = mean_inward_field(d2_potential_atom, 1.0, rule, theta)
             assert v @ theta == pytest.approx(-rhs, abs=1e-8)
-
-    def test_rule_dimension_must_match(self, d3_mixed, monkeypatch):
-        monkeypatch.setattr(covariance, "covariance_scalars", None)
-        with pytest.raises(ModelError, match="d = 2.*d = 3"):
-            mean_inward_field(d3_mixed, 1.0, sphere_rule(2, 64), np.zeros(3))
 
     def test_solenoidal_no_radial_component(self, d2_solenoidal_atom):
         rule = sphere_rule(2, 512)
@@ -155,23 +147,18 @@ class TestMeanInwardField:
             assert np.ptp(vals) < 1e-8
 
     def test_strictly_inward_when_satisfied(self):
+        # on the sphere of radius rho, V(rho theta) = G(rho) theta: the
+        # field points strictly inward, G(rho) < 0, exactly when the
+        # support condition holds; without a potential part V is zero
         rng = np.random.default_rng(6)
-        rule_cache = {}
-        for _ in range(6):
-            model = random_model(rng)
-            rho = float(rng.uniform(0.5, 2.0))
-            if not check_condition(model, rho).satisfied:
-                continue
-            res = 256 if model.d == 2 else 32
-            rule = rule_cache.setdefault((model.d, res),
-                                         sphere_rule(model.d, res))
-            worst = -np.inf
-            for _ in range(64):
-                theta = rng.standard_normal(model.d)
-                theta /= np.linalg.norm(theta)
-                v = mean_inward_field(model, rho, rule, rho * theta)
-                worst = max(worst, float(v @ theta))
-            assert worst < 0.0
+        for d in range(2, 9):
+            for k in range(3):
+                model = random_model(rng, d=d, force_mu1_zero=(k == 2))
+                rho = float(rng.uniform(0.5, 2.0))
+                g = (inward_profile(model, rho, [rho])[0][0]
+                     if model.mu1 > 0.0 else 0.0)
+                satisfied = check_condition(model, rho).satisfied
+                assert satisfied == (g < -1e-8), (d, rho, g, satisfied)
 
 
 class TestInwardProfile:
@@ -192,7 +179,7 @@ class TestInwardProfile:
             g, _ = inward_profile(model, rho, r)
             probe = np.zeros((r.size, model.d))
             probe[:, 0] = r
-            avg = _sphere_average_field(model, rho, rule, probe)
+            avg = sphere_average_field(model, rho, rule, probe)
             tol = (2e-12 if model.d == 2 else 1e-12) * np.max(np.abs(g))
             assert np.max(np.abs(g + avg[:, 0])) <= tol
             # the mean inward field is radial
@@ -206,11 +193,10 @@ class TestInwardProfile:
         atoms = SpectralMeasure(atoms=((1.0, 1.0), (2.3, 0.4)))
         mixed = make_model(d, 0.1, 0.6, 0.3, m_p=atoms,
                            m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
-        rule = sphere_rule(d, 4)
         for model in (make_model(d, 0.0, 1.0, 0.0, m_p=atoms), mixed):
             const = model.mu1 * 2.0 ** (d - 2) * math.gamma(d / 2) ** 2
             for rho in (0.5, 1.0, 1.7):
-                _, rhs = squeeze_functional(model, rho, rule)
+                _, rhs = squeeze_functional(model, rho, 4)
                 ref = const * math.fsum(
                     w * (rho * s) ** (2 - d)
                     * series_j_oracle(d / 2, rho * s) ** 2
@@ -235,47 +221,42 @@ class TestInwardProfile:
 
 class TestSqueezeIdentity:
     def test_d2_atom_reference_value(self, d2_potential_atom):
-        rule = sphere_rule(2, 512)
-        lhs, rhs = squeeze_functional(d2_potential_atom, 1.0, rule)
+        lhs, rhs = squeeze_functional(d2_potential_atom, 1.0, 64)
         assert rhs == pytest.approx(2 * J1_AT_1**2, rel=1e-12)
         assert abs(lhs - rhs) / rhs < 1e-6
 
     def test_zero_atom_vanishes(self):
         model = make_model(2, 0.0, 1.0, 0.0,
                            m_p=SpectralMeasure(atoms=((J1_FIRST_ZERO, 1.0),)))
-        rule = sphere_rule(2, 512)
-        lhs, rhs = squeeze_functional(model, 1.0, rule)
+        lhs, rhs = squeeze_functional(model, 1.0, 64)
         assert abs(rhs) < 1e-10
         assert abs(lhs) < 1e-6
 
     def test_trivial_lhs_vanishes(self, trivial_model):
-        rule = sphere_rule(2, 128)
-        lhs, rhs = squeeze_functional(trivial_model, 1.0, rule)
+        lhs, rhs = squeeze_functional(trivial_model, 1.0, 64)
         assert abs(lhs) < 1e-12
         assert rhs == 0.0
 
     def test_solenoidal_lhs_vanishes(self, d2_solenoidal_atom):
-        rule = sphere_rule(2, 256)
-        lhs, rhs = squeeze_functional(d2_solenoidal_atom, 1.0, rule)
+        lhs, rhs = squeeze_functional(d2_solenoidal_atom, 1.0, 64)
         assert rhs == 0.0
         assert abs(lhs) < 1e-10
 
     def test_identity_parameter_sweep(self):
         rng = np.random.default_rng(12)
-        rules = {2: sphere_rule(2, 512), 3: sphere_rule(3, 48)}
         checked = 0
         for _ in range(8):
             model = random_model(rng)
             rho = float(rng.uniform(0.4, 2.5))
-            lhs, rhs = squeeze_functional(model, rho, rules[model.d])
+            lhs, rhs = squeeze_functional(model, rho, 64)
             gap = abs(lhs - rhs) / max(abs(rhs), 1e-6)
             assert gap < 1e-4, (model.d, rho, lhs, rhs)
             checked += 1
         assert checked == 8
 
-    def test_kernel_calls_within_pair_budget(self, monkeypatch):
-        # d = 5 at 1500 nodes: 1500 rows of 1500 pairs, more than one
-        # _QUAD_PAIRS budget, so the rows must split into several calls
+    def test_one_kernel_call_on_the_module(self, monkeypatch):
+        # the n separations s_k = rho sqrt(2(1 - t_k)) go to one
+        # covariance_scalars call, looked up on the covariance module
         seen = []
         inner = covariance.covariance_scalars
 
@@ -287,39 +268,32 @@ class TestSqueezeIdentity:
         model = make_model(5, 0.1, 0.6, 0.3,
                            m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
                            m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
-        squeeze_functional(model, 1.1, sphere_rule(5, 1500))
-        assert sum(seen) == 1500 * 1500
-        assert max(seen) <= covariance._QUAD_PAIRS
+        squeeze_functional(model, 1.1, 64)
+        assert seen == [64]
 
     def test_sign_link_with_condition(self):
         rng = np.random.default_rng(13)
-        rules = {2: sphere_rule(2, 256), 3: sphere_rule(3, 32)}
         for k in range(8):
             model = random_model(rng, force_mu1_zero=(k % 3 == 0))
             rho = float(rng.uniform(0.5, 2.0))
-            lhs, _ = squeeze_functional(model, rho, rules[model.d])
+            lhs, _ = squeeze_functional(model, rho, 64)
             satisfied = check_condition(model, rho).satisfied
             assert lhs >= -1e-9
             assert satisfied == (lhs > 1e-8), (model.d, rho, lhs, satisfied)
 
 
 def _double_sum(model, rho, rule):
-    """The squeeze identity's lhs as the full n^2 double sum, every row
-    evaluated, over at most _QUAD_PAIRS (row, node) pairs at a time: summed
-    by the chunked einsum, and the same n row terms summed exactly
-    (math.fsum)."""
-    nodes, w = rule.nodes, rule.weights
-    n = nodes.shape[0]
-    chunk = max(1, covariance._QUAD_PAIRS // n)
-    lhs, terms = 0.0, []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        vt = _sphere_average_field(model, rho, rule, rho * nodes[start:stop])
-        lhs += float(np.einsum("m,md,md->", w[start:stop], vt,
-                               nodes[start:stop]))
-        terms.append(w[start:stop]
-                     * np.einsum("md,md->m", vt, nodes[start:stop]))
-    return lhs, math.fsum(np.concatenate(terms))
+    """The squeeze identity's lhs as the full double sum over a sphere
+    rule, every row evaluated, over at most _QUAD_PAIRS (row, node) pairs
+    at a time and summed exactly (math.fsum)."""
+    nodes, w = rule
+    chunk = max(1, covariance._QUAD_PAIRS // nodes.shape[0])
+    terms = []
+    for start in range(0, nodes.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        vt = sphere_average_field(model, rho, rule, rho * nodes[rows])
+        terms.append(w[rows] * np.einsum("md,md->m", vt, nodes[rows]))
+    return math.fsum(np.concatenate(terms))
 
 
 @pytest.fixture
@@ -334,44 +308,20 @@ def d3_solenoidal_atom():
     return make_model(3, 0.0, 0.0, 1.0, m_s=SpectralMeasure(atoms=((1.0, 1.0),)))
 
 
-class TestOrbitSum:
-    """squeeze_functional's one row per rotation orbit against every row."""
+class TestDoubleSumOracle:
+    """squeeze_functional's t-rule sum against the tensorized double sum
+    over a sphere rule."""
 
-    @pytest.mark.parametrize("name,res,floor", [
-        ("d2_mixed", 512, 1e-16), ("d2_mixed", 7, 1e-16),
-        ("d2_zero_atom", 512, 1e-16),
-        ("d3_mixed", 48, 1e-16), ("d3_mixed", 5, 1e-16),
+    @pytest.mark.parametrize("name,res", [
+        ("d2_mixed", 512), ("d2_zero_atom", 512), ("d3_mixed", 32),
         # without a potential part the lhs is zero, and both sums are the
-        # rounding noise of O(1) terms, about 1e-14
-        ("d2_solenoidal_atom", 512, 1e-14), ("d3_solenoidal_atom", 16, 1e-14),
+        # rounding noise of O(1) terms
+        ("d2_solenoidal_atom", 512), ("d3_solenoidal_atom", 16),
     ])
-    def test_matches_double_sum(self, name, res, floor, request):
+    def test_matches_double_sum(self, name, res, request):
         model = request.getfixturevalue(name)
         rule = sphere_rule(model.d, res)
         for rho in (0.4, 1.0, 1.7, 2.5):
-            _, ref = _double_sum(model, rho, rule)
-            lhs, _ = squeeze_functional(model, rho, rule)
-            assert abs(lhs - ref) <= max(1e-14 * abs(ref), floor), (rho, lhs,
-                                                                    ref)
-
-    @pytest.mark.parametrize("res", [64, 1500])  # 1500: nine row chunks
-    def test_mc_rule_bitwise(self, res):
-        model = make_model(5, 0.1, 0.6, 0.3,
-                           m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
-                           m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
-        rule = sphere_rule(5, res)
-        for rho in (0.7, 1.9):
-            lhs, _ = squeeze_functional(model, rho, rule)
-            assert lhs == _double_sum(model, rho, rule)[0]
-
-    def test_hand_built_rule_bitwise(self, d3_mixed):
-        base = sphere_rule(3, 6)
-        rule = SphereRule(nodes=base.nodes, weights=base.weights)
-        lhs, _ = squeeze_functional(d3_mixed, 1.3, rule)
-        assert lhs == _double_sum(d3_mixed, 1.3, rule)[0]
-
-    def test_rule_dimension_must_match(self, d3_mixed, monkeypatch):
-        # a d = 2 rule on a d = 3 model used to return a wrong lhs
-        monkeypatch.setattr(covariance, "covariance_scalars", None)
-        with pytest.raises(ModelError, match="d = 2.*d = 3"):
-            squeeze_functional(d3_mixed, 1.0, sphere_rule(2, 64))
+            ref = _double_sum(model, rho, rule)
+            lhs, _ = squeeze_functional(model, rho, 64)
+            assert abs(lhs - ref) <= 1e-13, (rho, lhs, ref)
