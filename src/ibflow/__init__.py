@@ -15,8 +15,7 @@ from .covariance import (IbfModel, FlowConstants, ModelError, make_model,
 from .bessel import bessel_j, bessel_j_ratio
 from .rkhs import (ConditionReport, bessel_zeros, check_condition,
                    inward_profile, squeeze_functional)
-from .field_sampler import (DriftField, CovarianceFactorError,
-                            DriftEvaluationError, eval_drift, drift_linear,
+from .field_sampler import (CovarianceFactorError, eval_drift, drift_linear,
                             drift_radial_rkhs, drift_custom_table,
                             kernel_rows, pivoted_cholesky_batch)
 from .flow_engine import (ExperimentResult, PairCollapseError, ode_flow,

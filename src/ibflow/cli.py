@@ -21,7 +21,7 @@ import math
 import reprlib
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +30,7 @@ import numpy as np
 from ._version import __version__
 from . import covariance, flow_engine, rkhs, spectral
 from .covariance import IbfModel, ModelError
-from .field_sampler import (DriftField, drift_custom_table, drift_linear,
+from .field_sampler import (RADIAL_SPAN, drift_custom_table, drift_linear,
                             drift_radial_rkhs)
 from .flow_engine import ExperimentResult
 from .spectral import MeasureError, SpectralMeasure
@@ -82,7 +82,7 @@ class ConfigError(ValueError):
 class RunConfig:
     command: str
     model: IbfModel
-    drift: DriftField | None
+    drift: Callable | None
     params: dict
     output_dir: str
     seed: int
@@ -131,6 +131,19 @@ def _as_int(value, path: str, *, minimum=None, maximum=None) -> int:
     return int(value)
 
 
+def _check_kernel_spans(model: IbfModel, spans: dict[str, float]) -> None:
+    """The quadratures square the kernel argument z = s * node: refuse
+    the field at path whose separations s reach spans[path] when that
+    span times the largest node overflows squared."""
+    top = max([float(spectral.quadrature_nodes(m)[0].max())
+               for m in (model.m_p, model.m_s) if m is not None], default=0.0)
+    for path, span in spans.items():
+        z = span * top
+        if not math.isfinite(z * z):
+            raise ConfigError(f"{path}: the kernel argument {span!r} x "
+                              f"{top!r} (the largest node) overflows squared")
+
+
 def _parse_measure(spec, path: str) -> SpectralMeasure | None:
     if spec is None:
         return None
@@ -161,7 +174,7 @@ def _parse_measure(spec, path: str) -> SpectralMeasure | None:
 
 
 def _parse_model(spec, command: str, path: str = "model"
-                 ) -> tuple[IbfModel, DriftField | None, dict]:
+                 ) -> tuple[IbfModel, Callable | None, dict]:
     """The model, its drift (None if none is given) and their echo."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: must be an object")
@@ -219,7 +232,7 @@ def _numeric_array(value, path: str, ndim: int) -> np.ndarray:
 
 
 def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
-                      ) -> tuple[DriftField | None, dict]:
+                      ) -> tuple[Callable | None, dict]:
     """The drift a config's model.drift describes (None for kind none),
     checked field by field, and its echo: the same fields in config form."""
     if not isinstance(spec, dict):
@@ -242,6 +255,7 @@ def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
         elif kind == "radial_rkhs":
             rho = _as_number(_need(spec, "rho", path), f"{path}.rho",
                              exclusive_min=0.0)
+            _check_kernel_spans(model, {f"{path}.rho": RADIAL_SPAN * rho})
             scale = _as_number(spec.get("scale", 1.0), f"{path}.scale")
             drift = drift_radial_rkhs(model, rho, scale=scale)
             echo.update(rho=rho, scale=scale)
@@ -307,14 +321,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         _no_extras(p, {"s_max", "n_points"}, path)
         out["s_max"] = _as_number(_need(p, "s_max", path), f"{path}.s_max",
                                   exclusive_min=0.0)
-        # the quadrature squares the kernel argument z = s * node
-        top = max([float(spectral.quadrature_nodes(m)[0].max())
-                   for m in (model.m_p, model.m_s) if m is not None],
-                  default=0.0)
-        z = out["s_max"] * top
-        if not math.isfinite(z * z):
-            raise ConfigError(f"{path}.s_max: the kernel argument s_max x "
-                              f"{top!r} (the largest node) overflows squared")
+        _check_kernel_spans(model, {f"{path}.s_max": out["s_max"]})
         out["n_points"] = _as_int(p.get("n_points", 201), f"{path}.n_points",
                                   minimum=2, maximum=MAX_POINTS)
     elif command == "check-condition":
@@ -336,6 +343,9 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
             raise ConfigError(f"{path}.rhos: must be a non-empty list")
         out["rhos"] = [_as_number(r, f"{path}.rhos[{i}]", exclusive_min=0.0)
                        for i, r in enumerate(rhos)]
+        # the rule's separations reach the sphere's diameter, 2 rho
+        _check_kernel_spans(model, {f"{path}.rhos[{i}]": 2.0 * rho
+                                    for i, rho in enumerate(out["rhos"])})
         out["resolution"] = _as_int(p.get("resolution", 64),
                                     f"{path}.resolution", minimum=1,
                                     maximum=MAX_RULE_NODES)
@@ -385,6 +395,7 @@ def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
         _no_extras(p, {"rho", "cs", "T", "dt", "n_paths", "x0", "stride"}, path)
         out["rho"] = _as_number(_need(p, "rho", path), f"{path}.rho",
                                 exclusive_min=0.0)
+        _check_kernel_spans(model, {f"{path}.rho": RADIAL_SPAN * out["rho"]})
         cs = _need(p, "cs", path)
         if not (isinstance(cs, list) and cs):
             raise ConfigError(f"{path}.cs: must be a non-empty list")
@@ -662,6 +673,9 @@ def _run_verify_identity(cfg: RunConfig, jobs: int) -> Measured:
     for rho in cfg.params["rhos"]:
         lhs, rhs = rkhs.squeeze_functional(cfg.model, rho,
                                            cfg.params["resolution"])
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise RuntimeError(f"rho {rho!r}: the identity's sides "
+                               f"{lhs!r} and {rhs!r} are not both finite")
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-6)
         worst = max(worst, gap)
         rows.append((rho, lhs, rhs, gap))
@@ -766,6 +780,13 @@ def run_command(command: str, cfg: RunConfig, jobs: int = 1,
     return EXIT_OK, files
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibflow",
@@ -774,7 +795,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} command")
         cmd.add_argument("--config", required=True, help="path to JSON config")
-        cmd.add_argument("--jobs", type=int, default=1,
+        cmd.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker pool size (default 1)")
         cmd.add_argument("--out", default=None,
                          help="output directory (overrides config)")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,31 +42,15 @@ class CovarianceFactorError(np.linalg.LinAlgError):
         super().__init__(f"{where}: increment covariance {problem}")
 
 
-class DriftEvaluationError(RuntimeError):
-    """Drift queried outside its domain of definition."""
-
-
 # ---------------------------------------------------------------------------
-# drift fields
+# drifts: deterministic, autonomous v(x), each a function that maps (m, d)
+# points to their (m, d) values; no drift is None, not a zero field
 
-@dataclass(frozen=True, eq=False)
-class DriftField:
-    """Deterministic, autonomous drift v(x) with a global Lipschitz bound.
-
-    field maps (m, d) points to their (m, d) values; lipschitz bounds
-    |v(x) - v(y)| / |x - y| and is computed once, when the drift is built.
-    No drift is None, not a zero field.
-    """
-
-    field: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-
-
-def drift_linear(matrix) -> DriftField:
+def drift_linear(matrix) -> Callable[[np.ndarray], np.ndarray]:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
         raise ModelError("linear drift needs a finite square matrix")
-    return DriftField(lambda pts: pts @ a.T, float(np.linalg.norm(a, 2)))
+    return lambda pts: pts @ a.T
 
 
 # the radial drift's profile knots: evenly spaced on [0, RADIAL_SPAN rho]
@@ -75,24 +58,19 @@ RADIAL_SPAN = 12.0
 RADIAL_KNOTS = 2048
 
 
-def _radial_profile(model: IbfModel,
-                    rho: float) -> tuple[CubicTable, float]:
+def _radial_profile(model: IbfModel, rho: float) -> CubicTable:
     """The radial profile G of the mean inward field at radius rho as
     the cubic Hermite interpolant of its exact values and slopes
     (rkhs.inward_profile) at the RADIAL_KNOTS knots, one cubic per
-    interval, and its bound: the larger of the steepest knot slope and
-    the steepest knot secant through the origin, the radial and the
-    tangential rate of G(|x|) x / |x|."""
+    interval."""
     h = RADIAL_SPAN * rho / (RADIAL_KNOTS - 1)
     knots = h * np.arange(RADIAL_KNOTS)
     g, dg = rkhs.inward_profile(model, rho, knots)
-    bound = max(np.max(np.abs(dg)), np.max(np.abs(g[1:] / knots[1:])))
-    return (CubicTable(np.array(hermite_rows(g, dg, h)), 0.0, h, knots[-1]),
-            float(bound))
+    return CubicTable(np.array(hermite_rows(g, dg, h)), 0.0, h, knots[-1])
 
 
-def drift_radial_rkhs(model: IbfModel, rho: float,
-                      scale: float = 1.0) -> DriftField:
+def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0
+                      ) -> Callable[[np.ndarray], np.ndarray]:
     """Drift scale * V with V the mean inward field at radius rho.
 
     V is radially symmetric with a closed-form profile (Bessel integral
@@ -104,7 +82,7 @@ def drift_radial_rkhs(model: IbfModel, rho: float,
     if rho <= 0.0:
         raise ModelError("rho must be > 0")
     rho, scale = float(rho), float(scale)
-    table, bound = _radial_profile(model, rho)
+    table = _radial_profile(model, rho)
 
     def field(pts: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(pts, axis=-1)
@@ -118,16 +96,14 @@ def drift_radial_rkhs(model: IbfModel, rho: float,
                          where=r[..., None] > 0.0)
         return scale * g[..., None] * unit
 
-    return DriftField(field, abs(scale) * bound)
+    return field
 
 
-def drift_custom_table(axes, values) -> DriftField:
+def drift_custom_table(axes, values) -> Callable[[np.ndarray], np.ndarray]:
     """Multilinear interpolation of values (grid shape plus a trailing
-    component axis) on the grid axes, constant beyond it. With L_ik the
-    steepest grid slope of component i along axis k, the bound is
-    sqrt(sum L_ik^2): it bounds the Frobenius norm of the Jacobian in
-    every cell, and clipping onto the grid is 1-Lipschitz.
-    """
+    component axis) on the grid axes, constant beyond it (an infinite
+    coordinate included). A NaN point has no drift: its value is NaN, so
+    the factor names its path and step."""
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     table = np.asarray(values, dtype=float)
     d = len(axes)
@@ -141,18 +117,11 @@ def drift_custom_table(axes, values) -> DriftField:
             raise ModelError("each axis needs at least 2 strictly increasing points")
 
     def field(pts: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(pts)):
-            raise DriftEvaluationError("custom_table queried at non-finite point")
         clipped = np.column_stack([np.clip(pts[:, k], a[0], a[-1])
                                    for k, a in enumerate(axes)])
         return _multilinear(axes, table, clipped)
 
-    def steepest(k: int, a: np.ndarray) -> np.ndarray:
-        gaps = np.diff(a).reshape([-1 if j == k else 1 for j in range(d + 1)])
-        return np.abs(np.diff(table, axis=k) / gaps).reshape(-1, d).max(axis=0)
-
-    return DriftField(field, float(np.linalg.norm(
-        [steepest(k, a) for k, a in enumerate(axes)])))
+    return field
 
 
 def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray,
@@ -176,10 +145,10 @@ def _multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray,
     return out
 
 
-def eval_drift(v: DriftField, x) -> np.ndarray:
+def eval_drift(v: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """The drift at x, vectorized over leading axes."""
     pts = np.asarray(x, dtype=float)
-    return v.field(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
+    return v(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ibflow import cli, flow_engine
+from ibflow import cli, flow_engine, rkhs
 from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         main, parse_config, run_command)
-from ibflow.field_sampler import CovarianceFactorError, DriftField
+from ibflow.field_sampler import CovarianceFactorError
 
 from conftest import J1_FIRST_ZERO
 
@@ -203,6 +203,37 @@ class TestParseConfig:
         assert main(["covariance", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
         assert "params.s_max: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,field", [
+        ("verify-identity", "params.rhos[1]"),
+        ("squeeze", "model.drift.rho"),
+        ("track-control", "params.rho")])
+    def test_overflowing_span_exit_2(self, tmp_path, capsys, command, field):
+        # each rho's span (2 rho for the identity's sphere, 12 rho for the
+        # radial drift's table) times the largest node overflows squared:
+        # the identity wrote lhs = nan, the drift's profile was NaN
+        if command == "verify-identity":
+            doc = atom_config(command=command,
+                              params={"rhos": [0.7, 3e153], "resolution": 48})
+            doc["model"] = {
+                "d": 3, "mu0": 0.1, "mu1": 0.6, "mu2": 0.3,
+                "m_p": {"atoms": [[1.3, 1.0]], "density": [[0.5, 2.5, 0.4]]},
+                "m_s": {"atoms": [[2.0, 1.0]], "density": []}}
+        elif command == "squeeze":
+            doc = atom_config(command=command, params=SQUEEZE_PARAMS,
+                              drift={"kind": "radial_rkhs", "rho": 1e160})
+        else:
+            doc = atom_config(command=command,
+                              params={"rho": 1e160, "cs": [4.0], "T": 0.1,
+                                      "dt": 0.05, "n_paths": 2,
+                                      "x0": [[0.5, 0.0]]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"{field}: the kernel argument" in capsys.readouterr().err
         assert not out.exists()
 
     def test_physical_params_required(self):
@@ -400,7 +431,7 @@ class TestParseConfig:
                           drift={"kind": "radial_rkhs", "rho": 1.0,
                                  "scale": 2.0})
         cfg = parse_config(doc)
-        assert isinstance(cfg.drift, DriftField)
+        assert callable(cfg.drift)
         assert cfg.echo["model"]["drift"] == {
             "kind": "radial_rkhs", "rho": 1.0, "scale": 2.0}
 
@@ -874,6 +905,60 @@ class TestMainExitCodes:
         assert code == EXIT_NUMERIC
         assert ("CovarianceFactorError: path 0, step 1: increment covariance "
                 "is not finite") in capsys.readouterr().err
+
+    def test_custom_table_divergence_exit_3_names_path_and_step(
+            self, tmp_path, capsys):
+        # a table drift of 1.7e308 keeps the first step finite and carries
+        # every tracer past the largest double in the second, so the third
+        # step's covariance rows are not finite
+        row = [[1.7e308, 0.0], [1.7e308, 0.0]]
+        doc = atom_config(command="squeeze",
+                          params=dict(SQUEEZE_PARAMS, T1=2.0, T2=4.0, dt=1.0,
+                                      n_paths=2, n_boundary=8),
+                          drift={"kind": "custom_table",
+                                 "axes": [[0.0, 1.0], [0.0, 1.0]],
+                                 "values": [row, row]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["squeeze", "--config", str(path), "--out",
+                         str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert ("CovarianceFactorError: path 0, step 2: increment covariance "
+                "is not finite") in capsys.readouterr().err
+
+    def test_verify_identity_non_finite_side_exit_3(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # max(worst, nan) keeps worst, so a NaN side would vanish from the
+        # aggregate: the run stops and names the rho instead
+        real = rkhs.squeeze_functional
+
+        def nan_at_1_5(model, rho, n):
+            lhs, rhs = real(model, rho, n)
+            return (math.nan, rhs) if rho == 1.5 else (lhs, rhs)
+
+        monkeypatch.setattr(rkhs, "squeeze_functional", nan_at_1_5)
+        doc = atom_config(command="verify-identity",
+                          params={"rhos": [0.5, 1.5], "resolution": 16})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify-identity", "--config", str(path), "--out",
+                     str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert "RuntimeError: rho 1.5: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["covariance", "--config", str(path), "--out", str(out),
+                  "--jobs", jobs])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pair_collapse_exit_3_names_global_pair(self, tmp_path,
                                                      monkeypatch, capsys):

@@ -91,15 +91,6 @@ class TestScalars:
         assert np.allclose(b_l, expect_l, atol=1e-13)
         assert np.allclose(b_n, expect_n, atol=1e-13)
 
-    def test_profile_path_matches_exact_path(self, d2_mixed):
-        # large batches go through the spline profile; same values
-        s_small = np.linspace(0.06, 8.0, 17)          # exact path
-        s_big = np.tile(s_small, 300)                 # profile path
-        bl_small, bn_small = covariance_scalars(d2_mixed, s_small)
-        bl_big, bn_big = covariance_scalars(d2_mixed, s_big)
-        assert np.max(np.abs(bl_big[:17] - bl_small)) < 1e-11
-        assert np.max(np.abs(bn_big[:17] - bn_small)) < 1e-11
-
 
 class TestKernelRoute:
     @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",

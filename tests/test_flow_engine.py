@@ -356,7 +356,7 @@ class TestStreams:
     def test_path_record_independent_of_chunk_mates(self, d2_potential_atom,
                                                     shape):
         # the real kernel: the radius-1.1 shell's separations reach the
-        # spline range, the radius-0.005 circle's stay in the series range;
+        # profile range, the radius-0.005 circle's stay in the series range;
         # Lyapunov pairs renormalize in place, tracking compares with its
         # ODE reference. Path 0 alone or with 7 others, and path 64 as the
         # first path of a second chunk holding 1 or 8 paths, keep every bit
@@ -475,6 +475,30 @@ class TestTracking:
             tracking_experiment(d2_potential_atom, radial(d2_potential_atom),
                                 [4.0], np.array([[np.nan, 0.0]]), T=0.3,
                                 dt=1e-2, n_paths=1, seed=0)
+
+
+class TestPlainFunctionDrift:
+    """A drift is any function that maps (m, d) points to (m, d) values:
+    a lambda drives both experiments bitwise as the built linear drift
+    with the same values does."""
+
+    def test_squeeze(self, d2_potential_atom):
+        kwargs = dict(R=1.0, delta=0.1, T1=0.05, T2=0.1, n_boundary=16,
+                      dt=5e-3, n_paths=3, seed=4, snapshot_stride=2)
+        built = squeeze_experiment(d2_potential_atom,
+                                   drift=drift_linear(-np.eye(2)), **kwargs)
+        plain = squeeze_experiment(d2_potential_atom, drift=lambda pts: -pts,
+                                   **kwargs)
+        assert same_result(built, plain)
+
+    def test_tracking(self, d2_potential_atom):
+        args = ([4.0, 16.0], np.array([[0.5, 0.0], [0.0, 0.4]]))
+        kwargs = dict(T=0.1, dt=1e-2, n_paths=3, seed=4, snapshot_stride=3)
+        built = tracking_experiment(d2_potential_atom, drift_linear(-np.eye(2)),
+                                    *args, **kwargs)
+        plain = tracking_experiment(d2_potential_atom, lambda pts: -pts,
+                                    *args, **kwargs)
+        assert same_result(built, plain)
 
 
 class TestSqueezeExperiment:
