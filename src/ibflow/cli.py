@@ -48,7 +48,8 @@ EXIT_NUMERIC = 3
 # allocated before the first step, so a larger T/dt is refused while parsing
 MAX_STEPS = 10 ** 7
 # Tracer coordinates N d per path: a 64-path chunk's increment factor F
-# holds 64 (N d)^2 doubles, 128 MiB at this bound, so more is refused
+# reserves 64 (N d)^2 doubles, 128 MiB at this bound, so more is refused;
+# F is held by columns, so what is resident is rank x 64 x N d x 8 bytes
 MAX_COORDS = 512
 # Values a sampling run records: squeeze, expand and length-decay hold
 # n_paths x snapshots of each series as arrays and then as CSV text,

@@ -435,9 +435,12 @@ def covariance_scalars(model: IbfModel, s):
     piecewise-cubic profile on [s0, 64], exact quadrature beyond 64. A
     non-finite separation has no covariance and gives NaN.
     """
-    arr, flat = _checked_separations(s)
-    series = _small_s_series(model)
+    arr = np.asarray(s, dtype=float)
+    flat = np.atleast_1d(arr).ravel()
     lo = flat.min(initial=math.inf)
+    if not lo >= 0.0:  # a negative minimum, or a NaN that hides one
+        _checked_separations(flat)
+    series = _small_s_series(model)
     hi = flat.max(initial=-math.inf)
     if hi < series.s0:
         b_l, b_n = series(flat)

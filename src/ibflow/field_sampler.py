@@ -8,12 +8,18 @@ factored by a rank-revealing pivoted Cholesky: a degenerate law is
 sampled exactly, and the rank and the dropped trace are reported. The
 factor reads C one kernel row per pivot and C itself is never
 assembled: the scalars of a pivot point's separations are held per
-point, and each row builds only its own component from them.
+point, and each row builds only its own component from them. The factor
+is held by columns, one contiguous slab of the batch per column, so the
+memory a step writes follows the rank, and the stepper sums an increment
+over the used columns only: a path's columns past its own rank are exact
+zeros, so its increment does not depend on its batch-mates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import mmap
 from collections.abc import Callable
 
 import numpy as np
@@ -192,6 +198,17 @@ def kernel_rows(model: IbfModel, x: np.ndarray):
     return row, np.ones((nb, n * d))
 
 
+def _fresh_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of the shape on fresh anonymous pages, which become resident
+    only when written and are unmapped with the array. np.zeros asks
+    calloc, and glibc serves a block of a size freed before from its
+    heap (its mmap threshold rises to the largest block freed), clearing
+    and so touching every page of it."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, 8 * max(size, 1))
+    return np.frombuffer(buf, count=size).reshape(shape)
+
+
 def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
                            step: int | None = None):
     """Rank-revealing factors of a batch of PSD matrices C_b of size m,
@@ -206,10 +223,13 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
     with zero columns from rank[b] on, and F F^T = C up to the dropped
     trace, the residual diagonal clipped at 0.
 
-    Each matrix's pivots and arithmetic are its own, so a batch factors
-    bitwise as its matrices would one at a time. F keeps all m columns
-    because a product over the batch's largest rank would round a
-    path's increment differently with the ranks of its batch-mates.
+    F is held by columns, in one (m, B, m) buffer of fresh zero pages
+    whose slab k is column k of every F_b, returned as its (B, m, m)
+    view. Only the first max(rank) slabs are written, so the resident
+    memory follows the rank, not m^2; a path's k x m block of columns so
+    far is read in place for its update. Each matrix's pivots and
+    arithmetic are its own, so a batch factors bitwise as its matrices
+    would one at a time.
 
     Raises CovarianceFactorError, naming path path_offset + b and the
     step, when what is read of C_b is not finite or a residual diagonal
@@ -227,11 +247,11 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
     tol = m * _EPS * scale
     resid = diag.copy()          # Schur diagonal, -inf once pivoted
     keep = np.ones((nb, m))      # 0 on pivoted rows: their later entries are 0
-    factor = np.zeros((nb, m, m))
-    f_rows = factor.reshape(nb * m, m)
+    cols = _fresh_zeros((m, nb, m))  # cols[k, b] is column k of F_b
     flat_resid = resid.reshape(-1)
     flat_keep = keep.reshape(-1)
-    base = np.arange(nb) * m
+    paths = np.arange(nb)
+    base = paths * m
     for k in range(m):
         pivot = resid.argmax(axis=1)
         idx = base + pivot
@@ -241,13 +261,15 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
             break
         root = np.sqrt(np.where(going, top, np.inf))  # a stopped column is 0
         done = idx[going]
-        # column k from the pivot rows (C is symmetric) and the columns so far
+        # column k from the pivot rows (C is symmetric) and the columns so
+        # far: path b's pivot row of F_b times its k x m block of columns
         col = row(pivot)
         check_finite(col)
         if k:
-            col -= (factor[:, :, :k] @ f_rows[idx, :k, None])[..., 0]
+            col -= (cols[:k, paths, pivot].T[:, None, :]
+                    @ cols[:k].transpose(1, 0, 2))[:, 0]
         col *= keep
-        col = np.divide(col, root[:, None], out=factor[:, :, k])
+        col = np.divide(col, root[:, None], out=cols[k])
         resid -= col * col
         flat_resid[done] = -np.inf
         flat_keep[done] = 0.0
@@ -260,4 +282,4 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
         raise CovarianceFactorError(
             path_offset + b, step,
             f"is not positive semidefinite (residual diagonal {worst[b]:.3e})")
-    return factor, rank, np.maximum(left, 0.0).sum(axis=1)
+    return cols.transpose(1, 2, 0), rank, np.maximum(left, 0.0).sum(axis=1)

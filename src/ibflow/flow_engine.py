@@ -82,8 +82,13 @@ def containment(points, radius: float, center=None) -> bool:
 def _diam_batch(x: np.ndarray) -> np.ndarray:
     if x.shape[1] < 2:
         return np.zeros(x.shape[0])
-    dist = np.linalg.norm(x[:, :, None, :] - x[:, None, :, :], axis=-1)
-    return dist.max(axis=(1, 2))
+    # one point's distances at a time: all pairs' (B, N, N, d) differences
+    # and norm's temporaries would take over 100 MiB at cli.MAX_COORDS
+    out = np.zeros(x.shape[0])
+    for i in range(x.shape[1]):
+        dist = np.linalg.norm(x[:, i, None, :] - x, axis=-1)
+        np.maximum(out, dist.max(axis=1), out=out)
+    return out
 
 
 def _length_batch(x: np.ndarray, closed: bool) -> np.ndarray:
@@ -158,8 +163,14 @@ def _simulate(model: IbfModel, x0: np.ndarray, t1: float, dt: float,
         np.maximum(rank_max, rank, out=rank_max)
         np.maximum(dropped_max, dropped, out=dropped_max)
         z = next(normals)
-        inc = (factor @ z[:, :, None])[:, :, 0].reshape(b, n_pts, d)
-        delta += (noise_scale * math.sqrt(h)) * inc
+        # F z over the batch's used columns, in pivot order: a path's
+        # columns past its own rank are exact zeros and change no sum;
+        # F is unmapped before the next step maps its own
+        inc = np.zeros((b, n_pts * d))
+        for j in range(rank.max()):
+            inc += z[:, j, None] * factor[:, :, j]
+        del factor
+        delta += (noise_scale * math.sqrt(h)) * inc.reshape(b, n_pts, d)
         x += delta
         if (k + 1) % stride == 0 or k + 1 == len(hs):
             observer(times[k + 1], k + 1, x)

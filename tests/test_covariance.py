@@ -129,6 +129,19 @@ class TestKernelRoute:
             assert np.isnan(got[2:4]).all()
             assert np.array_equal(got[[0, 1, 4]], want)
 
+    def test_negative_separation_refused(self, d2_mixed):
+        # the route's minimum carries the sign test: a negative separation
+        # raises wherever it sits, a NaN beside it included, while NaN and
+        # inf alone still give NaN
+        for s in (-1e-300, [0.5, -0.1], [np.nan, 0.5, -2.0],
+                  [-np.inf, 0.3], [0.3, np.nan, -np.inf]):
+            with pytest.raises(ModelError, match="separation must be >= 0"):
+                covariance_scalars(d2_mixed, s)
+        for s in (np.nan, np.inf):
+            assert np.isnan(covariance_scalars(d2_mixed, s)).all()
+        b_l, b_n = covariance_scalars(d2_mixed, np.array([np.nan, np.inf]))
+        assert np.isnan(b_l).all() and np.isnan(b_n).all()
+
     def test_series_remainder_bound_at_s0(self, d2_potential_atom, d2_mixed,
                                           d3_mixed):
         eps = np.finfo(float).eps

@@ -1,8 +1,12 @@
 """Flow integration, observables, and the experiment harness."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,16 @@ class TestObservables:
         tri = np.array([[0., 0.], [1., 0.], [3., 0.]])
         assert diameter(tri) == 3.0
         assert diameter(np.zeros((1, 2))) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 24])
+    def test_diameter_batch_is_the_pairwise_formula(self, d, n):
+        # one point at a time is bitwise the max over all (B, N, N, d)
+        # differences at once
+        x = np.random.default_rng(n + d).normal(size=(5, n, d))
+        x[0] *= 1e-3
+        dist = np.linalg.norm(x[:, :, None, :] - x[:, None, :, :], axis=-1)
+        assert np.array_equal(flow_engine._diam_batch(x), dist.max(axis=(1, 2)))
 
     def test_diameter_rotation_invariant(self):
         rng = np.random.default_rng(1)
@@ -409,11 +423,96 @@ class TestStreams:
         for chunk in (1, 7, 64):
             assert same_result(run(chunk), whole)
 
+    @pytest.mark.parametrize("shape", ["shell", "circle"])
+    def test_increment_is_factor_times_normals(self, d2_potential_atom,
+                                               shape):
+        # one step of size 1 without drift moves the points by F z, summed
+        # over the batch's used columns in pivot order
+        pts = (flow_engine.boundary_shell(2, 1.1, 64) if shape == "shell"
+               else TINY_CIRCLE)
+        x0 = np.broadcast_to(pts, (8,) + pts.shape)
+        moves = []
+        flow_engine._simulate(d2_potential_atom, x0, 1.0, 1.0,
+                              flow_engine._path_gens(2, 0, 8),
+                              lambda t, k, x: moves.append(x.copy()))
+        f, rank, _ = pivoted_cholesky_batch(*kernel_rows(d2_potential_atom,
+                                                         x0))
+        z = next(flow_engine._step_normals(flow_engine._path_gens(2, 0, 8),
+                                           1, pts.size))
+        assert rank.max() < pts.size  # the sum stops short of m columns
+        got = (moves[1] - moves[0]).reshape(8, -1)
+        want = (f @ z[:, :, None])[:, :, 0]
+        bound = 1e-14 * np.abs(f).max(axis=(1, 2)) * np.linalg.norm(z, axis=1)
+        assert (np.abs(got - want).max(axis=1) <= bound).all()
+
     def test_streams_distinct_across_seed_and_path(self):
         # under seed XOR path, (5, 1) and (6, 2) shared one stream
         a = flow_engine._path_gens(5, 1, 2)[0].standard_normal(4)
         b = flow_engine._path_gens(6, 2, 3)[0].standard_normal(4)
         assert not np.array_equal(a, b)
+
+
+# one chunk of the squeeze shape: 64 paths of the 64-tracer shell of
+# radius 1.1, 5 steps observed by the diameter, after a warm-up call that
+# builds the kernel's profile blocks
+_CHUNK_RUN = textwrap.dedent("""
+    import numpy as np
+    from ibflow import SpectralMeasure, flow_engine, make_model
+    model = make_model(2, 0.0, 1.0, 0.0,
+                       m_p=SpectralMeasure(atoms=((1.0, 1.0),)))
+    shell = flow_engine.boundary_shell(2, 1.1, 64)
+
+    def run(paths, steps):
+        flow_engine._simulate(
+            model, np.broadcast_to(shell, (paths, 64, 2)), steps * 1e-3,
+            1e-3, flow_engine._path_gens(3, 0, paths),
+            lambda t, k, x: flow_engine._diam_batch(x), stride=1)
+""")
+
+
+class TestChunkMemory:
+    def test_numpy_allocations(self):
+        # numpy's own allocations of the chunk, the factor's mapped pages
+        # aside: 1.3 MiB, against 20.6 MiB with the diameter's (B, N, N, d)
+        # temporary and two (B, m, m) factors alive on the heap
+        scope = {}
+        exec(_CHUNK_RUN, scope)
+        scope["run"](64, 1)
+        tracemalloc.start()
+        try:
+            scope["run"](64, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak resident set from procfs")
+    def test_resident_factor_follows_rank(self):
+        # the (64, 128, 128) factor reserves 8 MiB, but only its first
+        # max-rank (about 25) column slabs are ever written; in a fresh
+        # process the chunk raises the peak resident set by about 2.7 MiB
+        # (8.7 MiB with the factor on np.zeros, 20.4 MiB with two factors
+        # and the diameter's 4-D temporary alive)
+        script = _CHUNK_RUN + textwrap.dedent("""
+            def peak_mib():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1]) / 1024
+
+            run(1, 1)
+            before = peak_mib()
+            run(64, 5)
+            print(peak_mib() - before)
+        """)
+        src = str(Path(flow_engine.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 6.0
 
 
 class TestTracking:
