@@ -625,15 +625,13 @@ def _run_covariance(cfg: RunConfig, jobs: int) -> Measured:
     model = cfg.model
     s = np.linspace(0.0, cfg.params["s_max"], cfg.params["n_points"])
     b_l, b_n = covariance.covariance_scalars(model, s)
-    per_kind = {}
-    for kind in ("PL", "PN", "SL", "SN"):
-        measure = model.m_p if kind[0] == "P" else model.m_s
+    per_kind = []  # B_PL, B_PN, B_SL, B_SN: one quadrature per component
+    for component, measure in (("P", model.m_p), ("S", model.m_s)):
         if measure is None:
-            per_kind[kind] = np.full_like(s, math.nan)
+            per_kind += [np.full_like(s, math.nan)] * 2
         else:
-            per_kind[kind] = covariance.b_scalar(model, kind, s)
-    rows = zip(s, b_l, b_n, per_kind["PL"], per_kind["PN"],
-               per_kind["SL"], per_kind["SN"])
+            per_kind += covariance.b_scalar(model, component, s)
+    rows = zip(s, b_l, b_n, *per_kind)
     try:
         fc = covariance.flow_constants(model)
         aggregate = {"beta_l": fc.beta_l, "beta_n": fc.beta_n,

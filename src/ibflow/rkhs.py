@@ -157,10 +157,9 @@ def inward_profile(model: IbfModel, rho: float,
     step = max(1, _QUAD_PAIRS // locs.size)
     for lo in range(0, r.size, step):
         z = r[lo:lo + step, None] * locs
-        jr = bessel_j_ratio(nu, z)
+        jr, jr_up = bessel_j_ratio(nu, z, 2)
         g[lo:lo + step] = (z * jr * w).sum(axis=-1)
-        dg[lo:lo + step] = ((jr - z * z * bessel_j_ratio(nu + 1.0, z))
-                            * (w * locs)).sum(axis=-1)
+        dg[lo:lo + step] = ((jr - z * z * jr_up) * (w * locs)).sum(axis=-1)
     return g, dg
 
 

@@ -44,10 +44,11 @@ def test_criterion_01_normalization_identity():
             m_p=SpectralMeasure(atoms=((float(rng.uniform(0.3, 3.0)), 1.0),),
                                 density_pieces=((0.4, 1.9, 0.5),)),
             m_s=SpectralMeasure(atoms=((float(rng.uniform(0.3, 3.0)), 1.0),)))
-        for kind in ("PL", "PN", "SL", "SN"):
-            worst = max(worst, abs(b_scalar(model, kind, 0.0) - 1.0))
-            # the s -> 0 limit of the quadrature itself agrees as well
-            worst = max(worst, abs(b_scalar(model, kind, 1e-7) - 1.0))
+        for component in ("P", "S"):
+            for s in (0.0, 1e-7):
+                # at 1e-7, the s -> 0 limit of the quadrature itself
+                worst = max([worst] + [abs(b - 1.0) for b in
+                                       b_scalar(model, component, s)])
         gap = np.max(np.abs(covariance_tensor(model, np.zeros(d)) - np.eye(d)))
         worst = max(worst, float(gap))
     assert worst < 1e-8

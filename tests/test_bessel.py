@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -58,10 +59,42 @@ class TestAgainstSeriesOracle:
             assert abs(got - ref) / scale < 1e-10, (nu, x)
 
     def test_branch_seam_continuity(self):
-        for nu in (0.0, 1.0, 2.0, 5.0):
-            below = bessel_j(nu, 11.999999999)
-            above = bessel_j(nu, 12.000000001)
+        # Miller's recurrence below x = 20, Hankel's expansion above
+        for nu in ALL_ORDERS:
+            below = bessel_j(nu, 19.999999999)
+            above = bessel_j(nu, 20.000000001)
             assert abs(below - above) < 1e-9
+            ratio = bessel_j_ratio(nu, np.array([19.999999999, 20.000000001]))
+            assert abs(ratio[0] - ratio[1]) < 1e-9 * 20.0 ** -nu
+
+
+def _mp_j(nu, x):
+    with mp.workdps(30):
+        return mp.besselj(nu, x)
+
+
+class TestAgainstMpmath:
+    XS = np.linspace(0.0, 60.0, 601)
+
+    @pytest.mark.parametrize("nu", ALL_ORDERS)
+    def test_absolute_accuracy(self, nu):
+        mine = bessel_j(nu, self.XS)
+        worst = max(abs(got - float(_mp_j(nu, x)))
+                    for x, got in zip(self.XS, mine))
+        assert worst < 2e-15, nu
+
+    @pytest.mark.parametrize("nu", ALL_ORDERS)
+    def test_ratio_relative_accuracy(self, nu):
+        # R = J / x^nu, where J is not near a zero
+        mine = bessel_j_ratio(nu, self.XS)
+        for x, got in zip(self.XS, mine):
+            ref = _mp_j(nu, x)
+            if x == 0.0:
+                expect = 0.5 ** nu / math.gamma(nu + 1.0)
+                assert abs(got / expect - 1.0) < 1e-13
+            elif abs(ref) > 1e-2 or x < 1.0:
+                expect = ref / mp.mpf(float(x)) ** nu
+                assert abs(float((got - expect) / expect)) < 1e-13, (nu, x)
 
 
 class TestRecurrence:
@@ -93,6 +126,35 @@ class TestRatio:
         assert np.isfinite(val) and val > 0
 
 
+class TestConsecutiveOrders:
+    XS = np.array([[0.0, 0.01, 0.7, 5.3], [12.0, 19.99, 20.0, 45.0]])
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 7.0, 8.0])
+    def test_rows_are_single_orders_bitwise(self, nu):
+        rows = bessel_j_ratio(nu, self.XS, 3)
+        assert rows.shape == (3,) + self.XS.shape
+        for j in range(3):
+            assert np.array_equal(rows[j], bessel_j_ratio(nu + j, self.XS))
+
+    def test_scalar_argument(self):
+        rows = bessel_j_ratio(1.5, 2.0, 2)
+        assert rows.shape == (2,)
+        assert rows[1] == bessel_j_ratio(2.5, 2.0)
+
+    @pytest.mark.parametrize("nu", ALL_ORDERS)
+    def test_value_independent_of_batch(self, nu):
+        # one Miller start for every x < 20: a neighbour changes nothing
+        alone = bessel_j_ratio(nu, np.array([0.01]))
+        beside = bessel_j_ratio(nu, np.array([19.99, 0.01, 45.0]))
+        assert alone[0] == beside[1]
+        assert bessel_j(nu, 0.01) == bessel_j(nu, np.array([0.01, 19.99, 45.0]))[0]
+
+    def test_orders_past_the_cap(self):
+        for nu, count in ((9.0, 3), (10.0, 2), (1.0, 0)):
+            with pytest.raises(ValueError):
+                bessel_j_ratio(nu, 1.0, count)
+
+
 class TestValidation:
     def test_negative_argument(self):
         with pytest.raises(ValueError):
@@ -102,6 +164,11 @@ class TestValidation:
         for nu in (-1.0, 0.3, 10.5, 11.0):
             with pytest.raises(ValueError):
                 bessel_j(nu, 1.0)
+
+    def test_huge_argument(self):
+        # J straight from Hankel's expansion, not R * x^nu (x^3 overflows)
+        val = bessel_j(3, 1e250)
+        assert np.isfinite(val) and 0.0 < abs(val) < 1e-125
 
     def test_vector_in_vector_out(self):
         xs = np.linspace(0, 5, 7)

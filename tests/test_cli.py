@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ibflow import cli, flow_engine, rkhs
+from ibflow import cli, covariance, flow_engine, rkhs
 from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         main, parse_config, run_command)
 from ibflow.field_sampler import CovarianceFactorError
@@ -557,6 +557,26 @@ class TestRunCommands:
         for row in rows[1:]:
             for cell in row:
                 assert cli._fmt(float(cell)) == cell
+
+    @pytest.mark.parametrize("model", [None, "mixed"])
+    def test_covariance_component_columns(self, tmp_path, model):
+        # B_PL, B_PN (and B_SL, B_SN) come from one quadrature of their
+        # component each, bitwise b_scalar's (B_L, B_N); NaN without it
+        doc = atom_config(params={"s_max": 80.0, "n_points": 9})
+        if model:
+            doc["model"] = _MIXED_D2
+        cfg = parse_config(doc)
+        run_command("covariance", cfg, out_dir=tmp_path, quiet=True)
+        with open(tmp_path / "covariance.csv") as fh:
+            cols = np.array([[float(c) for c in row]
+                             for row in list(csv.reader(fh))[1:]]).T
+        s = np.linspace(0.0, 80.0, 9)
+        for component, got in (("P", cols[3:5]), ("S", cols[5:7])):
+            if (cfg.model.m_p if component == "P" else cfg.model.m_s) is None:
+                assert np.isnan(got).all()
+            else:
+                assert np.array_equal(
+                    got, covariance.b_scalar(cfg.model, component, s))
 
     def test_check_condition_zero_atom(self, tmp_path):
         doc = atom_config(command="check-condition", params={"rho": 1.0})

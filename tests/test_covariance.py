@@ -52,42 +52,42 @@ class TestModelValidation:
 class TestScalars:
     def test_all_kinds_equal_one_at_zero(self, d2_mixed, d3_mixed):
         for model in (d2_mixed, d3_mixed):
-            for kind in ("PL", "PN", "SL", "SN"):
-                assert b_scalar(model, kind, 0.0) == 1.0
+            for component in ("P", "S"):
+                assert b_scalar(model, component, 0.0) == (1.0, 1.0)
 
     def test_d2_atom_transverse_is_scaled_j1(self, d2_potential_atom):
         # with one unit atom the transverse scalar is 2 J_1(s) / s
-        assert b_scalar(d2_potential_atom, "PN", 1.0) == pytest.approx(
+        assert b_scalar(d2_potential_atom, "P", 1.0)[1] == pytest.approx(
             2 * J1_AT_1, rel=1e-12)
-        assert abs(b_scalar(d2_potential_atom, "PN", J1_FIRST_ZERO)) < 1e-8
+        assert abs(b_scalar(d2_potential_atom, "P", J1_FIRST_ZERO)[1]) < 1e-8
 
     def test_missing_measure_is_model_error(self, d2_potential_atom):
         with pytest.raises(ModelError):
-            b_scalar(d2_potential_atom, "SL", 1.0)
+            b_scalar(d2_potential_atom, "S", 1.0)
 
     def test_unknown_kind(self, d2_potential_atom):
-        with pytest.raises(ModelError):
-            b_scalar(d2_potential_atom, "XX", 1.0)
+        for component in ("XX", "PL"):
+            with pytest.raises(ModelError):
+                b_scalar(d2_potential_atom, component, 1.0)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(0)
         grid = np.linspace(0.0, 20.0, 401)
         for _ in range(6):
             model = random_model(rng)
-            for kind, measure in (("PL", model.m_p), ("PN", model.m_p),
-                                  ("SL", model.m_s), ("SN", model.m_s)):
+            for component, measure in (("P", model.m_p), ("S", model.m_s)):
                 if measure is None:
                     continue
-                vals = b_scalar(model, kind, grid)
+                vals = b_scalar(model, component, grid)
                 assert np.max(np.abs(vals)) <= 1.0 + 1e-9
 
     def test_combination_matches_components(self, d2_mixed):
         s = np.linspace(0.0, 6.0, 23)
         b_l, b_n = covariance_scalars(d2_mixed, s)
-        expect_l = (d2_mixed.mu0 + d2_mixed.mu1 * b_scalar(d2_mixed, "PL", s)
-                    + d2_mixed.mu2 * b_scalar(d2_mixed, "SL", s))
-        expect_n = (d2_mixed.mu0 + d2_mixed.mu1 * b_scalar(d2_mixed, "PN", s)
-                    + d2_mixed.mu2 * b_scalar(d2_mixed, "SN", s))
+        p_l, p_n = b_scalar(d2_mixed, "P", s)
+        s_l, s_n = b_scalar(d2_mixed, "S", s)
+        expect_l = d2_mixed.mu0 + d2_mixed.mu1 * p_l + d2_mixed.mu2 * s_l
+        expect_n = d2_mixed.mu0 + d2_mixed.mu1 * p_n + d2_mixed.mu2 * s_n
         assert np.allclose(b_l, expect_l, atol=1e-13)
         assert np.allclose(b_n, expect_n, atol=1e-13)
 
@@ -240,14 +240,15 @@ class TestQuadratureChunks:
         s = np.linspace(0.0, 100.0, 4096)
         tracemalloc.start()
         try:
-            b_scalar(model, "PL", s)
+            b_scalar(model, "P", s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
     def test_empty_separations(self, d3_mixed):
-        assert b_scalar(d3_mixed, "PL", np.array([])).shape == (0,)
+        b_l, b_n = b_scalar(d3_mixed, "P", np.array([]))
+        assert b_l.shape == b_n.shape == (0,)
 
 
 class TestTensor:
