@@ -10,8 +10,7 @@ from ._version import __version__
 from .spectral import (SpectralMeasure, MeasureError, total_mass, moment,
                        normalize_potential, normalize_solenoidal)
 from .covariance import (IbfModel, FlowConstants, ModelError, make_model,
-                         b_scalar, covariance_scalars, covariance_tensor,
-                         tensor_field, flow_constants, psd_probe)
+                         b_scalar, covariance_scalars, flow_constants)
 from .bessel import bessel_j, bessel_j_ratio
 from .rkhs import (ConditionReport, bessel_zeros, check_condition,
                    inward_profile, squeeze_functional)
@@ -19,7 +18,7 @@ from .field_sampler import (CovarianceFactorError, eval_drift, drift_linear,
                             drift_radial_rkhs, drift_custom_table,
                             kernel_rows, pivoted_cholesky_batch)
 from .flow_engine import (ExperimentResult, PairCollapseError, ode_flow,
-                          step_count, containment, diameter, curve_length,
+                          step_count, diameter, curve_length,
                           squeeze_experiment, lyapunov_estimate,
                           tracking_experiment, length_decay_experiment,
                           boundary_shell, wilson_interval)

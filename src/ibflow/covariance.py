@@ -158,22 +158,28 @@ def b_scalar(model: IbfModel, component: str, s):
 
 
 def _component_scalars(d: int, measure: SpectralMeasure, potential: bool,
-                       s: np.ndarray, slopes: bool = False) -> list[np.ndarray]:
+                       s: np.ndarray, derivatives: bool = False
+                       ) -> list[np.ndarray]:
     """[B_L, B_N] of one component on a flat array of separations, with
-    [dB_L/ds, dB_N/ds] appended when slopes is set, evaluated over at most
-    _QUAD_PAIRS (separation, node) pairs at a time."""
+    [dB_L/ds, dB_N/ds, d2B_L/ds2, d2B_N/ds2] appended when derivatives is
+    set, evaluated over at most _QUAD_PAIRS (separation, node) pairs at a
+    time."""
     locs, wts = _nodes(measure)
     step = max(1, _QUAD_PAIRS // locs.size)
-    parts = [_quadrature(d, locs, wts, potential, s[lo:lo + step], slopes)
+    parts = [_quadrature(d, locs, wts, potential, s[lo:lo + step], derivatives)
              for lo in range(0, max(s.size, 1), step)]
     return [np.concatenate(col) for col in zip(*parts)]
 
 
 def _quadrature(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
-                s: np.ndarray, slopes: bool) -> list[np.ndarray]:
+                s: np.ndarray, derivatives: bool) -> list[np.ndarray]:
     """_component_scalars on one chunk of separations, from one Bessel pass
-    over the consecutive orders the component needs. The slopes use
-    d/dz (J_nu(z) / z^nu) = -z J_(nu+1)(z) / z^(nu+1) and d/ds = r d/dz.
+    over the consecutive orders the component needs. With
+    R_nu(z) = J_nu(z) / z^nu and m = d/2, the derivatives use
+    R_nu' = -z R_(nu+1) and R_nu'' = (2 nu + 1) R_(nu+1) - R_nu; the
+    potential L kernel g = R_m - z^2 R_(m+1) has
+    g'' = (z^2 - 3) R_(m+1) + (2 - 2m) z^2 R_(m+2). With z = s r,
+    d/ds = r d/dz and d2/ds2 = r^2 d2/dz2.
     """
     z = s[:, None] * locs[None, :]
     c = _c_norm(d)
@@ -184,41 +190,52 @@ def _quadrature(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
         return (vals * weights).sum(axis=-1)
 
     mid = d / 2.0
-    # J~ at mid, mid + 1 (and mid + 2) for the potential part, at
+    # R at mid, mid + 1 (and mid + 2) for the potential part, at
     # mid - 1, mid (and mid + 1) for the solenoidal part
     jr = bessel_j_ratio(mid if potential else mid - 1.0, z,
-                        3 if slopes else 2)
+                        3 if derivatives else 2)
     if potential:
         out = [c * against_measure(jr[0] - z * z * jr[1]),
                c * against_measure(jr[0])]
     else:
         out = [(d - 1.0) * c * against_measure(jr[1]),
                c * against_measure(jr[0] - jr[1])]
-    if slopes:
+    if derivatives:
         rw = locs * wts
+        r2w = locs * rw
+        z2 = z * z
         if potential:
             zjr = z * jr[1]
             out += [c * against_measure(z ** 3 * jr[2] - 3.0 * zjr, rw),
-                    -c * against_measure(zjr, rw)]
+                    -c * against_measure(zjr, rw),
+                    c * against_measure((z2 - 3.0) * jr[1]
+                                        + (2.0 - d) * z2 * jr[2], r2w),
+                    c * against_measure((d + 1.0) * jr[1] - jr[0], r2w)]
         else:
             zjr = z * jr[2]
             out += [-(d - 1.0) * c * against_measure(zjr, rw),
-                    c * against_measure(zjr - z * jr[1], rw)]
+                    c * against_measure(zjr - z * jr[1], rw),
+                    (d - 1.0) * c * against_measure(
+                        (d + 1.0) * jr[2] - jr[1], r2w),
+                    c * against_measure(d * jr[1] - jr[0] - (d + 1.0) * jr[2],
+                                        r2w)]
     return out
 
 
 def _scalars_exact(model: IbfModel, flat: np.ndarray,
-                   slopes: bool = False) -> list[np.ndarray]:
-    """[B_L, B_N] by quadrature, then [dB_L/ds, dB_N/ds] if slopes is set;
-    a non-finite separation has no covariance and gives NaN."""
+                   derivatives: bool = False) -> list[np.ndarray]:
+    """[B_L, B_N] by quadrature, then [dB_L/ds, dB_N/ds, d2B_L/ds2,
+    d2B_N/ds2] if derivatives is set; a non-finite separation has no
+    covariance and gives NaN."""
     finite = flat < math.inf
     out = [np.full(flat.shape, model.mu0, dtype=float) for _ in range(2)]
-    out += [np.zeros(flat.shape) for _ in range(2 if slopes else 0)]
+    out += [np.zeros(flat.shape) for _ in range(4 if derivatives else 0)]
     for mu, m, potential in ((model.mu1, model.m_p, True),
                              (model.mu2, model.m_s, False)):
         if mu > 0.0:
             for acc, part in zip(out, _component_scalars(
-                    model.d, m, potential, np.where(finite, flat, 0.0), slopes)):
+                    model.d, m, potential, np.where(finite, flat, 0.0),
+                    derivatives)):
                 acc += mu * part
     out[0] = np.where(flat == 0.0, 1.0, out[0])
     out[1] = np.where(flat == 0.0, 1.0, out[1])
@@ -230,8 +247,10 @@ def _scalars_exact(model: IbfModel, flat: np.ndarray,
 
 _PROFILE_HI = 64.0
 _SERIES_DEGREE = 4  # in s^2: needs moments up to order 8, all exact
-_SERIES_TOL = 0.25 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_SERIES_TOL = 0.25 * _EPS
 _BLOCK = 256  # profile pieces built together
+_MAX_PIECES = 262144
 
 
 def _jr_coefficient(nu: float, k: int) -> float:
@@ -321,13 +340,14 @@ def _small_s_series(model: IbfModel) -> SmallSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class CubicTable:
-    """Piecewise cubics on the uniform grid lo + k h, k = 0 .. pieces.
+class PiecewiseTable:
+    """Piecewise polynomials on the uniform grid lo + k h, k = 0 .. pieces.
 
-    rows[4 j + k] holds the coefficient of u^k, u = s - knot, of every
-    piece of the j-th function; hi is the last knot. A point s is served
-    by piece floor((s - lo) / h), the last piece also past hi, by direct
-    index and Horner's rule.
+    rows has shape (degree + 1, functions, pieces): rows[k, j, p] is the
+    coefficient of u^k, u = s - knot p, of function j on piece p; hi is
+    the last knot. A point s is served by piece floor((s - lo) / h), the
+    last piece also past hi: one gather of its coefficients, then
+    Horner's rule.
     """
 
     rows: np.ndarray
@@ -337,63 +357,82 @@ class CubicTable:
 
     def piece(self, s: np.ndarray) -> np.ndarray:
         return np.minimum(((s - self.lo) / self.h).astype(np.intp),
-                          self.rows.shape[1] - 1)
+                          self.rows.shape[-1] - 1)
 
     def __call__(self, s: np.ndarray, piece: np.ndarray | None = None
-                 ) -> list[np.ndarray]:
+                 ) -> np.ndarray:
+        """The (functions, n) values at the flat array s."""
         if piece is None:
             piece = self.piece(s)
         u = s - (self.lo + piece * self.h)
-        out = []
-        for first in range(0, self.rows.shape[0], 4):
-            val = self.rows[first + 3][piece]
-            for k in (2, 1, 0):
-                val *= u
-                val += self.rows[first + k][piece]
-            out.append(val)
-        return out
+        coef = self.rows.take(piece, axis=-1)
+        val = coef[-1] * u
+        val += coef[-2]
+        for row in coef[-3::-1]:
+            val *= u
+            val += row
+        return val
 
 
-def hermite_rows(f: np.ndarray, g: np.ndarray, h) -> list[np.ndarray]:
-    """CubicTable rows of the cubic Hermite interpolant of values f and
-    slopes g at knots h apart (one step, or one per piece)."""
-    secant = np.diff(f) / h
-    return [f[:-1], g[:-1], (3.0 * secant - 2.0 * g[:-1] - g[1:]) / h,
-            (g[:-1] + g[1:] - 2.0 * secant) / (h * h)]
+def hermite_rows(h, *derivatives: np.ndarray) -> np.ndarray:
+    """PiecewiseTable rows (degree + 1, ..., pieces) of the Hermite
+    interpolant on knots h apart (one step, or one per piece) of values
+    and slopes, the cubic, or of values, slopes and second derivatives,
+    the quintic; each given on the knots along the last axis."""
+    if len(derivatives) == 2:
+        f, g = derivatives
+        g0, g1 = g[..., :-1], g[..., 1:]
+        secant = np.diff(f) / h
+        return np.array([f[..., :-1], g0, (3.0 * secant - 2.0 * g0 - g1) / h,
+                         (g0 + g1 - 2.0 * secant) / (h * h)])
+    f, g, c = derivatives
+    f0, g0, c0 = f[..., :-1], g[..., :-1], c[..., :-1]
+    # r0, r1, r2: what the quadratic Taylor part misses at the far knot
+    # in the value, h times the slope and h^2 times the second
+    # derivative; b_k = a_k h^k (k = 3, 4, 5) solve b3 + b4 + b5 = r0,
+    # 3 b3 + 4 b4 + 5 b5 = r1 and 6 b3 + 12 b4 + 20 b5 = r2
+    r0 = f[..., 1:] - f0 - h * (g0 + 0.5 * h * c0)
+    r1 = h * (g[..., 1:] - g0 - h * c0)
+    r2 = (h * h) * (c[..., 1:] - c0)
+    return np.array([f0, g0, 0.5 * c0,
+                     (10.0 * r0 - 4.0 * r1 + 0.5 * r2) / h ** 3,
+                     (7.0 * r1 - 15.0 * r0 - r2) / h ** 4,
+                     (6.0 * r0 - 3.0 * r1 + 0.5 * r2) / h ** 5])
 
 
 class ScalarProfile:
-    """(B_L, B_N) on [lo, 64] as piecewise cubics on a uniform grid.
+    """(B_L, B_N) on [lo, 64] as piecewise quintics on a uniform grid.
 
-    Each piece is the cubic Hermite interpolant of the exact values and
-    slopes at its two knots, so its interpolation error is at most
-    h^4/384 times the fourth derivative, and that bounds the profile:
-    with h refined past the measure's support scale, up to 3.1e-13 from
-    quadrature (B_N of the d = 2 mixed test model).
-    Pieces are built in blocks of _BLOCK the first time a separation
-    lands in the block's span, always from the same knots: a run pays
-    only for the range it meets, and a value never depends on which run
-    built it.
+    Each piece is the quintic Hermite interpolant of the exact values,
+    slopes and second derivatives at its two knots. Pieces are built in
+    blocks of _BLOCK the first time a separation lands in the block's
+    span, always from the same knots: a run pays only for the range it
+    meets, and a value never depends on which run built it.
     """
 
     def __init__(self, model: IbfModel, lo: float, h: float, pieces: int):
         self._model = model
-        # B_L in rows 0-3, B_N in rows 4-7
-        self.cubics = CubicTable(np.empty((8, pieces)), lo, h, _PROFILE_HI)
+        self.table = PiecewiseTable(np.empty((6, 2, pieces)), lo, h,
+                                    _PROFILE_HI)
         self._built = np.zeros(-(-pieces // _BLOCK), dtype=bool)
         self._lock = threading.Lock()
 
     def _build(self, block: int) -> None:
-        table = self.cubics
+        table = self.table
         first = block * _BLOCK
-        stop = min(first + _BLOCK, table.rows.shape[1])
+        stop = min(first + _BLOCK, table.rows.shape[-1])
         knots = table.lo + np.arange(first, stop + 1) * table.h
-        b_l, b_n, d_l, d_n = _scalars_exact(self._model, knots, slopes=True)
-        table.rows[:, first:stop] = (hermite_rows(b_l, d_l, table.h)
-                                     + hermite_rows(b_n, d_n, table.h))
+        # values, slopes, second derivatives: each a (2, knots) array
+        exact = np.array(_scalars_exact(self._model, knots, derivatives=True))
+        # each piece spans its own two rounded knots, whose distance is h
+        # only to an ulp of the knot: a piece built on h would miss its
+        # far knot's value by that ulp times the slope (2.6e-15 at s = 34
+        # for the unit atom)
+        table.rows[..., first:stop] = hermite_rows(np.diff(knots),
+                                                   *exact.reshape(3, 2, -1))
 
-    def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        piece = self.cubics.piece(s)
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        piece = self.table.piece(s)
         span = slice(piece.min() // _BLOCK, piece.max() // _BLOCK + 1)
         if not self._built[span].all():
             with self._lock:
@@ -401,21 +440,24 @@ class ScalarProfile:
                     if not self._built[block]:
                         self._build(block)
                         self._built[block] = True
-        b_l, b_n = self.cubics(s, piece)
-        return b_l, b_n
+        return self.table(s, piece)
 
 
 @lru_cache(maxsize=32)
 def _scalar_profile(model: IbfModel) -> ScalarProfile:
-    """The model's profile on [s0, 64], with a grid step refined past
-    the support scale of its measures."""
+    """The model's profile on [s0, 64], with its step from the quintic
+    Hermite remainder: a piece of width h errs by at most
+    h^6 / 46080 max |B^(6)|. Every scalar is a nonnegative-weight average
+    of cos(s k t) with |t| <= 1 over k from the measures, and 1 at
+    s = 0, so |B^(6)| <= M6 = sum_i mu_i moment(m_i, 6) / mass(m_i), and
+    h = (46080 eps / M6)^(1/6) holds the remainder to eps."""
     lo = _small_s_series(model).s0
-    loc_max = max(
-        [m.support_max() for m in (model.m_p, model.m_s) if m is not None],
-        default=1.0)
-    step = 2.5e-3 / max(1.0, loc_max / 2.0)
-    n = min(max(2, 1 + int((_PROFILE_HI - lo) / step)), 262144)
-    return ScalarProfile(model, lo, (_PROFILE_HI - lo) / (n - 1), n - 1)
+    m6 = sum(mu * spectral.moment(m, 6) / spectral.total_mass(m)
+             for mu, m in ((model.mu1, model.m_p), (model.mu2, model.m_s))
+             if mu > 0.0)
+    step = (46080.0 * _EPS / m6) ** (1.0 / 6.0)
+    pieces = min(max(1, math.ceil((_PROFILE_HI - lo) / step)), _MAX_PIECES)
+    return ScalarProfile(model, lo, (_PROFILE_HI - lo) / pieces, pieces)
 
 
 def covariance_scalars(model: IbfModel, s):
@@ -425,8 +467,13 @@ def covariance_scalars(model: IbfModel, s):
     separation (its tensor is mu0 * identity everywhere). Each
     separation's route depends on the model and s alone, never on the
     batch: the moment series for s < s0 (s = 0 gives exactly 1), the
-    piecewise-cubic profile on [s0, 64], exact quadrature beyond 64. A
+    piecewise-quintic profile on [s0, 64], exact quadrature beyond 64. A
     non-finite separation has no covariance and gives NaN.
+
+    A batch that reaches s0 is read from the profile whole, its entries
+    outside [s0, 64] at s0, and those entries are then overwritten from
+    their own routes (the series last, since it serves every s < s0,
+    even past 64 for a model whose s0 is).
     """
     arr = np.asarray(s, dtype=float)
     flat = np.atleast_1d(arr).ravel()
@@ -437,19 +484,19 @@ def covariance_scalars(model: IbfModel, s):
     hi = flat.max(initial=-math.inf)
     if hi < series.s0:
         b_l, b_n = series(flat)
-    elif lo >= series.s0 and hi <= _PROFILE_HI:
-        b_l, b_n = _scalar_profile(model)(flat)
     else:
-        b_l = np.empty_like(flat)
-        b_n = np.empty_like(flat)
-        small = flat < series.s0
-        far = ~(small | (flat <= _PROFILE_HI))  # NaN and inf too
-        routes = ((small, series),
-                  (~(small | far), lambda x: _scalar_profile(model)(x)),
-                  (far, lambda x: _scalars_exact(model, x)))
-        for mask, route in routes:
-            if mask.any():
-                b_l[mask], b_n[mask] = route(flat[mask])
+        if series.s0 <= _PROFILE_HI:
+            inner = np.where(flat <= _PROFILE_HI, flat, series.s0)  # NaN too
+            b_l, b_n = _scalar_profile(model)(np.maximum(inner, series.s0,
+                                                         out=inner))
+        else:  # no separation takes the profile
+            b_l, b_n = np.empty((2, flat.size))
+        if not hi <= _PROFILE_HI:
+            far = ~(flat <= _PROFILE_HI)  # NaN and inf too
+            b_l[far], b_n[far] = _scalars_exact(model, flat[far])
+        if not lo >= series.s0:  # NaN makes lo NaN
+            small = flat < series.s0
+            b_l[small], b_n[small] = series(flat[small])
     if arr.ndim == 0:
         return float(b_l[0]), float(b_n[0])
     return b_l.reshape(arr.shape), b_n.reshape(arr.shape)
@@ -471,36 +518,6 @@ def tensor_scalars(model: IbfModel, comps) -> tuple[np.ndarray, np.ndarray]:
     return coef, b_n
 
 
-def tensor_field(model: IbfModel, xs: np.ndarray) -> np.ndarray:
-    """Covariance tensors b(x) for a batch of separation vectors.
-
-    xs has shape (..., d); the result has shape (..., d, d). At x = 0
-    the tensor is exactly the identity. It is filled from tensor_scalars
-    one component pair at a time: broadcasting over the tiny trailing
-    axes would cost more than the arithmetic.
-    """
-    xs = np.asarray(xs, dtype=float)
-    d = model.d
-    if xs.shape[-1] != d:
-        raise ModelError(f"separation vectors must have length d = {d}")
-    comps = [xs[..., a] for a in range(d)]
-    coef, b_n = tensor_scalars(model, comps)
-    out = np.empty(xs.shape + (d,))
-    for a in range(d):
-        for c in range(a, d):
-            out[..., a, c] = out[..., c, a] = coef * (comps[a] * comps[c])
-        out[..., a, a] += b_n
-    return out
-
-
-def covariance_tensor(model: IbfModel, x) -> np.ndarray:
-    """Covariance tensor b(x) as a dense d x d matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ModelError(f"point must be a vector of length d = {model.d}")
-    return tensor_field(model, x)
-
-
 def flow_constants(model: IbfModel) -> FlowConstants:
     """Exact beta_l, beta_n and top Lyapunov exponent from second moments."""
     if model.is_trivial:
@@ -513,17 +530,3 @@ def flow_constants(model: IbfModel) -> FlowConstants:
     beta_n = model.mu1 / denom * m2p + (d + 1.0) * model.mu2 / denom * m2s
     lam = (d - 1.0) * beta_n / 2.0 - beta_l / 2.0
     return FlowConstants(beta_l=beta_l, beta_n=beta_n, lam=lam)
-
-
-def psd_probe(model: IbfModel, points, directions) -> float:
-    """Quadratic form sum_{k,l} <b(x_k - x_l) xi_k, xi_l>.
-
-    Callers assert the result is >= -tolerance; positive semi-definiteness
-    of the kernel makes the exact value nonnegative.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if pts.shape != dirs.shape or pts.shape[0] < 1:
-        raise ModelError("points and directions must be equal-length lists")
-    blocks = tensor_field(model, pts[:, None, :] - pts[None, :, :])
-    return float(np.einsum("ki,klij,lj->", dirs, blocks, dirs))

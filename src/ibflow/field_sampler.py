@@ -25,16 +25,18 @@ from collections.abc import Callable
 import numpy as np
 
 from . import rkhs
-from .covariance import (CubicTable, IbfModel, ModelError, hermite_rows,
+from .covariance import (IbfModel, ModelError, PiecewiseTable, hermite_rows,
                          tensor_scalars)
 
 _EPS = np.finfo(float).eps
-# Kernel scalars served from the mid-range profile are accurate to about
-# 1e-12, so the C whose rows the factor reads can have eigenvalues near
-# -1e-12 (-4.5e-13 measured on a 128 x 128 shell covariance), and pivots
-# just above the stop tolerance amplify that in the residual diagonal
-# (-7.8e-11 measured on a contracting 24-point circle). Only a residual
-# diagonal below -sqrt(eps) max diag(C) is taken to mean C is not PSD.
+# Kernel scalars are accurate to a few eps, so the C whose rows the
+# factor reads can still have eigenvalues a little below 0 (-8.4e-15
+# measured on a 128 x 128 shell covariance), and pivots just above the
+# stop tolerance amplify rounding in the residual diagonal (-3.8e-15 at
+# worst on a 64-tracer tilted squeeze, -1.2e-15 on a contracting
+# 24-point circle). Only a residual diagonal below -sqrt(eps) max diag(C),
+# some seven orders of magnitude beyond that rounding, is taken to mean C
+# is not PSD.
 _PSD_SLACK = float(np.sqrt(_EPS))
 
 
@@ -64,15 +66,16 @@ RADIAL_SPAN = 12.0
 RADIAL_KNOTS = 2048
 
 
-def _radial_profile(model: IbfModel, rho: float) -> CubicTable:
+def _radial_profile(model: IbfModel, rho: float) -> PiecewiseTable:
     """The radial profile G of the mean inward field at radius rho as
     the cubic Hermite interpolant of its exact values and slopes
     (rkhs.inward_profile) at the RADIAL_KNOTS knots, one cubic per
-    interval."""
+    interval: a table of one function, rows (4, 1, RADIAL_KNOTS - 1)."""
     h = RADIAL_SPAN * rho / (RADIAL_KNOTS - 1)
     knots = h * np.arange(RADIAL_KNOTS)
     g, dg = rkhs.inward_profile(model, rho, knots)
-    return CubicTable(np.array(hermite_rows(g, dg, h)), 0.0, h, knots[-1])
+    return PiecewiseTable(hermite_rows(h, g[None], dg[None]), 0.0, h,
+                          knots[-1])
 
 
 def drift_radial_rkhs(model: IbfModel, rho: float, scale: float = 1.0
@@ -165,7 +168,8 @@ def kernel_rows(model: IbfModel, x: np.ndarray):
     the covariances C_b[i][j] = b(x_i - x_j) of point sets (B, N, d).
 
     Row (i, a) is component a of the tensors b(x_i - x_j) over all j,
-    bitwise as tensor_field gives it: entry (j, c) is coef * (dx_a * dx_c),
+    bitwise as the dense tensor_field oracle in tests/conftest.py gives
+    it: entry (j, c) is coef * (dx_a * dx_c),
     plus B_N where c = a, with dx = x_i - x_j and (coef, B_N) from
     covariance.tensor_scalars. dx, coef and B_N of each path's pivot
     point are computed once and held while every path pivots on the same

@@ -71,14 +71,6 @@ def curve_length(points, closed: bool = False) -> float:
     return float(_length_batch(pos[None], closed)[0])
 
 
-def containment(points, radius: float, center=None) -> bool:
-    """True iff every position lies strictly inside the open ball."""
-    pos = np.atleast_2d(np.asarray(points, dtype=float))
-    if center is not None:
-        pos = pos - np.asarray(center, dtype=float)
-    return bool(np.all(np.linalg.norm(pos, axis=-1) < radius))
-
-
 def _diam_batch(x: np.ndarray) -> np.ndarray:
     if x.shape[1] < 2:
         return np.zeros(x.shape[0])

@@ -37,7 +37,8 @@ from .covariance import _QUAD_PAIRS, IbfModel, ModelError, _nodes
 
 ZERO_SEARCH_MAX = 200.0
 _ZERO_GRID_STEP = 0.05
-_ZERO_BISECT_TOL = 1e-10
+_ZERO_TOL = 1e-10
+_ZERO_MAX_STEPS = 40  # bisection's worst case from a 0.05 bracket is 29
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,11 @@ def bessel_zeros(nu: float, upper: float) -> np.ndarray:
     """All positive zeros of J_nu on (0, upper].
 
     Brackets by sign change on a 0.05 grid (zeros are pi-spaced, so no
-    bracket is missed) and refines each by bisection to 1e-10.
+    bracket is missed) and refines each by safeguarded Newton steps to
+    1e-10. A step divides J_nu by J_nu' = (nu/x) J_nu - J_(nu+1), both
+    from one call for two orders (as ratios R = J / x^nu, the same step
+    R_nu / (nu R_nu / x - x R_(nu+1))); a step that leaves the bracket,
+    which each value's sign shrinks, is replaced by bisection.
     """
     if upper > ZERO_SEARCH_MAX:
         raise ValueError(f"zero search upper bound capped at {ZERO_SEARCH_MAX}")
@@ -66,18 +71,23 @@ def bessel_zeros(nu: float, upper: float) -> np.ndarray:
     change = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     lo, hi = grid[change], grid[change + 1]
     flo = vals[change]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j(nu, mid)
-        left = flo * fmid > 0
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fmid, flo)
-        hi = np.where(left, hi, mid)
-        if np.all(hi - lo < _ZERO_BISECT_TOL):
+    x = 0.5 * (lo + hi)
+    for _ in range(_ZERO_MAX_STEPS):
+        r, r_up = bessel_j_ratio(nu, x, 2)  # R has J's sign for x > 0
+        left = flo * r > 0
+        lo = np.where(left, x, lo)
+        flo = np.where(left, r, flo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - r / (nu * r / x - x * r_up)
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        done = np.abs(nxt - x) < _ZERO_TOL
+        x = nxt
+        if done.all():
             break
-    zeros = np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
-    # keep a zero sitting at the bound despite bisection-width wobble
-    return zeros[zeros <= upper + 10 * _ZERO_BISECT_TOL]
+    zeros = np.sort(np.concatenate([exact, x]))
+    # keep a zero sitting at the bound despite last-step wobble
+    return zeros[zeros <= upper + 10 * _ZERO_TOL]
 
 
 def zero_search_bound(model: IbfModel, rho: float, tol: float) -> float:

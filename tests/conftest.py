@@ -5,7 +5,11 @@ Bessel references come from a high-precision ascending series evaluated
 with mpmath arithmetic, and zeros from sign-change bisection on that
 series. The mean inward field's oracle averages the package's kernel
 over a sphere quadrature rule, a route independent of inward_profile's
-Bessel integral and of squeeze_functional's one-dimensional rule.
+Bessel integral and of squeeze_functional's one-dimensional rule. The
+dense covariance tensors (tensor_field, covariance_tensor), the quadratic
+form psd_probe and the ball test containment are the package's tensor
+arithmetic and geometry spelled out whole, which the sampler's kernel
+rows and the experiments' observers must reproduce.
 """
 
 from typing import NamedTuple
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from ibflow import SpectralMeasure, boundary_shell, make_model
+from ibflow import ModelError, SpectralMeasure, boundary_shell, make_model
 from ibflow.covariance import tensor_scalars
 
 # first positive zero of J_1, frozen from the series bisection oracle below
@@ -61,6 +65,55 @@ def bessel_zero_oracle(nu, lo: float, hi: float, tol: float = 1e-12) -> float:
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def tensor_field(model, xs: np.ndarray) -> np.ndarray:
+    """Covariance tensors b(x) for a batch of separation vectors.
+
+    xs has shape (..., d); the result has shape (..., d, d). At x = 0
+    the tensor is exactly the identity. It is filled from tensor_scalars
+    one component pair at a time, so kernel_rows' rows are bitwise its
+    rows.
+    """
+    xs = np.asarray(xs, dtype=float)
+    d = model.d
+    if xs.shape[-1] != d:
+        raise ModelError(f"separation vectors must have length d = {d}")
+    comps = [xs[..., a] for a in range(d)]
+    coef, b_n = tensor_scalars(model, comps)
+    out = np.empty(xs.shape + (d,))
+    for a in range(d):
+        for c in range(a, d):
+            out[..., a, c] = out[..., c, a] = coef * (comps[a] * comps[c])
+        out[..., a, a] += b_n
+    return out
+
+
+def covariance_tensor(model, x) -> np.ndarray:
+    """Covariance tensor b(x) as a dense d x d matrix."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.d,):
+        raise ModelError(f"point must be a vector of length d = {model.d}")
+    return tensor_field(model, x)
+
+
+def psd_probe(model, points, directions) -> float:
+    """Quadratic form sum_{k,l} <b(x_k - x_l) xi_k, xi_l>, which positive
+    semi-definiteness of the kernel makes nonnegative."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if pts.shape != dirs.shape or pts.shape[0] < 1:
+        raise ModelError("points and directions must be equal-length lists")
+    blocks = tensor_field(model, pts[:, None, :] - pts[None, :, :])
+    return float(np.einsum("ki,klij,lj->", dirs, blocks, dirs))
+
+
+def containment(points, radius: float, center=None) -> bool:
+    """True iff every position lies strictly inside the open ball."""
+    pos = np.atleast_2d(np.asarray(points, dtype=float))
+    if center is not None:
+        pos = pos - np.asarray(center, dtype=float)
+    return bool(np.all(np.linalg.norm(pos, axis=-1) < radius))
 
 
 class SphereRule(NamedTuple):

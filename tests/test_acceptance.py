@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from ibflow import (SpectralMeasure, b_scalar, bessel_j, check_condition,
-                    covariance_tensor, drift_radial_rkhs, flow_constants,
+                    drift_radial_rkhs, flow_constants,
                     length_decay_experiment, lyapunov_estimate, make_model,
                     squeeze_functional, squeeze_experiment,
                     tracking_experiment)
 from ibflow.cli import parse_config, run_command
 
-from conftest import bessel_zero_oracle, random_model, series_j_oracle
+from conftest import (bessel_zero_oracle, covariance_tensor, random_model,
+                      series_j_oracle)
 
 
 def _pass(n: int, name: str, detail: str):

@@ -196,6 +196,21 @@ class TestZeros:
         assert len(zeros) == 16
         assert np.all(np.diff(zeros) > 2.9)
 
+    @pytest.mark.parametrize("nu, upper", [(1.0, 20.0), (1.5, 40.0),
+                                           (4.0, 100.0)])
+    def test_newton_refinement_matches_oracle(self, nu, upper):
+        # every zero to 1e-10 against the bisection oracle on the mpmath
+        # series (which its 40 digits keep exact below x = 60); past 60
+        # the zeros keep McMahon's spacing of about pi
+        zeros = bessel_zeros(nu, upper)
+        near = zeros[zeros < 60.0]
+        assert near.size >= 5
+        for z in near:
+            assert z == pytest.approx(bessel_zero_oracle(nu, z - 0.01, z + 0.01),
+                                      abs=1e-10)
+        assert np.all(np.abs(np.diff(zeros) - math.pi) < 0.1 * (nu + 1))
+        assert upper - math.pi < zeros[-1] <= upper
+
     def test_upper_bound_guard(self):
         with pytest.raises(ValueError):
             bessel_zeros(1.0, 201.0)

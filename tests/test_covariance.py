@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from ibflow import (IbfModel, ModelError, SpectralMeasure, b_scalar,
-                    covariance_scalars, covariance_tensor, flow_constants,
-                    make_model, psd_probe, tensor_field)
+                    covariance_scalars, flow_constants, make_model)
 
 from ibflow import covariance
 from ibflow.covariance import (_component_scalars, _nodes, _scalar_profile,
                                _scalars_exact, _small_s_series)
 
-from conftest import J1_AT_1, J1_FIRST_ZERO, random_model, random_rotation
+from conftest import (J1_AT_1, J1_FIRST_ZERO, covariance_tensor, psd_probe,
+                      random_model, random_rotation, tensor_field)
 
 
 class TestModelValidation:
@@ -111,6 +111,40 @@ class TestKernelRoute:
         for k in list(range(0, grid.size, 331)) + list(range(16001, grid.size)):
             assert covariance_scalars(model, grid[k]) == (b_l[k], b_n[k])
 
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
+                                      "d3_mixed"])
+    def test_profile_at_quadrature_accuracy(self, name, request):
+        # on [s0, 64] the quintic profile is as good as quadrature, on a
+        # dense grid and at every piece's midpoint, where a Hermite piece
+        # errs most
+        model = request.getfixturevalue(name)
+        table = _scalar_profile(model).table
+        grid = np.linspace(_small_s_series(model).s0, 64.0, 40001)
+        mids = table.lo + (np.arange(table.rows.shape[-1]) + 0.5) * table.h
+        for s in (grid, mids):
+            for got, want in zip(covariance_scalars(model, s),
+                                 _scalars_exact(model, s)):
+                assert np.max(np.abs(got - want)) < 2e-15
+
+    def test_profile_step_from_remainder(self, d2_potential_atom, d2_mixed,
+                                         d3_mixed):
+        # a quintic Hermite piece errs by at most h^6 / 46080 max|B^(6)|,
+        # and |B^(6)| <= sum_i mu_i moment(m_i, 6) / mass(m_i), which is 1
+        # for the unit atom: the step holds that remainder to eps
+        eps = np.finfo(float).eps
+        atom = _scalar_profile(d2_potential_atom).table
+        assert atom.h <= (46080.0 * eps) ** (1.0 / 6.0) < atom.h * 1.0001
+        assert atom.h == pytest.approx(0.0147, abs=1e-4)
+        assert _scalar_profile(d2_mixed).table.h == pytest.approx(0.0089,
+                                                                  abs=1e-4)
+        assert _scalar_profile(d3_mixed).table.h == pytest.approx(0.0082,
+                                                                  abs=1e-4)
+        for model in (d2_potential_atom, d2_mixed, d3_mixed):
+            table = _scalar_profile(model).table
+            assert table.rows.shape[:2] == (6, 2)
+            assert table.lo + table.rows.shape[-1] * table.h == pytest.approx(
+                64.0, rel=1e-14)
+
     def test_zero_separation_is_exactly_one(self, d2_mixed, d3_mixed,
                                             trivial_model):
         for model in (d2_mixed, d3_mixed, trivial_model):
@@ -203,6 +237,26 @@ class TestKernelRoute:
         assert _small_s_series(trivial_model).s0 == np.inf
         b_l, b_n = covariance_scalars(trivial_model, np.linspace(0, 100, 11))
         assert np.all(b_l == 1.0) and np.all(b_n == 1.0)
+        # a batch past the series' range has no profile to read
+        b_l, b_n = covariance_scalars(trivial_model, [0.5, np.inf, np.nan])
+        assert b_l[0] == b_n[0] == 1.0
+        assert np.isnan(b_l[1:]).all() and np.isnan(b_n[1:]).all()
+
+    def test_series_past_64_when_s0_is(self):
+        # support 1e-3 puts s0 near 116: every s below it takes the
+        # series, also past 64, and quadrature serves only s >= s0
+        model = make_model(2, 0.0, 1.0, 0.0,
+                           m_p=SpectralMeasure(atoms=((1e-3, 1.0),)))
+        series = _small_s_series(model)
+        assert series.s0 > 100.0
+        s = np.array([0.0, 10.0, 70.0, 100.0, 1e4, np.nan])
+        b_l, b_n = covariance_scalars(model, s)
+        want = series(s[:4])
+        assert np.array_equal(b_l[:4], want[0])
+        assert np.array_equal(b_n[:4], want[1])
+        far = _scalars_exact(model, s[4:])
+        assert np.array_equal(b_l[4:], far[0], equal_nan=True)
+        assert np.array_equal(b_n[4:], far[1], equal_nan=True)
 
 
 def _pieces(n: int, lo: float = 0.5, width: float = 0.4) -> SpectralMeasure:
@@ -225,11 +279,12 @@ class TestQuadratureChunks:
         for measure, potential in ((model.m_p, True), (model.m_s, False)):
             nodes = _nodes(measure)[0].size
             monkeypatch.setattr(covariance, "_QUAD_PAIRS", 1 << 40)
-            whole = _component_scalars(d, measure, potential, s, slopes=True)
+            whole = _component_scalars(d, measure, potential, s,
+                                       derivatives=True)
             for chunk in (1000, 333, 37):
                 monkeypatch.setattr(covariance, "_QUAD_PAIRS", chunk * nodes)
                 parts = _component_scalars(d, measure, potential, s,
-                                           slopes=True)
+                                           derivatives=True)
                 for got, want in zip(parts, whole, strict=True):
                     assert np.array_equal(got, want)
 
@@ -249,6 +304,40 @@ class TestQuadratureChunks:
     def test_empty_separations(self, d3_mixed):
         b_l, b_n = b_scalar(d3_mixed, "P", np.array([]))
         assert b_l.shape == b_n.shape == (0,)
+
+
+class TestQuadratureDerivatives:
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_derivatives_match_central_differences(self, d):
+        # the slopes against central differences of the values, the
+        # second derivatives against central differences of the slopes,
+        # for both scalars of both components
+        model = make_model(
+            d, 0.0, 0.5, 0.5,
+            m_p=SpectralMeasure(atoms=((1.3, 1.0),),
+                                density_pieces=((0.5, 2.5, 0.4),)),
+            m_s=SpectralMeasure(atoms=((2.0, 1.0),),
+                                density_pieces=((0.4, 1.1, 0.6),)))
+        s = np.linspace(0.05, 40.0, 401)
+        dh = 1e-5
+        for measure, potential in ((model.m_p, True), (model.m_s, False)):
+            at, up, down = (_component_scalars(d, measure, potential, x,
+                                               derivatives=True)
+                            for x in (s, s + dh, s - dh))
+            for k in range(4):
+                diff = (up[k] - down[k]) / (2.0 * dh)
+                scale = max(1.0, np.max(np.abs(at[k + 2])))
+                assert np.max(np.abs(at[k + 2] - diff)) < 1e-8 * scale
+
+    def test_second_derivatives_at_zero_are_minus_beta(self, d2_mixed,
+                                                       d3_mixed):
+        # B(s) = 1 - beta s^2 / 2 + O(s^4), so B'(0) = 0 and B''(0) = -beta
+        for model in (d2_mixed, d3_mixed):
+            fc = flow_constants(model)
+            vals = _scalars_exact(model, np.array([0.0]), derivatives=True)
+            assert [v[0] for v in vals[:4]] == [1.0, 1.0, 0.0, 0.0]
+            assert vals[4][0] == pytest.approx(-fc.beta_l, rel=1e-13)
+            assert vals[5][0] == pytest.approx(-fc.beta_n, rel=1e-13)
 
 
 class TestTensor:

@@ -14,13 +14,14 @@ from scipy.interpolate import RegularGridInterpolator
 
 import ibflow
 from ibflow import (CovarianceFactorError, ModelError, SpectralMeasure,
-                    covariance, covariance_tensor, drift_custom_table,
+                    boundary_shell, covariance, drift_custom_table,
                     drift_linear, drift_radial_rkhs, eval_drift,
                     field_sampler, flow_engine, inward_profile, kernel_rows,
-                    make_model, pivoted_cholesky_batch, psd_probe,
-                    tensor_field)
+                    make_model, pivoted_cholesky_batch)
+from ibflow.covariance import _scalars_exact
 
-from conftest import J1_AT_1, mean_inward_field, random_rotation, sphere_rule
+from conftest import (J1_AT_1, covariance_tensor, mean_inward_field, psd_probe,
+                      random_rotation, sphere_rule, tensor_field)
 
 
 def kernel_matrices(model, pts):
@@ -193,6 +194,54 @@ class TestBuildSampler:
                 *kernel_rows(d2_mixed, pts[k:k + 1]))
             assert np.array_equal(f[k], f1[0])
             assert (rank[k], dropped[k]) == (r1[0], d1[0])
+
+
+def _rank_shapes():
+    """The factor's test shapes and their ranks with quadrature rows:
+    (model, points, rank)."""
+    atom = make_model(2, 0.0, 1.0, 0.0,
+                      m_p=SpectralMeasure(atoms=((1.0, 1.0),)))
+    solenoidal = make_model(2, 0.0, 0.0, 1.0,
+                            m_s=SpectralMeasure(atoms=((1.0, 1.0),)))
+    mixed = make_model(
+        3, 0.1, 0.6, 0.3,
+        m_p=SpectralMeasure(atoms=((1.3, 1.0),),
+                            density_pieces=((0.5, 2.5, 0.4),)),
+        m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
+    return {
+        "shell-1.1": (atom, boundary_shell(2, 1.1, 64), 19),
+        "shell-0.9": (atom, boundary_shell(2, 0.9, 64), 19),
+        "circle-0.3": (atom, boundary_shell(2, 0.3, 24), 13),
+        # acceptance criterion 8's growth shape
+        "solenoidal-4": (solenoidal, boundary_shell(2, 4.0, 64), 31),
+        "d3-two-shells": (mixed, np.concatenate([boundary_shell(3, 1.0, 20),
+                                                 boundary_shell(3, 0.3, 20)]),
+                          120),
+    }
+
+
+class TestRouteRank:
+    """The kernel route is as good as quadrature where the factor looks:
+    rows from covariance_scalars and rows from _scalars_exact give the
+    same rank, so the profile adds no spurious pivot (a profile off by
+    3e-13 added up to 18 on these shapes)."""
+
+    @pytest.mark.parametrize("name", list(_rank_shapes()))
+    def test_rank_matches_quadrature(self, monkeypatch, name):
+        model, pts, want = _rank_shapes()[name]
+
+        def rank():
+            row, diag = kernel_rows(model, pts[None])
+            return int(pivoted_cholesky_batch(row, diag)[1][0])
+
+        def exact(model, s):
+            arr = np.asarray(s, dtype=float)
+            return tuple(v.reshape(arr.shape)
+                         for v in _scalars_exact(model, arr.ravel()))
+
+        through_route = rank()
+        monkeypatch.setattr(covariance, "covariance_scalars", exact)
+        assert through_route == rank() == want
 
 
 class TestSampleIncrement:
@@ -447,8 +496,9 @@ class TestDriftOracles:
         assert knots[-1] == pytest.approx(12.0, rel=1e-15)
         g, dg = inward_profile(model, 1.0, knots)
         # each piece starts at its knot's exact value and slope
-        assert np.array_equal(table.rows[0], g[:-1])
-        assert np.array_equal(table.rows[1], dg[:-1])
+        assert table.rows.shape == (4, 1, 2047)
+        assert np.array_equal(table.rows[0, 0], g[:-1])
+        assert np.array_equal(table.rows[1, 0], dg[:-1])
         tol = 4.0 * np.finfo(float).eps * np.max(np.abs(g))
         assert np.max(np.abs(table(knots)[0] - g)) <= tol
         # the drift along the first axis is its profile
@@ -457,6 +507,29 @@ class TestDriftOracles:
             along = np.zeros((r.size, model.d))
             along[:, 0] = r
             assert np.array_equal(eval_drift(v, along)[:, 0], table(r)[0])
+
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d3_mixed"])
+    def test_radial_table_is_the_cubic_loop(self, name, request):
+        # the one-gather table reads the drift bitwise as four separately
+        # gathered cubic rows and Horner's rule do
+        model = request.getfixturevalue(name)
+        v = drift_radial_rkhs(model, 1.0, scale=3.0)
+        h = 12.0 / 2047
+        g, dg = inward_profile(model, 1.0, h * np.arange(2048))
+        secant = np.diff(g) / h
+        rows = [g[:-1], dg[:-1], (3.0 * secant - 2.0 * dg[:-1] - dg[1:]) / h,
+                (dg[:-1] + dg[1:] - 2.0 * secant) / (h * h)]
+        r = np.concatenate([h * np.arange(2048), np.random.default_rng(13)
+                            .uniform(0.0, 12.0, 5000)])
+        piece = np.minimum((r / h).astype(np.intp), 2046)
+        u = r - piece * h
+        want = rows[3][piece]
+        for k in (2, 1, 0):
+            want *= u
+            want += rows[k][piece]
+        along = np.zeros((r.size, model.d))
+        along[:, 0] = r
+        assert np.array_equal(eval_drift(v, along)[:, 0], 3.0 * want)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_custom_table_is_multilinear(self, d):

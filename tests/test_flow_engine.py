@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibflow import (SpectralMeasure, containment, curve_length, diameter,
+from ibflow import (SpectralMeasure, curve_length, diameter,
                     drift_linear, drift_radial_rkhs, flow_engine, kernel_rows,
                     length_decay_experiment, lyapunov_estimate, make_model,
                     ode_flow, pivoted_cholesky_batch, squeeze_experiment,
                     tracking_experiment, wilson_interval)
 
-from conftest import random_rotation
+from conftest import containment, random_rotation
 
 
 def same_result(a, b) -> bool:
