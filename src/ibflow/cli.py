@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from . import covariance, flow_engine, rkhs, spectral
+from . import covariance, flow_engine, rkhs
 from .covariance import IbfModel, ModelError
 from .field_sampler import (RADIAL_SPAN, drift_custom_table, drift_linear,
                             drift_radial_rkhs)
@@ -49,7 +49,9 @@ EXIT_NUMERIC = 3
 MAX_STEPS = 10 ** 7
 # Tracer coordinates N d per path: a 64-path chunk's increment factor F
 # reserves 64 (N d)^2 doubles, 128 MiB at this bound, so more is refused;
-# F is held by columns, so what is resident is rank x 64 x N d x 8 bytes
+# F is held by columns and returned at the chunk's largest rank, so what
+# is resident is rank x 64 x N d x 8 bytes, in 2 MiB huge pages once the
+# reserve reaches 4 MiB
 MAX_COORDS = 512
 # Values a sampling run records: squeeze, expand and length-decay hold
 # n_paths x snapshots of each series as arrays and then as CSV text,
@@ -136,7 +138,7 @@ def _check_kernel_spans(model: IbfModel, spans: dict[str, float]) -> None:
     """The quadratures square the kernel argument z = s * node: refuse
     the field at path whose separations s reach spans[path] when that
     span times the largest node overflows squared."""
-    top = max([float(spectral.quadrature_nodes(m)[0].max())
+    top = max([float(covariance._nodes(m)[0].max())
                for m in (model.m_p, model.m_s) if m is not None], default=0.0)
     for path, span in spans.items():
         z = span * top

@@ -470,10 +470,11 @@ def covariance_scalars(model: IbfModel, s):
     piecewise-quintic profile on [s0, 64], exact quadrature beyond 64. A
     non-finite separation has no covariance and gives NaN.
 
-    A batch that reaches s0 is read from the profile whole, its entries
-    outside [s0, 64] at s0, and those entries are then overwritten from
-    their own routes (the series last, since it serves every s < s0,
-    even past 64 for a model whose s0 is).
+    A batch with an entry in [s0, 64] is read from the profile whole,
+    its entries outside [s0, 64] at s0, and those entries are then
+    overwritten from their own routes (the series last, since it serves
+    every s < s0, even past 64 for a model whose s0 is); a batch with no
+    such entry leaves the profile unbuilt.
     """
     arr = np.asarray(s, dtype=float)
     flat = np.atleast_1d(arr).ravel()
@@ -485,7 +486,9 @@ def covariance_scalars(model: IbfModel, s):
     if hi < series.s0:
         b_l, b_n = series(flat)
     else:
-        if series.s0 <= _PROFILE_HI:
+        if series.s0 <= _PROFILE_HI and (
+                lo >= series.s0 and hi <= _PROFILE_HI  # all in [s0, 64]
+                or ((flat >= series.s0) & (flat <= _PROFILE_HI)).any()):
             inner = np.where(flat <= _PROFILE_HI, flat, series.s0)  # NaN too
             b_l, b_n = _scalar_profile(model)(np.maximum(inner, series.s0,
                                                          out=inner))

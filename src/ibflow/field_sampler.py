@@ -9,17 +9,16 @@ sampled exactly, and the rank and the dropped trace are reported. The
 factor reads C one kernel row per pivot and C itself is never
 assembled: the scalars of a pivot point's separations are held per
 point, and each row builds only its own component from them. The factor
-is held by columns, one contiguous slab of the batch per column, so the
-memory a step writes follows the rank, and the stepper sums an increment
-over the used columns only: a path's columns past its own rank are exact
-zeros, so its increment does not depend on its batch-mates.
+is held by columns, one contiguous slab of the batch per column, and is
+returned at its used width: F has shape (B, m, r) with r the batch's
+largest rank, so the memory a step writes follows the rank. A path's
+columns past its own rank are exact zeros, so its increment, summed over
+F's r columns, does not depend on its batch-mates.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import mmap
 from collections.abc import Callable
 
 import numpy as np
@@ -202,17 +201,6 @@ def kernel_rows(model: IbfModel, x: np.ndarray):
     return row, np.ones((nb, n * d))
 
 
-def _fresh_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """Zeros of the shape on fresh anonymous pages, which become resident
-    only when written and are unmapped with the array. np.zeros asks
-    calloc, and glibc serves a block of a size freed before from its
-    heap (its mmap threshold rises to the largest block freed), clearing
-    and so touching every page of it."""
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, 8 * max(size, 1))
-    return np.frombuffer(buf, count=size).reshape(shape)
-
-
 def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
                            step: int | None = None):
     """Rank-revealing factors of a batch of PSD matrices C_b of size m,
@@ -223,17 +211,17 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
     Higham and Lucas 2007), one vectorised update across the batch per
     pivot. Matrix b stops once its largest remaining Schur diagonal is
     <= m * eps * max diag(C_b), so a singular C is factored as it is,
-    not perturbed. Returns (F, rank, dropped): F has shape (B, m, m)
-    with zero columns from rank[b] on, and F F^T = C up to the dropped
-    trace, the residual diagonal clipped at 0.
+    not perturbed. Returns (F, rank, dropped): F has shape (B, m, r) with
+    r = max(rank), zero columns from rank[b] on, and F F^T = C up to the
+    dropped trace, the residual diagonal clipped at 0.
 
-    F is held by columns, in one (m, B, m) buffer of fresh zero pages
-    whose slab k is column k of every F_b, returned as its (B, m, m)
-    view. Only the first max(rank) slabs are written, so the resident
-    memory follows the rank, not m^2; a path's k x m block of columns so
-    far is read in place for its update. Each matrix's pivots and
-    arithmetic are its own, so a batch factors bitwise as its matrices
-    would one at a time.
+    F is held by columns, in one (m, B, m) buffer whose slab k is column
+    k of every F_b, returned as the (B, m, r) view of its first r slabs.
+    Every one of those slabs is written in full (a stopped path's column
+    is exact zeros) and no other slab is, so the resident memory follows
+    the rank, not m^2; a path's k x m block of columns so far is read in
+    place for its update. Each matrix's pivots and arithmetic are its
+    own, so a batch factors bitwise as its matrices would one at a time.
 
     Raises CovarianceFactorError, naming path path_offset + b and the
     step, when what is read of C_b is not finite or a residual diagonal
@@ -251,7 +239,7 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
     tol = m * _EPS * scale
     resid = diag.copy()          # Schur diagonal, -inf once pivoted
     keep = np.ones((nb, m))      # 0 on pivoted rows: their later entries are 0
-    cols = _fresh_zeros((m, nb, m))  # cols[k, b] is column k of F_b
+    cols = np.empty((m, nb, m))  # cols[k, b] is column k of F_b
     flat_resid = resid.reshape(-1)
     flat_keep = keep.reshape(-1)
     paths = np.arange(nb)
@@ -286,4 +274,5 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
         raise CovarianceFactorError(
             path_offset + b, step,
             f"is not positive semidefinite (residual diagonal {worst[b]:.3e})")
-    return cols.transpose(1, 2, 0), rank, np.maximum(left, 0.0).sum(axis=1)
+    return (cols[:rank.max(initial=0)].transpose(1, 2, 0), rank,
+            np.maximum(left, 0.0).sum(axis=1))

@@ -155,11 +155,12 @@ def _simulate(model: IbfModel, x0: np.ndarray, t1: float, dt: float,
         np.maximum(rank_max, rank, out=rank_max)
         np.maximum(dropped_max, dropped, out=dropped_max)
         z = next(normals)
-        # F z over the batch's used columns, in pivot order: a path's
-        # columns past its own rank are exact zeros and change no sum;
-        # F is unmapped before the next step maps its own
+        # F z over F's columns, the batch's used ones, in pivot order: a
+        # path's columns past its own rank are exact zeros and change no
+        # sum; F is freed here, so the next step's factor is handed its
+        # heap block back, where holding F would keep two buffers live
         inc = np.zeros((b, n_pts * d))
-        for j in range(rank.max()):
+        for j in range(factor.shape[-1]):
             inc += z[:, j, None] * factor[:, :, j]
         del factor
         delta += (noise_scale * math.sqrt(h)) * inc.reshape(b, n_pts, d)

@@ -258,6 +258,21 @@ class TestKernelRoute:
         assert np.array_equal(b_l[4:], far[0], equal_nan=True)
         assert np.array_equal(b_n[4:], far[1], equal_nan=True)
 
+    def test_batch_outside_profile_builds_no_block(self, d3_mixed):
+        # a batch with no entry in [s0, 64] leaves a fresh profile
+        # unbuilt, and each entry's value is what it takes in a batch
+        # that reads the profile
+        s0 = _small_s_series(d3_mixed).s0
+        assert s0 < 10.0
+        for s in ([0.0, 100.0], [100.0, np.inf]):
+            _scalar_profile.cache_clear()
+            got = covariance_scalars(d3_mixed, s)
+            assert not _scalar_profile(d3_mixed)._built.any()
+            want = covariance_scalars(d3_mixed, s + [10.0])
+            assert _scalar_profile(d3_mixed)._built.any()
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w[:2], equal_nan=True)
+
 
 def _pieces(n: int, lo: float = 0.5, width: float = 0.4) -> SpectralMeasure:
     return SpectralMeasure(

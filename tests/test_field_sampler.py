@@ -53,8 +53,9 @@ def factor_one(model, pts):
 
 
 def increment(f, dt, z):
-    """The Euler step's joint increment sqrt(dt) F z, one row per point."""
-    return (math.sqrt(dt) * (f @ z)).reshape(-1, 2)
+    """The Euler step's joint increment sqrt(dt) F z, one row per point;
+    F has the factor's used width, so only that many normals are read."""
+    return (math.sqrt(dt) * (f @ z[..., :f.shape[-1]])).reshape(-1, 2)
 
 
 class TestBuildSampler:
@@ -171,7 +172,7 @@ class TestBuildSampler:
             cov, f, rank, dropped = factor_one(model, pts)
             m = cov.shape[0]
             assert np.max(np.abs(f @ f.T - cov)) < 1e-12 * np.max(np.diag(cov))
-            assert not f[:, rank:].any()
+            assert f.shape == (m, rank)  # the used width, no zero columns
             assert 0.0 <= dropped <= m * m * np.finfo(float).eps
             assert np.max(np.abs(cov - cov.T)) == 0.0
         # a rigid translation has rank d, whatever the number of points
@@ -192,8 +193,36 @@ class TestBuildSampler:
             assert np.array_equal(batch[k], one[0])
             f1, r1, d1 = pivoted_cholesky_batch(
                 *kernel_rows(d2_mixed, pts[k:k + 1]))
-            assert np.array_equal(f[k], f1[0])
+            assert np.array_equal(f[k][:, :r1[0]], f1[0])
+            assert not f[k][:, r1[0]:].any()
             assert (rank[k], dropped[k]) == (r1[0], d1[0])
+
+    def test_factor_has_used_width_on_reused_memory(self):
+        # F is returned at the batch's largest rank, and every entry of it
+        # is written: a low-rank batch factored right after a full-rank
+        # one of the same shape, whose freed buffer the allocator may hand
+        # back full of stale nonzeros, still reads zeros past each path's
+        # rank and reconstructs its C
+        rng = np.random.default_rng(17)
+        nb, m = 4, 24
+        want = np.array([3, 11, 6, 1])
+        for _ in range(3):
+            g = rng.normal(size=(nb, m, m))
+            full = g @ g.transpose(0, 2, 1) + m * np.eye(m)
+            f, rank, _ = pivoted_cholesky_batch(*matrix_rows(full))
+            assert f.shape == (nb, m, m) and (rank == m).all()
+            del f
+            g = [rng.normal(size=(m, r)) for r in want]
+            low = np.stack([a @ a.T for a in g])
+            f, rank, dropped = pivoted_cholesky_batch(*matrix_rows(low))
+            assert np.array_equal(rank, want)
+            assert f.shape == (nb, m, want.max())
+            assert np.isfinite(f).all()
+            for b in range(nb):
+                assert not f[b, :, rank[b]:].any()
+                scale = np.max(np.diag(low[b]))
+                err = np.abs(f[b] @ f[b].T - low[b]).max()
+                assert err <= dropped[b] + 1e-12 * scale
 
 
 def _rank_shapes():

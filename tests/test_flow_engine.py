@@ -353,10 +353,14 @@ class TestStreams:
         def path3(lo, hi):
             f, rank, _ = pivoted_cholesky_batch(
                 *kernel_rows(d2_mixed, clouds[lo:hi]), path_offset=lo)
+            # F's width is the batch's largest rank; path 3's columns
+            # past its own rank are zeros
+            r = rank[3 - lo]
+            assert not f[3 - lo, :, r:].any()
             normals = flow_engine._step_normals(
                 flow_engine._path_gens(4, lo, hi), 5, 8)
-            incs = [(f @ z[:, :, None])[3 - lo, :, 0] for z in normals]
-            return rank, f[3 - lo], np.array(incs)
+            incs = [f[3 - lo, :, :r] @ z[3 - lo, :r] for z in normals]
+            return rank, f[3 - lo, :, :r], np.array(incs)
 
         ranks, f_ref, inc_ref = path3(0, 7)
         assert len(set(ranks.tolist())) > 1
@@ -441,7 +445,7 @@ class TestStreams:
                                            1, pts.size))
         assert rank.max() < pts.size  # the sum stops short of m columns
         got = (moves[1] - moves[0]).reshape(8, -1)
-        want = (f @ z[:, :, None])[:, :, 0]
+        want = (f @ z[:, :f.shape[-1], None])[:, :, 0]
         bound = 1e-14 * np.abs(f).max(axis=(1, 2)) * np.linalg.norm(z, axis=1)
         assert (np.abs(got - want).max(axis=1) <= bound).all()
 
@@ -472,9 +476,10 @@ _CHUNK_RUN = textwrap.dedent("""
 
 class TestChunkMemory:
     def test_numpy_allocations(self):
-        # numpy's own allocations of the chunk, the factor's mapped pages
-        # aside: 1.3 MiB, against 20.6 MiB with the diameter's (B, N, N, d)
-        # temporary and two (B, m, m) factors alive on the heap
+        # numpy's own allocations of the chunk, counted whole, the 8 MiB
+        # reserve of its (B, m, m) factor buffer included: 9.7 MiB, against
+        # 20.6 MiB with the diameter's (B, N, N, d) temporary and two
+        # factors alive on the heap
         scope = {}
         exec(_CHUNK_RUN, scope)
         scope["run"](64, 1)
@@ -490,10 +495,10 @@ class TestChunkMemory:
                         reason="reads the peak resident set from procfs")
     def test_resident_factor_follows_rank(self):
         # the (64, 128, 128) factor reserves 8 MiB, but only its first
-        # max-rank (about 25) column slabs are ever written; in a fresh
-        # process the chunk raises the peak resident set by about 2.7 MiB
-        # (8.7 MiB with the factor on np.zeros, 20.4 MiB with two factors
-        # and the diameter's 4-D temporary alive)
+        # max-rank (19 to 20) column slabs are ever written; in a fresh
+        # process the chunk raises the peak resident set by 2.5-4.3 MiB,
+        # huge pages included (8.7 MiB with the factor on np.zeros, 20.4
+        # MiB with two factors and the diameter's 4-D temporary alive)
         script = _CHUNK_RUN + textwrap.dedent("""
             def peak_mib():
                 with open("/proc/self/status") as status:
