@@ -274,10 +274,13 @@ def _kernel_coefficients(d: int, potential: bool, k: int) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class SmallSeries:
-    """(B_L, B_N) near 0 as polynomials of degree 4 in s^2.
+    """(B_L, B_N) near 0 as polynomials of degree 4 in t = s^2.
 
-    coef_l[k], coef_n[k] multiply s^(2k); the constant term is the
-    normalization B(0) = 1, set exactly, so s = 0 evaluates to 1. s0 is
+    coef_l[k], coef_n[k] multiply t^k; the constant term is the
+    normalization B(0) = 1, set exactly, so s = 0 evaluates to 1.
+    coef_t[k - 1] is the t^(k - 1) coefficient of (B_L - B_N) / t, summed
+    from the difference of each kernel's coefficients, so the tensor's
+    coef is a polynomial of degree 3 in t with no cancellation. s0 is
     where a bound on the first omitted term, its kernel coefficient
     times mass * support_max^10 (for the moment of order 10) times
     s^10, reaches eps/4. Terms fall off like (s r)^2 / (4 k (k + d/2))
@@ -287,29 +290,55 @@ class SmallSeries:
     s0: float
     coef_l: tuple[float, ...]
     coef_n: tuple[float, ...]
-    # the (B_L, B_N) coefficient pairs, highest degree first
+    coef_t: tuple[float, ...]
+    # s0^2: the series serves the tensor's separations with t below it
+    t0: float = field(init=False, repr=False, compare=False)
+    # the (B_L, B_N) and (coef, B_N) coefficient pairs, highest degree
+    # first; the second pairs stop short of B_N's constant term
     stacked: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False)
+    stacked_t: tuple[tuple[float, float], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "t0", self.s0 * self.s0)
         object.__setattr__(self, "stacked",
                            tuple(zip(self.coef_l, self.coef_n))[::-1])
+        object.__setattr__(self, "stacked_t",
+                           tuple(zip(self.coef_t, self.coef_n[1:]))[::-1])
+
+    @staticmethod
+    def _horner(t: np.ndarray, stacked) -> np.ndarray:
+        """The two polynomials with the coefficient pairs stacked
+        (highest degree first) at the flat array t, by one Horner pass
+        over the rows of a (2, n) array (a scalar operand per row is
+        cheaper than a broadcast (2, 1) one)."""
+        out = np.empty((2, t.size))
+        first, second = out
+        np.multiply(t, stacked[0][0], out=first)
+        np.multiply(t, stacked[0][1], out=second)
+        for c_first, c_second in stacked[1:-1]:
+            first += c_first
+            first *= t
+            second += c_second
+            second *= t
+        first += stacked[-1][0]
+        second += stacked[-1][1]
+        return out
 
     def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(B_L, B_N) on a flat array s, by one Horner pass over the rows
-        of a (2, n) array (a scalar operand per row is cheaper than a
-        broadcast (2, 1) one)."""
-        t = s * s
-        out = np.empty((2, t.size))
-        b_l, b_n = out
-        b_l.fill(self.stacked[0][0])
-        b_n.fill(self.stacked[0][1])
-        for c_l, c_n in self.stacked[1:]:
-            b_l *= t
-            b_l += c_l
-            b_n *= t
-            b_n += c_n
+        """(B_L, B_N) on a flat array s."""
+        b_l, b_n = self._horner(s * s, self.stacked)
         return b_l, b_n
+
+    def tensor(self, t: np.ndarray) -> np.ndarray:
+        """(coef, B_N) as a (2, n) array on a flat array t of squared
+        separations: no root and no division, and coef at t = 0 is its
+        limit coef_t[0]."""
+        out = self._horner(t, self.stacked_t)
+        out[1] *= t
+        out[1] += self.coef_n[0]
+        return out
 
 
 @lru_cache(maxsize=32)
@@ -321,6 +350,7 @@ def _small_s_series(model: IbfModel) -> SmallSeries:
              if mu > 0.0]
     coef_l = [1.0] + [0.0] * _SERIES_DEGREE
     coef_n = list(coef_l)
+    coef_t = [0.0] * _SERIES_DEGREE
     tail_l = tail_n = 0.0
     top = max((m.support_max() for _, m, _ in parts), default=1.0)
     for mu, m, potential in parts:
@@ -329,6 +359,7 @@ def _small_s_series(model: IbfModel) -> SmallSeries:
             mom = spectral.moment(m, 2 * k)
             coef_l[k] += mu * kl * mom
             coef_n[k] += mu * kn * mom
+            coef_t[k - 1] += mu * (kl - kn) * mom
         kl, kn = _kernel_coefficients(model.d, potential, _SERIES_DEGREE + 1)
         # tails in units of top^10, which cannot overflow
         bound = mu * spectral.total_mass(m) * (m.support_max() / top) ** 10
@@ -336,7 +367,8 @@ def _small_s_series(model: IbfModel) -> SmallSeries:
         tail_n += abs(kn) * bound
     tail = max(tail_l, tail_n)
     s0 = (_SERIES_TOL / tail) ** 0.1 / top if tail > 0.0 else math.inf
-    return SmallSeries(s0=s0, coef_l=tuple(coef_l), coef_n=tuple(coef_n))
+    return SmallSeries(s0=s0, coef_l=tuple(coef_l), coef_n=tuple(coef_n),
+                       coef_t=tuple(coef_t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,14 +499,12 @@ def covariance_scalars(model: IbfModel, s):
     separation (its tensor is mu0 * identity everywhere). Each
     separation's route depends on the model and s alone, never on the
     batch: the moment series for s < s0 (s = 0 gives exactly 1), the
-    piecewise-quintic profile on [s0, 64], exact quadrature beyond 64. A
-    non-finite separation has no covariance and gives NaN.
+    piecewise-quintic profile on [s0, 64], exact quadrature beyond 64
+    (the series serves every s < s0, even past 64 for a model whose s0
+    is). A non-finite separation has no covariance and gives NaN.
 
-    A batch with an entry in [s0, 64] is read from the profile whole,
-    its entries outside [s0, 64] at s0, and those entries are then
-    overwritten from their own routes (the series last, since it serves
-    every s < s0, even past 64 for a model whose s0 is); a batch with no
-    such entry leaves the profile unbuilt.
+    Each route is evaluated on its own entries only, so a batch with no
+    entry in [s0, 64] leaves the profile unbuilt.
     """
     arr = np.asarray(s, dtype=float)
     flat = np.atleast_1d(arr).ravel()
@@ -485,21 +515,19 @@ def covariance_scalars(model: IbfModel, s):
     hi = flat.max(initial=-math.inf)
     if hi < series.s0:
         b_l, b_n = series(flat)
+    elif lo >= series.s0 and hi <= _PROFILE_HI:
+        b_l, b_n = _scalar_profile(model)(flat)
     else:
-        if series.s0 <= _PROFILE_HI and (
-                lo >= series.s0 and hi <= _PROFILE_HI  # all in [s0, 64]
-                or ((flat >= series.s0) & (flat <= _PROFILE_HI)).any()):
-            inner = np.where(flat <= _PROFILE_HI, flat, series.s0)  # NaN too
-            b_l, b_n = _scalar_profile(model)(np.maximum(inner, series.s0,
-                                                         out=inner))
-        else:  # no separation takes the profile
-            b_l, b_n = np.empty((2, flat.size))
-        if not hi <= _PROFILE_HI:
-            far = ~(flat <= _PROFILE_HI)  # NaN and inf too
-            b_l[far], b_n[far] = _scalars_exact(model, flat[far])
-        if not lo >= series.s0:  # NaN makes lo NaN
-            small = flat < series.s0
-            b_l[small], b_n[small] = series(flat[small])
+        b_l, b_n = out = np.empty((2, flat.size))
+        small = flat < series.s0
+        far = ~(small | (flat <= _PROFILE_HI))  # NaN and inf too
+        mid = ~(small | far)
+        for entries, route in (
+                (small, series),
+                (mid, lambda v: _scalar_profile(model)(v)),
+                (far, lambda v: _scalars_exact(model, v))):
+            if entries.any():
+                out[:, entries] = route(flat[entries])
     if arr.ndim == 0:
         return float(b_l[0]), float(b_n[0])
     return b_l.reshape(arr.shape), b_n.reshape(arr.shape)
@@ -507,18 +535,36 @@ def covariance_scalars(model: IbfModel, s):
 
 def tensor_scalars(model: IbfModel, comps) -> tuple[np.ndarray, np.ndarray]:
     """(coef, B_N), b(x) = coef x x^T + B_N I, at the separations x whose
-    d components are comps (on axis 0); coef = (B_L - B_N) / |x|^2, 0 at
-    x = 0. The one copy of the tensor arithmetic: |x|^2 sums the squares
-    in component order, and covariance_scalars is looked up on this
-    module, so a wrapper installed here sees every call."""
+    d components are comps (on axis 0); coef = (B_L - B_N) / |x|^2. The
+    one copy of the tensor arithmetic: t = |x|^2 sums the squares in
+    component order, and picks each entry's route by itself.
+
+    An entry with t < s0^2 takes the moment series in t, for coef and
+    B_N alike: no root, no division, and no cancellation of B_L against
+    B_N, so coef keeps its full relative accuracy as x -> 0 and is its
+    limit at x = 0, where the tensor is exactly I. Only the other
+    entries take the root and covariance_scalars, looked up on this
+    module, so a wrapper installed there sees every such call.
+    """
     sq = comps[0] * comps[0]
     for x in comps[1:]:
         sq += x * x
-    s = np.sqrt(sq)
-    b_l, b_n = covariance_scalars(model, s)
-    s2 = s * s
-    coef = np.divide(b_l - b_n, s2, out=np.zeros(s2.shape), where=s2 > 0.0)
-    return coef, b_n
+    shape = np.shape(sq)
+    t = np.reshape(sq, -1)
+    series = _small_s_series(model)
+    if t.max(initial=-math.inf) < series.t0:  # all series; NaN is not
+        coef, b_n = series.tensor(t)
+    else:
+        coef, b_n = np.empty((2, t.size))
+        small = t < series.t0
+        if small.any():
+            coef[small], b_n[small] = series.tensor(t[small])
+        rest = ~small
+        s = np.sqrt(t[rest])
+        b_l, b_n_rest = covariance_scalars(model, s)
+        b_n[rest] = b_n_rest
+        coef[rest] = (b_l - b_n_rest) / (s * s)
+    return coef.reshape(shape), b_n.reshape(shape)
 
 
 def flow_constants(model: IbfModel) -> FlowConstants:

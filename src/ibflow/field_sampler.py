@@ -37,6 +37,9 @@ _EPS = np.finfo(float).eps
 # some seven orders of magnitude beyond that rounding, is taken to mean C
 # is not PSD.
 _PSD_SLACK = float(np.sqrt(_EPS))
+# numpy advises huge pages for a buffer of 4 MiB or more, and each huge
+# page is resident whole once one of its bytes is written
+_HUGE_PAGE_BYTES = 1 << 22
 
 
 class CovarianceFactorError(np.linalg.LinAlgError):
@@ -215,13 +218,16 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
     r = max(rank), zero columns from rank[b] on, and F F^T = C up to the
     dropped trace, the residual diagonal clipped at 0.
 
-    F is held by columns, in one (m, B, m) buffer whose slab k is column
-    k of every F_b, returned as the (B, m, r) view of its first r slabs.
-    Every one of those slabs is written in full (a stopped path's column
-    is exact zeros) and no other slab is, so the resident memory follows
-    the rank, not m^2; a path's k x m block of columns so far is read in
-    place for its update. Each matrix's pivots and arithmetic are its
-    own, so a batch factors bitwise as its matrices would one at a time.
+    F is held by columns, in one (slabs, B, m) buffer whose slab k is
+    column k of every F_b, returned as the (B, m, r) view of its first r
+    slabs. Every one of those slabs is written in full (a stopped path's
+    column is exact zeros) and no other slab is, so the resident memory
+    follows the rank, not m^2; a path's k x m block of columns so far is
+    read in place for its update. The buffer starts with as many slabs as
+    fit below numpy's huge-page threshold, and a rank that needs more
+    doubles it, copying the slabs so far. Each matrix's pivots and
+    arithmetic are its own, so a batch factors bitwise as its matrices
+    would one at a time.
 
     Raises CovarianceFactorError, naming path path_offset + b and the
     step, when what is read of C_b is not finite or a residual diagonal
@@ -239,7 +245,8 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
     tol = m * _EPS * scale
     resid = diag.copy()          # Schur diagonal, -inf once pivoted
     keep = np.ones((nb, m))      # 0 on pivoted rows: their later entries are 0
-    cols = np.empty((m, nb, m))  # cols[k, b] is column k of F_b
+    slabs = min(m, max(1, (_HUGE_PAGE_BYTES - 1) // max(1, nb * m * 8)))
+    cols = np.empty((slabs, nb, m))  # cols[k, b] is column k of F_b
     flat_resid = resid.reshape(-1)
     flat_keep = keep.reshape(-1)
     paths = np.arange(nb)
@@ -251,6 +258,10 @@ def pivoted_cholesky_batch(row, diag: np.ndarray, path_offset: int = 0,
         going = top > tol
         if not going.any():
             break
+        if k == len(cols):
+            grown = np.empty((min(m, 2 * k), nb, m))
+            grown[:k] = cols
+            cols = grown
         root = np.sqrt(np.where(going, top, np.inf))  # a stopped column is 0
         done = idx[going]
         # column k from the pivot rows (C is symmetric) and the columns so

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from ibflow import (IbfModel, ModelError, SpectralMeasure, b_scalar,
 
 from ibflow import covariance
 from ibflow.covariance import (_component_scalars, _nodes, _scalar_profile,
-                               _scalars_exact, _small_s_series)
+                               _scalars_exact, _small_s_series, tensor_scalars)
 
 from conftest import (J1_AT_1, J1_FIRST_ZERO, covariance_tensor, psd_probe,
                       random_model, random_rotation, tensor_field)
@@ -397,6 +398,95 @@ class TestTensor:
         for k in range(6):
             single = covariance_tensor(d2_mixed, xs[k])
             assert np.allclose(batch[k], single, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
+                                      "d3_mixed"])
+    def test_coef_near_zero_to_full_precision(self, name, request):
+        # coef = (B_L - B_N) / s^2 against that quotient in 50-digit
+        # arithmetic: the series in s^2 keeps full relative accuracy where
+        # subtracting two doubles near 1 and dividing by s^2 left eps / s^2
+        model = request.getfixturevalue(name)
+        for s in (1e-6, 1e-4, 1e-2):
+            x = np.zeros(model.d)
+            x[-1] = s
+            coef, b_n = tensor_scalars(model, list(x[:, None]))
+            b_l_mp, b_n_mp = _mp_scalars(model, s)
+            with mp.workdps(50):
+                want = (b_l_mp - b_n_mp) / mp.mpf(s) ** 2
+                assert abs((coef[0] - want) / want) <= 1e-13
+                assert abs(b_n[0] - b_n_mp) <= 2e-16
+        # at 0, coef is its limit and the tensor is exactly I
+        coef, b_n = tensor_scalars(model, list(np.zeros((model.d, 1))))
+        assert coef[0] == _small_s_series(model).coef_t[0] and b_n[0] == 1.0
+
+    @pytest.mark.parametrize("name", ["d2_mixed", "d3_mixed"])
+    def test_each_entry_takes_its_own_route(self, name, request):
+        # one batch mixes 0, series, profile, beyond-64, inf and NaN
+        # entries; each entry of either function is bitwise what it gives
+        # alone, and a batch with no entry in [s0, 64] builds no profile
+        # block
+        model = request.getfixturevalue(name)
+        s0 = _small_s_series(model).s0
+        s = np.array([0.0, 1e-7, 0.3 * s0, 0.999 * s0, 2.0 * s0, 7.5, 64.0,
+                      64.5, 150.0, np.inf, np.nan])
+        rng = np.random.default_rng(31)
+        dirs = rng.normal(size=(s.size, model.d))
+        x = dirs / np.linalg.norm(dirs, axis=1)[:, None] * s[:, None]
+        x[0] = 0.0
+        x[-2:] = s[-2:, None]
+        got = covariance_scalars(model, s), tensor_scalars(model, list(x.T))
+        for k in range(s.size):
+            alone = (covariance_scalars(model, s[k:k + 1]),
+                     tensor_scalars(model, list(x[k:k + 1].T)))
+            for batch, one in zip(got, alone):
+                for g, w in zip(batch, one):
+                    assert np.array_equal(g[k:k + 1], w, equal_nan=True)
+        outside = [0, 1, 2, 3, 7, 8, 9, 10]
+        _scalar_profile.cache_clear()
+        covariance_scalars(model, s[outside])
+        tensor_scalars(model, list(x[outside].T))
+        assert not _scalar_profile(model)._built.any()
+
+
+def _mp_scalars(model, s: float, dps: int = 50):
+    """(B_L, B_N) of the model at s in dps-digit arithmetic, from the
+    kernels' Bessel ratios R_nu(z) = J_nu(z) / z^nu (m = d/2): potential
+    B_L = c (R_m - z^2 R_(m+1)), B_N = c R_m; solenoidal
+    B_L = (d - 1) c R_m, B_N = c (R_(m-1) - R_m), c = 2^(m-1) Gamma(m),
+    each integrated against its measure (atoms exactly, density pieces
+    by mpmath quadrature)."""
+    with mp.workdps(dps):
+        d = model.d
+        m = mp.mpf(d) / 2
+        c = 2 ** (m - 1) * mp.gamma(m)
+
+        def ratio(nu, z):
+            return mp.besselj(nu, z) / z ** nu
+
+        def kernels(potential, r):
+            z = mp.mpf(s) * r
+            if potential:
+                return (c * (ratio(m, z) - z * z * ratio(m + 1, z)),
+                        c * ratio(m, z))
+            return ((d - 1) * c * ratio(m, z),
+                    c * (ratio(m - 1, z) - ratio(m, z)))
+
+        b_l = b_n = mp.mpf(model.mu0)
+        for mu, measure, potential in ((model.mu1, model.m_p, True),
+                                       (model.mu2, model.m_s, False)):
+            if mu == 0.0:
+                continue
+            for loc, w in measure.atoms:
+                k_l, k_n = kernels(potential, mp.mpf(loc))
+                b_l += mp.mpf(mu) * w * k_l
+                b_n += mp.mpf(mu) * w * k_n
+            for lo, hi, h in measure.density_pieces:
+                weight = mp.mpf(mu) * h
+                b_l += weight * mp.quad(lambda r: kernels(potential, r)[0],
+                                        [lo, hi])
+                b_n += weight * mp.quad(lambda r: kernels(potential, r)[1],
+                                        [lo, hi])
+        return b_l, b_n
 
 
 class TestFlowConstants:

@@ -83,14 +83,15 @@ class TestBuildSampler:
         # separations take all three kernel routes (series below s0,
         # profile on [s0, 64], quadrature beyond). The pivots alternate
         # between hold hits (every path pivots on its last point again)
-        # and misses (one path moves), and only a miss evaluates scalars
-        calls, scalars = [], covariance.covariance_scalars
+        # and misses (one path moves), and only a miss evaluates scalars,
+        # one tensor_scalars call on all its nb * n separations
+        calls, scalars = [], field_sampler.tensor_scalars
 
-        def counted(model, s):
-            calls.append(np.size(s))
-            return scalars(model, s)
+        def counted(model, comps):
+            calls.append(np.size(comps[0]))
+            return scalars(model, comps)
 
-        monkeypatch.setattr(covariance, "covariance_scalars", counted)
+        monkeypatch.setattr(field_sampler, "tensor_scalars", counted)
         d4_mixed = make_model(
             4, 0.1, 0.6, 0.3, m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
             m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
@@ -224,6 +225,23 @@ class TestBuildSampler:
                 err = np.abs(f[b] @ f[b].T - low[b]).max()
                 assert err <= dropped[b] + 1e-12 * scale
 
+    def test_buffer_growth_keeps_every_bit(self, monkeypatch):
+        # the factor's buffer starts with the slabs that fit below numpy's
+        # huge-page threshold and doubles, copying them, when a rank needs
+        # more; with room for 3 slabs a rank of 20 grows it to 6, 12 and
+        # 20 slabs, and F, the ranks and the dropped traces keep every bit
+        rng = np.random.default_rng(23)
+        nb, m = 3, 20
+        g = [rng.normal(size=(m, r)) for r in (20, 7, 13)]
+        covs = np.stack([a @ a.T for a in g]) + np.diag([1.0] + [0.0] * 19)
+        want = pivoted_cholesky_batch(*matrix_rows(covs))
+        monkeypatch.setattr(field_sampler, "_HUGE_PAGE_BYTES",
+                            3 * nb * m * 8 + 1)
+        got = pivoted_cholesky_batch(*matrix_rows(covs))
+        assert want[0].shape == (nb, m, m) and want[1].min() > 3
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
 
 def _rank_shapes():
     """The factor's test shapes and their ranks with quadrature rows:
@@ -251,9 +269,10 @@ def _rank_shapes():
 
 class TestRouteRank:
     """The kernel route is as good as quadrature where the factor looks:
-    rows from covariance_scalars and rows from _scalars_exact give the
-    same rank, so the profile adds no spurious pivot (a profile off by
-    3e-13 added up to 18 on these shapes)."""
+    rows from tensor_scalars and rows whose scalars all come from
+    _scalars_exact, the series range included, give the same rank, so
+    neither the series nor the profile adds a spurious pivot (a profile
+    off by 3e-13 added up to 18 on these shapes)."""
 
     @pytest.mark.parametrize("name", list(_rank_shapes()))
     def test_rank_matches_quadrature(self, monkeypatch, name):
@@ -263,13 +282,16 @@ class TestRouteRank:
             row, diag = kernel_rows(model, pts[None])
             return int(pivoted_cholesky_batch(row, diag)[1][0])
 
-        def exact(model, s):
-            arr = np.asarray(s, dtype=float)
-            return tuple(v.reshape(arr.shape)
-                         for v in _scalars_exact(model, arr.ravel()))
+        def exact(model, comps):
+            s = np.sqrt(sum(x * x for x in comps))
+            b_l, b_n = (v.reshape(s.shape)
+                        for v in _scalars_exact(model, s.ravel()))
+            s2 = s * s
+            return np.divide(b_l - b_n, s2, out=np.zeros(s2.shape),
+                             where=s2 > 0.0), b_n
 
         through_route = rank()
-        monkeypatch.setattr(covariance, "covariance_scalars", exact)
+        monkeypatch.setattr(field_sampler, "tensor_scalars", exact)
         assert through_route == rank() == want
 
 

@@ -411,7 +411,9 @@ class TestStreams:
                                         shape):
         # chunks of 1, 7, 64 and all 70 paths batch the paths differently,
         # so the row source's held scalars are hit and missed at different
-        # pivots; every series and rank numeric must keep every bit
+        # pivots; every series and rank numeric must keep every bit. The
+        # circle runs to T = 1, where its paths reach ranks 7, 8 and 9 as
+        # they spread (at T = 0.2 all 70 stay at rank 7)
         def run(chunk):
             monkeypatch.setattr(flow_engine, "_CHUNK", chunk)
             if shape == "shell":
@@ -419,7 +421,7 @@ class TestStreams:
                     d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
                     n_boundary=64, dt=2e-3, n_paths=70, seed=3)
             return length_decay_experiment(
-                d2_potential_atom, TINY_CIRCLE, T=0.2, dt=1e-2, n_paths=70,
+                d2_potential_atom, TINY_CIRCLE, T=1.0, dt=1e-2, n_paths=70,
                 seed=3, closed=True)
 
         whole = run(70)
@@ -476,10 +478,11 @@ _CHUNK_RUN = textwrap.dedent("""
 
 class TestChunkMemory:
     def test_numpy_allocations(self):
-        # numpy's own allocations of the chunk, counted whole, the 8 MiB
-        # reserve of its (B, m, m) factor buffer included: 9.7 MiB, against
-        # 20.6 MiB with the diameter's (B, N, N, d) temporary and two
-        # factors alive on the heap
+        # numpy's own allocations of the chunk, counted whole, the 3.9 MiB
+        # reserve of its factor buffer (63 of the 128 column slabs of a
+        # (B, m, m) factor) included: 5.6 MiB, against 9.7 MiB with all
+        # 128 slabs reserved and 20.6 MiB with the diameter's (B, N, N, d)
+        # temporary and two factors alive on the heap
         scope = {}
         exec(_CHUNK_RUN, scope)
         scope["run"](64, 1)
@@ -494,11 +497,13 @@ class TestChunkMemory:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the peak resident set from procfs")
     def test_resident_factor_follows_rank(self):
-        # the (64, 128, 128) factor reserves 8 MiB, but only its first
-        # max-rank (19 to 20) column slabs are ever written; in a fresh
-        # process the chunk raises the peak resident set by 2.5-4.3 MiB,
-        # huge pages included (8.7 MiB with the factor on np.zeros, 20.4
-        # MiB with two factors and the diameter's 4-D temporary alive)
+        # the (64, 128, 128) factor reserves 63 column slabs, 3.9 MiB,
+        # below numpy's 4 MiB huge-page threshold, and only its first
+        # max-rank (19 to 20) slabs are ever written; in a fresh process
+        # the chunk raises the peak resident set by 2.8 MiB (3.2-4.8 MiB
+        # with all 128 slabs reserved on huge pages, 8.7 MiB with the
+        # factor on np.zeros, 20.4 MiB with two factors and the diameter's
+        # 4-D temporary alive)
         script = _CHUNK_RUN + textwrap.dedent("""
             def peak_mib():
                 with open("/proc/self/status") as status:
