@@ -6,6 +6,15 @@ and runs seeded Monte-Carlo experiments on ball squeezing, drift
 tracking, Lyapunov exponents, and curve-length decay.
 """
 
+import os as _os
+
+# One BLAS thread per process unless the caller set the count: a step's
+# matrices are tiny, and a second BLAS thread burns a core without
+# shortening the run; --jobs is the only parallelism. BLAS reads these
+# when numpy is first imported, which has to come after this.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from ._version import __version__
 from .spectral import (SpectralMeasure, MeasureError, total_mass, moment,
                        normalize_potential, normalize_solenoidal)

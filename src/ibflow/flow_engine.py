@@ -22,9 +22,15 @@ from .covariance import IbfModel
 from .field_sampler import eval_drift, kernel_rows, pivoted_cholesky_batch
 
 DEFAULT_STRIDE = 10
-_CHUNK = 64  # paths per batch; fixed so results never depend on --jobs
+# a chunk's (B, m, m) factor at full rank, 64 paths at m = 128
+_CHUNK_BYTES = 8 << 20
+# each chunk pays the pivot loop's Python calls per rank column and step,
+# so no chunk is cut below 64 paths, however large m is
+_CHUNK_PATHS_MIN = 64
+_CHUNK_PATHS_MAX = 1 << 12  # a path's generator holds about 1 KiB
 _COLLAPSE_FLOOR = 1e-14
 _DRAW_CAP = 1 << 16  # normals pre-drawn per chunk: 512 KiB
+_DIAM_BYTES = 1 << 19  # one block of the diameter's squared distances
 
 
 class PairCollapseError(RuntimeError):
@@ -72,15 +78,26 @@ def curve_length(points, closed: bool = False) -> float:
 
 
 def _diam_batch(x: np.ndarray) -> np.ndarray:
-    if x.shape[1] < 2:
-        return np.zeros(x.shape[0])
-    # one point's distances at a time: all pairs' (B, N, N, d) differences
-    # and norm's temporaries would take over 100 MiB at cli.MAX_COORDS
-    out = np.zeros(x.shape[0])
-    for i in range(x.shape[1]):
-        dist = np.linalg.norm(x[:, i, None, :] - x, axis=-1)
-        np.maximum(out, dist.max(axis=1), out=out)
-    return out
+    b, n, _ = x.shape
+    if n < 2:
+        return np.zeros(b)
+    # squared distances of a block of rows to the points from the block's
+    # first on (earlier rows have met the rest), summed over the component
+    # planes in component order, as np.linalg.norm sums them below d = 8;
+    # all pairs' (B, N, N, d) differences at once would take over 100 MiB
+    # at cli.MAX_COORDS. sqrt is monotone: the root of the largest square
+    # is the largest distance
+    planes = x.transpose(2, 0, 1).copy()
+    rows = max(1, _DIAM_BYTES // (8 * b * n))
+    best = np.zeros(b)
+    for lo in range(0, n, rows):
+        sq = None
+        for p in planes:
+            diff = p[:, lo:lo + rows, None] - p[:, None, lo:]
+            diff *= diff
+            sq = diff if sq is None else np.add(sq, diff, out=sq)
+        np.maximum(best, sq.max(axis=(1, 2)), out=best)
+    return np.sqrt(best)
 
 
 def _length_batch(x: np.ndarray, closed: bool) -> np.ndarray:
@@ -220,21 +237,36 @@ def _step_normals(gens, n_steps: int, width: int):
             yield buf[:, j]
 
 
-def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
-               n_paths: int, jobs: int, observe, **step):
-    """Step paths 0..n_paths-1 from 0 to T by _simulate, _CHUNK at a time.
+def _chunk_paths(m: int, n_paths: int) -> int:
+    """Paths per chunk for m coordinates a path: as many as keep the
+    chunk's (B, m, m) factor within _CHUNK_BYTES, but from
+    _CHUNK_PATHS_MIN up to _CHUNK_PATHS_MAX, and no more than n_paths.
+    --jobs splits only runs that take several chunks. A path's results
+    do not depend on its chunk, so they do not depend on this choice
+    either."""
+    fit = max(_CHUNK_PATHS_MIN, _CHUNK_BYTES // (8 * m * m))
+    return max(1, min(fit, _CHUNK_PATHS_MAX, n_paths))
 
-    x0 is the (N, d) start of every path, or a function of a chunk's
-    generators that draws its (B, N, d) start before any step normals.
-    observe(t, k, X, lo) sees the chunk from path lo at each snapshot and
-    returns per-path (B,) values by name, or None. Returns the recorded
-    times, each value as an (n_paths, snapshots) array, and per-path
-    (rank_min, rank_max, dropped_trace_max) over all steps.
+
+def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
+               n_paths: int, jobs: int, observe, start=None, **step):
+    """Step paths 0..n_paths-1 from 0 to T by _simulate, a _chunk_paths
+    chunk at a time.
+
+    x0 is the (N, d) start of every path; start(gens, X), if given, moves
+    a chunk's (B, N, d) copy of it by draws from the chunk's generators,
+    before any step normals. observe(t, k, X, lo) sees the chunk from
+    path lo at each snapshot and returns per-path (B,) values by name, or
+    None. Returns the recorded times, each value as an (n_paths,
+    snapshots) array, and per-path (rank_min, rank_max,
+    dropped_trace_max) over all steps.
     """
     def chunk(lo: int, hi: int):
         gens = _path_gens(seed, lo, hi)
-        start = (x0(gens) if callable(x0)
-                 else np.broadcast_to(x0, (hi - lo,) + x0.shape))
+        x = np.broadcast_to(x0, (hi - lo,) + x0.shape)
+        if start is not None:
+            x = x.copy()
+            start(gens, x)
         times, rows = [], []
 
         def observer(t, k, x):
@@ -243,13 +275,13 @@ def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
                 times.append(float(t))
                 rows.append(row)
 
-        numerics = _simulate(model, start, T, dt, gens, observer,
+        numerics = _simulate(model, x, T, dt, gens, observer,
                              path_offset=lo, **step)
         return times, {key: np.column_stack([r[key] for r in rows])
                        for key in rows[0]}, numerics
 
-    spans = [(lo, min(lo + _CHUNK, n_paths))
-             for lo in range(0, n_paths, _CHUNK)]
+    size = _chunk_paths(x0.size, n_paths)
+    spans = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     if jobs <= 1 or len(spans) <= 1:
         results = [chunk(lo, hi) for lo, hi in spans]
     else:
@@ -405,12 +437,10 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
     d = model.d
     acc = np.zeros(n_pairs)  # log growth per pair; chunks own disjoint slices
 
-    def start(gens):
+    def start(gens, x):
         u = np.stack([g.standard_normal(d) for g in gens])
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        x = np.zeros((len(gens), 2, d))
         x[:, 1, :] = renorm_eps * u
-        return x
 
     def renormalize(t, k, x, lo):
         log_growth = acc[lo:lo + len(x)]
@@ -431,8 +461,9 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
         log_growth += np.log(r / renorm_eps)
         return {"estimate": log_growth / T}
 
-    times, rec, numerics = _run_paths(model, start, T, dt, seed, n_pairs,
-                                      jobs, renormalize, stride=1)
+    times, rec, numerics = _run_paths(model, np.zeros((2, d)), T, dt, seed,
+                                      n_pairs, jobs, renormalize, start=start,
+                                      stride=1)
     est, se = _mean_se(rec["estimate"][:, 0])
     aggregate = {"estimate": est, "standard_error": se,
                  **_aggregate_numerics(numerics)}

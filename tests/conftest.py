@@ -12,15 +12,23 @@ arithmetic and geometry spelled out whole, which the sampler's kernel
 rows and the experiments' observers must reproduce.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
+
+# ibflow before numpy: it sets the BLAS thread defaults, which take effect
+# only when they precede numpy's first import, so the suite runs as the
+# command line does
+import ibflow
+from ibflow import ModelError, SpectralMeasure, boundary_shell, make_model
+from ibflow.covariance import tensor_scalars
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-
-from ibflow import ModelError, SpectralMeasure, boundary_shell, make_model
-from ibflow.covariance import tensor_scalars
 
 # first positive zero of J_1, frozen from the series bisection oracle below
 J1_FIRST_ZERO = 3.8317059702075123
@@ -159,6 +167,21 @@ def mean_inward_field(model, rho: float, rule: SphereRule, x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     out = -sphere_average_field(model, rho, rule, np.atleast_2d(pts))
     return out.reshape(pts.shape)
+
+
+def fresh_python(args, unset=(), **preset) -> str:
+    """Standard output of python run with args in a fresh interpreter that
+    imports this checkout's ibflow, the variables named in unset removed
+    from the environment and those in preset set; a non-zero exit fails
+    the test."""
+    src = str(Path(ibflow.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(preset, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from ibflow.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         main, parse_config, run_command)
 from ibflow.field_sampler import CovarianceFactorError
 
-from conftest import J1_FIRST_ZERO
+from conftest import J1_FIRST_ZERO, fresh_python
 
 
 SQUEEZE_PARAMS = {"R": 1.0, "delta": 0.1, "T1": 0.1, "T2": 0.2, "dt": 0.005,
@@ -860,6 +860,42 @@ class TestJobsInvariance:
             del report["wall_clock"]
             outputs.append(((out / f"{command}.csv").read_bytes(), report))
         assert outputs[0] == outputs[1]
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    _SHOW = ("import os, ibflow; print(*(os.environ[v] for v in "
+             f"{_THREAD_VARS!r}))")
+
+    def test_import_sets_one_thread(self):
+        out = fresh_python(["-c", self._SHOW], unset=_THREAD_VARS)
+        assert out.split() == ["1", "1", "1"]
+
+    def test_preset_count_is_kept(self):
+        out = fresh_python(["-c", self._SHOW], unset=_THREAD_VARS,
+                           OPENBLAS_NUM_THREADS="3")
+        assert out.split() == ["3", "1", "1"]
+
+    def test_thread_count_keeps_every_byte(self, tmp_path):
+        # the squeeze shape's m = 128 factor under one BLAS thread and
+        # under two writes the same CSV
+        doc = atom_config(command="squeeze", params=dict(
+            SQUEEZE_PARAMS, T1=0.004, T2=0.01, dt=2e-3, n_paths=6,
+            n_boundary=64))
+        doc["model"]["drift"] = {"kind": "radial_rkhs", "rho": 1.0,
+                                 "scale": 64.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        csvs = []
+        for preset in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = tmp_path / f"out{len(csvs)}"
+            fresh_python(["-m", "ibflow.cli", "squeeze", "--config",
+                          str(path), "--out", str(out), "--quiet"],
+                         unset=_THREAD_VARS, **preset)
+            csvs.append((out / "squeeze.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
 
 class TestMainExitCodes:

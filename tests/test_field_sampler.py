@@ -2,17 +2,12 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-import ibflow
 from ibflow import (CovarianceFactorError, ModelError, SpectralMeasure,
                     boundary_shell, covariance, drift_custom_table,
                     drift_linear, drift_radial_rkhs, eval_drift,
@@ -20,8 +15,9 @@ from ibflow import (CovarianceFactorError, ModelError, SpectralMeasure,
                     make_model, pivoted_cholesky_batch)
 from ibflow.covariance import _scalars_exact
 
-from conftest import (J1_AT_1, covariance_tensor, mean_inward_field, psd_probe,
-                      random_rotation, sphere_rule, tensor_field)
+from conftest import (J1_AT_1, covariance_tensor, fresh_python,
+                      mean_inward_field, psd_probe, random_rotation,
+                      sphere_rule, tensor_field)
 
 
 def kernel_matrices(model, pts):
@@ -637,13 +633,7 @@ def test_no_run_imports_scipy(tmp_path):
         print(json.dumps([codes, sorted(m for m in sys.modules
                                         if m.startswith("scipy"))]))
     """)
-    src = str(Path(ibflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    codes, loaded = json.loads(fresh_python(["-c", script]).splitlines()[-1])
     assert codes == [0, 0]
     assert loaded == []
     assert (tmp_path / "squeeze.csv").exists()

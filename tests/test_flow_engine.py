@@ -1,8 +1,6 @@
 """Flow integration, observables, and the experiment harness."""
 
 import math
-import os
-import subprocess
 import sys
 import textwrap
 import tracemalloc
@@ -17,7 +15,7 @@ from ibflow import (SpectralMeasure, curve_length, diameter,
                     ode_flow, pivoted_cholesky_batch, squeeze_experiment,
                     tracking_experiment, wilson_interval)
 
-from conftest import containment, random_rotation
+from conftest import containment, fresh_python, random_rotation
 
 
 def same_result(a, b) -> bool:
@@ -97,15 +95,26 @@ class TestObservables:
         assert diameter(tri) == 3.0
         assert diameter(np.zeros((1, 2))) == 0.0
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 24])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 24, 200])
     def test_diameter_batch_is_the_pairwise_formula(self, d, n):
-        # one point at a time is bitwise the max over all (B, N, N, d)
-        # differences at once
+        # blocks of rows summed over component planes against the max over
+        # all (B, N, N, d) differences at once: bitwise below d = 8, where
+        # np.linalg.norm sums the components in order; from d = 8 norm
+        # sums them pairwise, and a sum of d squares in another order is
+        # within d eps of it, its root within d eps / 2. n = 200 takes
+        # four blocks of rows
         x = np.random.default_rng(n + d).normal(size=(5, n, d))
         x[0] *= 1e-3
+        x[1, -1] = x[1, 0]  # a repeated point
         dist = np.linalg.norm(x[:, :, None, :] - x[:, None, :, :], axis=-1)
-        assert np.array_equal(flow_engine._diam_batch(x), dist.max(axis=(1, 2)))
+        want = dist.max(axis=(1, 2))
+        got = flow_engine._diam_batch(x)
+        if d < 8:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps,
+                                       atol=0)
 
     def test_diameter_rotation_invariant(self):
         rng = np.random.default_rng(1)
@@ -409,25 +418,53 @@ class TestStreams:
     @pytest.mark.parametrize("shape", ["shell", "circle"])
     def test_chunk_size_keeps_every_bit(self, d2_potential_atom, monkeypatch,
                                         shape):
-        # chunks of 1, 7, 64 and all 70 paths batch the paths differently,
-        # so the row source's held scalars are hit and missed at different
-        # pivots; every series and rank numeric must keep every bit. The
-        # circle runs to T = 1, where its paths reach ranks 7, 8 and 9 as
-        # they spread (at T = 0.2 all 70 stay at rank 7)
-        def run(chunk):
-            monkeypatch.setattr(flow_engine, "_CHUNK", chunk)
+        # chunks of 1, 7, 64, 69 and all 70 paths, from byte budgets that
+        # fit that many (B, m, m) factors with the 64-path floor lifted (69
+        # and 70 one byte apart, either side of the boundary), and two
+        # chunks of 35 on --jobs 2's threads and in turn at --jobs 0 batch
+        # the paths differently, so the row source's held scalars are hit
+        # and missed at different pivots; every series and rank numeric
+        # must keep every bit. The circle runs to T = 1, where its paths
+        # reach ranks 7, 8 and 9 as they spread (at T = 0.2 all 70 stay at
+        # rank 7)
+        m = 128 if shape == "shell" else TINY_CIRCLE.size
+        full = 8 * m * m
+        monkeypatch.setattr(flow_engine, "_CHUNK_PATHS_MIN", 1)
+
+        def run(budget, jobs=1):
+            monkeypatch.setattr(flow_engine, "_CHUNK_BYTES", budget)
             if shape == "shell":
                 return squeeze_experiment(
                     d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
-                    n_boundary=64, dt=2e-3, n_paths=70, seed=3)
+                    n_boundary=64, dt=2e-3, n_paths=70, seed=3, jobs=jobs)
             return length_decay_experiment(
                 d2_potential_atom, TINY_CIRCLE, T=1.0, dt=1e-2, n_paths=70,
-                seed=3, closed=True)
+                seed=3, closed=True, jobs=jobs)
 
-        whole = run(70)
+        whole = run(70 * full)
+        assert flow_engine._chunk_paths(m, 70) == 70
         assert len(set(whole.numerics[1].tolist())) > 1  # ranks differ by path
-        for chunk in (1, 7, 64):
-            assert same_result(run(chunk), whole)
+        for budget, chunk in ((full, 1), (7 * full, 7), (64 * full, 64),
+                              (70 * full - 1, 69)):
+            assert same_result(run(budget), whole)
+            assert flow_engine._chunk_paths(m, 70) == chunk
+        for jobs in (2, 0):
+            assert same_result(run(35 * full, jobs), whole)
+        assert flow_engine._chunk_paths(m, 70) == 35
+
+    def test_chunk_paths_by_bytes(self):
+        # 64 paths' (64, 128, 128) factor is the 8 MiB budget: one
+        # coordinate fewer a path fits 65 paths, and from m = 128 on every
+        # chunk keeps the 64-path floor; small m takes every path up to the
+        # cap, and --jobs does not split a run that fits one chunk
+        assert flow_engine._CHUNK_BYTES == 64 * 8 * 128 * 128
+        assert flow_engine._chunk_paths(127, 10 ** 6) == 65
+        assert flow_engine._chunk_paths(128, 10 ** 6) == 64
+        assert flow_engine._chunk_paths(129, 10 ** 6) == 64
+        assert flow_engine._chunk_paths(512, 10 ** 6) == 64
+        assert flow_engine._chunk_paths(4, 128) == 128
+        assert flow_engine._chunk_paths(4, 10 ** 6) == 1 << 12
+        assert flow_engine._chunk_paths(1024, 10) == 10
 
     @pytest.mark.parametrize("shape", ["shell", "circle"])
     def test_increment_is_factor_times_normals(self, d2_potential_atom,
@@ -516,13 +553,7 @@ class TestChunkMemory:
             run(64, 5)
             print(peak_mib() - before)
         """)
-        src = str(Path(flow_engine.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout.splitlines()[-1]) < 6.0
+        assert float(fresh_python(["-c", script]).splitlines()[-1]) < 6.0
 
 
 class TestTracking:
