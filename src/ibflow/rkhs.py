@@ -201,8 +201,9 @@ def squeeze_functional(model: IbfModel, rho: float,
 
     lhs: the double sphere average of <b(rho theta - rho phi) theta, phi>
     as the n-point t-rule sum of B_N(s) t - (B_L(s) - B_N(s)) (1 - t) / 2,
-    s = rho sqrt(2(1 - t)), from one covariance_scalars call (looked up
-    on the covariance module) of n separations;
+    s = rho sqrt(2(1 - t)), with B_L and B_N from one quadrature pass of
+    the n separations over the measures' own nodes (_scalars_exact,
+    looked up on the covariance module), so no kernel profile is built;
     rhs: mu1 * 2^(d-2) * Gamma(d/2)^2 * integral of the squared scaled
     Bessel kernel against the potential measure, which is -G(rho) of
     inward_profile (0 when mu1 = 0). They agree up to quadrature error,
@@ -214,7 +215,7 @@ def squeeze_functional(model: IbfModel, rho: float,
         raise ValueError("the t-rule needs n >= 1 nodes")
     t, w = _t_rule(model.d, n)
     s = rho * np.sqrt(2.0 * (1.0 - t))
-    b_l, b_n = covariance.covariance_scalars(model, s)
+    b_l, b_n = covariance._scalars_exact(model, s)
     lhs = float(w @ (b_n * t - 0.5 * (b_l - b_n) * (1.0 - t)))
     if model.mu1 == 0.0:
         return lhs, 0.0  # no potential part, which inward_profile refuses

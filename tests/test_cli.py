@@ -625,6 +625,17 @@ class TestRunCommands:
                 (tmp_path / "verify-identity_report.json").read_text())
             assert report["aggregate"]["max_rel_gap"] <= 1e-11, d
 
+    def test_verify_identity_builds_no_profile(self, tmp_path):
+        # both sides are quadrature on the measures' nodes: a run whose
+        # separations span [0, 60] makes no kernel profile, so no block
+        covariance._scalar_profile.cache_clear()
+        doc = {"model": dict(_MIXED_D2, d=3), "command": "verify-identity",
+               "params": {"rhos": [30.0]}, "seed": 1}
+        code, _ = run_command("verify-identity", parse_config(doc),
+                              out_dir=tmp_path, quiet=True)
+        assert code == EXIT_OK
+        assert covariance._scalar_profile.cache_info().currsize == 0
+
     def test_lyapunov_report_carries_analytics(self, tmp_path):
         doc = atom_config(command="lyapunov",
                           params={"T": 0.5, "dt": 0.01, "n_pairs": 4})

@@ -254,21 +254,54 @@ class TestSqueezeIdentity:
         assert checked == 8
 
     def test_one_kernel_call_on_the_module(self, monkeypatch):
-        # the n separations s_k = rho sqrt(2(1 - t_k)) go to one
-        # covariance_scalars call, looked up on the covariance module
+        # the n separations s_k = rho sqrt(2(1 - t_k)) go to one quadrature
+        # call, looked up on the covariance module, and no kernel profile
+        # (so no profile block) is made
         seen = []
-        inner = covariance.covariance_scalars
+        inner = covariance._scalars_exact
 
-        def counting(model, s):
+        def counting(model, s, *args):
             seen.append(np.size(s))
-            return inner(model, s)
+            return inner(model, s, *args)
 
-        monkeypatch.setattr(covariance, "covariance_scalars", counting)
+        covariance._scalar_profile.cache_clear()
+        monkeypatch.setattr(covariance, "_scalars_exact", counting)
         model = make_model(5, 0.1, 0.6, 0.3,
                            m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
                            m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
         squeeze_functional(model, 1.1, 64)
         assert seen == [64]
+        assert covariance._scalar_profile.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("rho", [0.4, 2.5, 30.0])
+    def test_lhs_matches_the_kernel_route(self, d, rho):
+        # the same t-rule sum with B_L, B_N from covariance_scalars (series,
+        # profile and far routes): the profile is within an ulp or two of
+        # quadrature, so the sums differ by rounding in the size of their
+        # terms; at rho = 30 in d = 8 the lhs is 5e-7 of terms of 0.06, so
+        # the scale is the terms' absolute sum, not the lhs
+        model = make_model(d, 0.2, 0.5, 0.3,
+                           m_p=SpectralMeasure(atoms=((1.0, 1.0),),
+                                               density_pieces=((0.5, 1.5, 0.4),)),
+                           m_s=SpectralMeasure(atoms=((2.0, 0.7),)))
+        t, w = _t_rule(d, 64)
+        s = rho * np.sqrt(2.0 * (1.0 - t))
+        b_l, b_n = covariance.covariance_scalars(model, s)
+        terms = w * (b_n * t - 0.5 * (b_l - b_n) * (1.0 - t))
+        lhs, _ = squeeze_functional(model, rho, 64)
+        assert abs(lhs - terms.sum()) <= 1e-14 * np.abs(terms).sum()
+
+    def test_lhs_ignores_built_profile_blocks(self, d3_mixed):
+        covariance._scalar_profile.cache_clear()
+        before = [squeeze_functional(d3_mixed, rho, 64)[0]
+                  for rho in (0.4, 2.5, 30.0)]
+        # every block of the profile on [s0, 64]
+        covariance.covariance_scalars(d3_mixed, np.linspace(0.1, 64.0, 20001))
+        assert covariance._scalar_profile(d3_mixed)._built.all()
+        after = [squeeze_functional(d3_mixed, rho, 64)[0]
+                 for rho in (0.4, 2.5, 30.0)]
+        assert before == after
 
     def test_sign_link_with_condition(self):
         rng = np.random.default_rng(13)
