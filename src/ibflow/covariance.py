@@ -243,10 +243,13 @@ def _scalars_exact(model: IbfModel, flat: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the kernel route: series below s0, profile on [s0, 64], quadrature beyond
+# the kernel route: moment series below s1 (degree 4 below s0, degree 10
+# on [s0, s1)), profile on [s1, 64], quadrature beyond
 
 _PROFILE_HI = 64.0
-_SERIES_DEGREE = 4  # in s^2: needs moments up to order 8, all exact
+# in s^2: degree 4 needs moments up to order 8, all exact; degree 10
+# needs them up to order 20, taken in units near support_max
+_SERIES_DEGREES = (4, 10)
 _EPS = float(np.finfo(float).eps)
 _SERIES_TOL = 0.25 * _EPS
 _BLOCK = 256  # profile pieces built together
@@ -273,26 +276,20 @@ def _kernel_coefficients(d: int, potential: bool, k: int) -> tuple[float, float]
 
 
 @dataclass(frozen=True)
-class SmallSeries:
-    """(B_L, B_N) near 0 as polynomials of degree 4 in t = s^2.
+class SeriesBand:
+    """(B_L, B_N) as polynomials in u = t * scale, t = s^2.
 
-    coef_l[k], coef_n[k] multiply t^k; the constant term is the
+    coef_l[k], coef_n[k] multiply u^k; the constant term is the
     normalization B(0) = 1, set exactly, so s = 0 evaluates to 1.
-    coef_t[k - 1] is the t^(k - 1) coefficient of (B_L - B_N) / t, summed
+    coef_t[k - 1] is the u^(k - 1) coefficient of (B_L - B_N) / t, summed
     from the difference of each kernel's coefficients, so the tensor's
-    coef is a polynomial of degree 3 in t with no cancellation. s0 is
-    where a bound on the first omitted term, its kernel coefficient
-    times mass * support_max^10 (for the moment of order 10) times
-    s^10, reaches eps/4. Terms fall off like (s r)^2 / (4 k (k + d/2))
-    there, so the whole remainder stays within a hair of that term.
+    coef is a polynomial in u with no cancellation.
     """
 
-    s0: float
+    scale: float
     coef_l: tuple[float, ...]
     coef_n: tuple[float, ...]
     coef_t: tuple[float, ...]
-    # s0^2: the series serves the tensor's separations with t below it
-    t0: float = field(init=False, repr=False, compare=False)
     # the (B_L, B_N) and (coef, B_N) coefficient pairs, highest degree
     # first; the second pairs stop short of B_N's constant term
     stacked: tuple[tuple[float, float], ...] = field(
@@ -301,74 +298,118 @@ class SmallSeries:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t0", self.s0 * self.s0)
         object.__setattr__(self, "stacked",
                            tuple(zip(self.coef_l, self.coef_n))[::-1])
         object.__setattr__(self, "stacked_t",
                            tuple(zip(self.coef_t, self.coef_n[1:]))[::-1])
 
     @staticmethod
-    def _horner(t: np.ndarray, stacked) -> np.ndarray:
+    def _horner(u: np.ndarray, stacked) -> np.ndarray:
         """The two polynomials with the coefficient pairs stacked
-        (highest degree first) at the flat array t, by one Horner pass
+        (highest degree first) at the flat array u, by one Horner pass
         over the rows of a (2, n) array (a scalar operand per row is
         cheaper than a broadcast (2, 1) one)."""
-        out = np.empty((2, t.size))
+        out = np.empty((2, u.size))
         first, second = out
-        np.multiply(t, stacked[0][0], out=first)
-        np.multiply(t, stacked[0][1], out=second)
+        np.multiply(u, stacked[0][0], out=first)
+        np.multiply(u, stacked[0][1], out=second)
         for c_first, c_second in stacked[1:-1]:
             first += c_first
-            first *= t
+            first *= u
             second += c_second
-            second *= t
+            second *= u
         first += stacked[-1][0]
         second += stacked[-1][1]
         return out
 
-    def __call__(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(B_L, B_N) on a flat array s."""
-        b_l, b_n = self._horner(s * s, self.stacked)
-        return b_l, b_n
+    def _u(self, t: np.ndarray) -> np.ndarray:
+        """u at the flat array t: t itself at scale 1, with no pass."""
+        return t if self.scale == 1.0 else t * self.scale
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """(B_L, B_N) as a (2, n) array on a flat array t."""
+        return self._horner(self._u(t), self.stacked)
 
     def tensor(self, t: np.ndarray) -> np.ndarray:
-        """(coef, B_N) as a (2, n) array on a flat array t of squared
-        separations: no root and no division, and coef at t = 0 is its
-        limit coef_t[0]."""
-        out = self._horner(t, self.stacked_t)
-        out[1] *= t
+        """(coef, B_N) as a (2, n) array on a flat array t: no root and
+        no division, and coef at t = 0 is its limit coef_t[0]."""
+        u = self._u(t)
+        out = self._horner(u, self.stacked_t)
+        out[1] *= u
         out[1] += self.coef_n[0]
         return out
+
+
+@dataclass(frozen=True)
+class SmallSeries:
+    """(B_L, B_N) on [0, s1) from the measures' even moments: of degree 4
+    in t = s^2 below s0, of degree 10 on [s0, s1).
+
+    Each bound is where a bound on its band's first omitted term reaches
+    eps/4: that term's kernel coefficient times mass * support_max^(2n)
+    (for the moment of order 2n) times s^(2n), n = 5 for s0 and 11 for
+    s1. Terms fall off like (s r)^2 / (4 k (k + d/2)) there, so the whole
+    remainder stays within a hair of that term. The low band is in t
+    itself, with exact moments; the mid one is in u = t unit^2, with the
+    moments of s / unit, unit the power of two with
+    unit <= support_max < 2 unit, so no coefficient can overflow and u
+    is exact. s0 and s1 are 0.116 and 1.739 for the d = 2 unit atom,
+    0.052 and 0.745 for the d = 3 mixed model with support up to 2.5.
+    Each entry takes its band by itself, never by its batch.
+    """
+
+    s0: float
+    s1: float
+    low: SeriesBand
+    mid: SeriesBand
+    # s0^2 and s1^2: the bounds on the tensor's squared separations
+    t0: float = field(init=False, repr=False, compare=False)
+    t1: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "t0", self.s0 * self.s0)
+        object.__setattr__(self, "t1", self.s1 * self.s1)
 
 
 @lru_cache(maxsize=32)
 def _small_s_series(model: IbfModel) -> SmallSeries:
     """The model's moment series (Baxendale & Harris, "Isotropic
-    stochastic flows", Ann. Probab. 1986) and its range [0, s0)."""
+    stochastic flows", Ann. Probab. 1986) and its bounds s0 and s1."""
     parts = [(mu, m, potential) for mu, m, potential in
              ((model.mu1, model.m_p, True), (model.mu2, model.m_s, False))
              if mu > 0.0]
-    coef_l = [1.0] + [0.0] * _SERIES_DEGREE
-    coef_n = list(coef_l)
-    coef_t = [0.0] * _SERIES_DEGREE
-    tail_l = tail_n = 0.0
     top = max((m.support_max() for _, m, _ in parts), default=1.0)
-    for mu, m, potential in parts:
-        for k in range(1, _SERIES_DEGREE + 1):
-            kl, kn = _kernel_coefficients(model.d, potential, k)
-            mom = spectral.moment(m, 2 * k)
-            coef_l[k] += mu * kl * mom
-            coef_n[k] += mu * kn * mom
-            coef_t[k - 1] += mu * (kl - kn) * mom
-        kl, kn = _kernel_coefficients(model.d, potential, _SERIES_DEGREE + 1)
-        # tails in units of top^10, which cannot overflow
-        bound = mu * spectral.total_mass(m) * (m.support_max() / top) ** 10
-        tail_l += abs(kl) * bound
-        tail_n += abs(kn) * bound
-    tail = max(tail_l, tail_n)
-    s0 = (_SERIES_TOL / tail) ** 0.1 / top if tail > 0.0 else math.inf
-    return SmallSeries(s0=s0, coef_l=tuple(coef_l), coef_n=tuple(coef_n),
-                       coef_t=tuple(coef_t))
+    bands, ends = [], []
+    # the low band in t itself, the mid one in units of the power of two
+    # in (top / 2, top]
+    for degree, unit in zip(_SERIES_DEGREES,
+                            (1.0, math.ldexp(0.5, math.frexp(top)[1]))):
+        scale = unit * unit
+        coef_l = [1.0] + [0.0] * degree
+        coef_n = list(coef_l)
+        coef_t = [0.0] * degree
+        tail_l = tail_n = 0.0
+        for mu, m, potential in parts:
+            for k in range(1, degree + 1):
+                kl, kn = _kernel_coefficients(model.d, potential, k)
+                mom = spectral.scaled_moment(m, 2 * k, unit)
+                coef_l[k] += mu * kl * mom
+                coef_n[k] += mu * kn * mom
+                coef_t[k - 1] += mu * (kl - kn) * mom * scale
+            kl, kn = _kernel_coefficients(model.d, potential, degree + 1)
+            # tails in units of top^(2 degree + 2), which cannot overflow
+            bound = (mu * spectral.total_mass(m)
+                     * (m.support_max() / top) ** (2 * degree + 2))
+            tail_l += abs(kl) * bound
+            tail_n += abs(kn) * bound
+        tail = max(tail_l, tail_n)
+        ends.append((_SERIES_TOL / tail) ** (1.0 / (2 * degree + 2)) / top
+                    if tail > 0.0 else math.inf)
+        bands.append(SeriesBand(scale, tuple(coef_l), tuple(coef_n),
+                                tuple(coef_t)))
+    # a model with little mass off mu0 can put the degree-4 bound past
+    # the degree-10 one: its mid band is then empty
+    return SmallSeries(s0=ends[0], s1=max(ends), low=bands[0], mid=bands[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,13 +518,13 @@ class ScalarProfile:
 
 @lru_cache(maxsize=32)
 def _scalar_profile(model: IbfModel) -> ScalarProfile:
-    """The model's profile on [s0, 64], with its step from the quintic
+    """The model's profile on [s1, 64], with its step from the quintic
     Hermite remainder: a piece of width h errs by at most
     h^6 / 46080 max |B^(6)|. Every scalar is a nonnegative-weight average
     of cos(s k t) with |t| <= 1 over k from the measures, and 1 at
     s = 0, so |B^(6)| <= M6 = sum_i mu_i moment(m_i, 6) / mass(m_i), and
     h = (46080 eps / M6)^(1/6) holds the remainder to eps."""
-    lo = _small_s_series(model).s0
+    lo = _small_s_series(model).s1
     m6 = sum(mu * spectral.moment(m, 6) / spectral.total_mass(m)
              for mu, m in ((model.mu1, model.m_p), (model.mu2, model.m_s))
              if mu > 0.0)
@@ -498,13 +539,14 @@ def covariance_scalars(model: IbfModel, s):
     The constant mu0 component contributes mu0 to both scalars at every
     separation (its tensor is mu0 * identity everywhere). Each
     separation's route depends on the model and s alone, never on the
-    batch: the moment series for s < s0 (s = 0 gives exactly 1), the
-    piecewise-quintic profile on [s0, 64], exact quadrature beyond 64
-    (the series serves every s < s0, even past 64 for a model whose s0
+    batch: the moment series for s < s1 (s = 0 gives exactly 1), of
+    degree 4 in s^2 below s0 and of degree 10 on [s0, s1), the
+    piecewise-quintic profile on [s1, 64], exact quadrature beyond 64
+    (the series serves every s < s1, even past 64 for a model whose s1
     is). A non-finite separation has no covariance and gives NaN.
 
     Each route is evaluated on its own entries only, so a batch with no
-    entry in [s0, 64] leaves the profile unbuilt.
+    entry in [s1, 64] leaves the profile unbuilt.
     """
     arr = np.asarray(s, dtype=float)
     flat = np.atleast_1d(arr).ravel()
@@ -514,17 +556,18 @@ def covariance_scalars(model: IbfModel, s):
     series = _small_s_series(model)
     hi = flat.max(initial=-math.inf)
     if hi < series.s0:
-        b_l, b_n = series(flat)
-    elif lo >= series.s0 and hi <= _PROFILE_HI:
+        b_l, b_n = series.low.values(flat * flat)
+    elif lo >= series.s1 and hi <= _PROFILE_HI:
         b_l, b_n = _scalar_profile(model)(flat)
     else:
         b_l, b_n = out = np.empty((2, flat.size))
-        small = flat < series.s0
-        far = ~(small | (flat <= _PROFILE_HI))  # NaN and inf too
-        mid = ~(small | far)
+        low = flat < series.s0
+        near = flat < series.s1
+        far = ~(near | (flat <= _PROFILE_HI))  # NaN and inf too
         for entries, route in (
-                (small, series),
-                (mid, lambda v: _scalar_profile(model)(v)),
+                (low, lambda v: series.low.values(v * v)),
+                (near ^ low, lambda v: series.mid.values(v * v)),
+                (~(near | far), lambda v: _scalar_profile(model)(v)),
                 (far, lambda v: _scalars_exact(model, v))):
             if entries.any():
                 out[:, entries] = route(flat[entries])
@@ -539,12 +582,13 @@ def tensor_scalars(model: IbfModel, comps) -> tuple[np.ndarray, np.ndarray]:
     one copy of the tensor arithmetic: t = |x|^2 sums the squares in
     component order, and picks each entry's route by itself.
 
-    An entry with t < s0^2 takes the moment series in t, for coef and
-    B_N alike: no root, no division, and no cancellation of B_L against
-    B_N, so coef keeps its full relative accuracy as x -> 0 and is its
-    limit at x = 0, where the tensor is exactly I. Only the other
-    entries take the root and covariance_scalars, looked up on this
-    module, so a wrapper installed there sees every such call.
+    An entry with t < s1^2 takes the moment series, for coef and B_N
+    alike, of degree 4 in t below s0^2 and of degree 10 from there: no
+    root, no division, and no cancellation of B_L against B_N, so coef
+    keeps its full relative accuracy as x -> 0 and is its limit at
+    x = 0, where the tensor is exactly I. Only the other entries take
+    the root and covariance_scalars, looked up on this module, so a
+    wrapper installed there sees every such call.
     """
     sq = comps[0] * comps[0]
     for x in comps[1:]:
@@ -552,18 +596,23 @@ def tensor_scalars(model: IbfModel, comps) -> tuple[np.ndarray, np.ndarray]:
     shape = np.shape(sq)
     t = np.reshape(sq, -1)
     series = _small_s_series(model)
-    if t.max(initial=-math.inf) < series.t0:  # all series; NaN is not
-        coef, b_n = series.tensor(t)
+    if t.max(initial=-math.inf) < series.t0:  # all low band; NaN is not
+        coef, b_n = series.low.tensor(t)
     else:
+        # each row scattered by itself: a (2, n) scatter through a mask
+        # costs several times two row scatters
         coef, b_n = np.empty((2, t.size))
-        small = t < series.t0
-        if small.any():
-            coef[small], b_n[small] = series.tensor(t[small])
-        rest = ~small
-        s = np.sqrt(t[rest])
-        b_l, b_n_rest = covariance_scalars(model, s)
-        b_n[rest] = b_n_rest
-        coef[rest] = (b_l - b_n_rest) / (s * s)
+        low = t < series.t0
+        near = t < series.t1
+        for entries, band in ((low, series.low), (near ^ low, series.mid)):
+            if entries.any():
+                coef[entries], b_n[entries] = band.tensor(t[entries])
+        rest = ~near  # NaN too
+        if rest.any():
+            s = np.sqrt(t[rest])
+            b_l, b_n_rest = covariance_scalars(model, s)
+            b_n[rest] = b_n_rest
+            coef[rest] = (b_l - b_n_rest) / (s * s)
     return coef.reshape(shape), b_n.reshape(shape)
 
 

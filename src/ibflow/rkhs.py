@@ -147,7 +147,8 @@ def inward_profile(model: IbfModel, rho: float,
       G(r) = -mu1 2^(d-2) Gamma(d/2)^2 int (rho k) J~(rho k) (r k) J~(r k) dm_p(k),
 
     J~(z) = J_{d/2}(z) / z^{d/2}: at r = rho it is minus
-    squeeze_functional's rhs. The slope uses
+    squeeze_functional's rhs, from the Bessel ratios at rho k that the
+    weights take, evaluated once. The slope uses
     d/dz [z J~_nu(z)] = J~_nu(z) - z^2 J~_(nu+1)(z). Runs over at most
     _QUAD_PAIRS (radius, node) pairs at a time, each radius's sum
     row-wise, so a radius's value does not depend on the batch.
@@ -160,14 +161,19 @@ def inward_profile(model: IbfModel, rho: float,
     nu = model.d / 2.0
     locs, wts = _nodes(model.m_p)
     at_rho = rho * locs
+    jr_rho = bessel_j_ratio(nu, at_rho, 2)
     w = (-model.mu1 * 2.0 ** (model.d - 2) * math.gamma(nu) ** 2
-         * wts * at_rho * bessel_j_ratio(nu, at_rho))
+         * wts * at_rho * jr_rho[0])
     r = np.asarray(r, dtype=float)
     g, dg = np.empty_like(r), np.empty_like(r)
     step = max(1, _QUAD_PAIRS // locs.size)
     for lo in range(0, r.size, step):
-        z = r[lo:lo + step, None] * locs
-        jr, jr_up = bessel_j_ratio(nu, z, 2)
+        radii = r[lo:lo + step, None]
+        z = radii * locs
+        # at r = rho, the identity's right side, z is rho * locs, whose
+        # ratios w already took
+        jr, jr_up = (jr_rho if (radii == rho).all()
+                     else bessel_j_ratio(nu, z, 2))
         g[lo:lo + step] = (z * jr * w).sum(axis=-1)
         dg[lo:lo + step] = ((jr - z * z * jr_up) * (w * locs)).sum(axis=-1)
     return g, dg

@@ -77,12 +77,20 @@ def moment(m: SpectralMeasure, k: int) -> float:
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= MAX_MOMENT):
         raise MeasureError(f"moment order must be an integer in [0, {MAX_MOMENT}]")
     try:
-        total = sum(w * s**k for s, w in m.atoms)
-        total += sum(
-            h * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-            for lo, hi, h in m.density_pieces)
+        return scaled_moment(m, k, 1.0)
     except OverflowError:  # float ** raises where * would give inf
         return math.inf
+
+
+def scaled_moment(m: SpectralMeasure, k: int, unit: float) -> float:
+    """The k-th moment of s / unit, sum w (s / unit)^k, of any order
+    k >= 0; pieces integrate it in closed form. With unit above half of
+    support_max no term exceeds 2^k times its mass, so orders past
+    MAX_MOMENT stay finite where the moment itself would overflow."""
+    total = sum(w * (s / unit) ** k for s, w in m.atoms)
+    total += sum(
+        h * ((hi / unit) ** (k + 1) - (lo / unit) ** (k + 1)) / (k + 1) * unit
+        for lo, hi, h in m.density_pieces)
     return float(total)
 
 

@@ -97,11 +97,12 @@ class TestKernelRoute:
     @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
                                       "d3_mixed"])
     def test_route_matches_quadrature(self, name, request):
-        # a dense grid crossing both seams, s0 and 64, with points on them
+        # a dense grid crossing the three seams, s0, s1 and 64, with
+        # points on them
         model = request.getfixturevalue(name)
-        s0 = _small_s_series(model).s0
-        seams = np.array([s0, 64.0])[:, None] * (1.0 + np.array([-1e-12, 0.0,
-                                                                 1e-12]))
+        series = _small_s_series(model)
+        seams = np.array([series.s0, series.s1, 64.0])[:, None] * (
+            1.0 + np.array([-1e-12, 0.0, 1e-12]))
         grid = np.concatenate([np.linspace(0.0, 80.0, 16001), seams.ravel()])
         b_l, b_n = covariance_scalars(model, grid)
         e_l, e_n = _scalars_exact(model, grid)
@@ -115,9 +116,10 @@ class TestKernelRoute:
     @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
                                       "d3_mixed"])
     def test_profile_at_quadrature_accuracy(self, name, request):
-        # on [s0, 64] the quintic profile is as good as quadrature, on a
-        # dense grid and at every piece's midpoint, where a Hermite piece
-        # errs most
+        # on [s0, 64] the route, the degree-10 series to s1 and the
+        # quintic profile from there, is as good as quadrature, on a dense
+        # grid and at every piece's midpoint, where a Hermite piece errs
+        # most
         model = request.getfixturevalue(name)
         table = _scalar_profile(model).table
         grid = np.linspace(_small_s_series(model).s0, 64.0, 40001)
@@ -182,22 +184,37 @@ class TestKernelRoute:
         eps = np.finfo(float).eps
         # d = 2, unit atom, mass 2: the first omitted term of B_L is
         # (1 / (2^11 5! 6!) + 1 / (2^10 4! 6!)) * 2 * s^10, the larger of the
-        # two scalars', and s0 is where it reaches eps / 4
+        # two scalars', and s0 is where it reaches eps / 4; past the
+        # degree-10 band it is (1 / (2^23 11! 12!) + 1 / (2^22 10! 12!))
+        # * 2 * s^22, and s1 is where that reaches eps / 4
         tail = 2.0 * (1.0 / (2**11 * 120 * 720) + 1.0 / (2**10 * 24 * 720))
-        s0 = _small_s_series(d2_potential_atom).s0
-        assert tail * s0**10 == pytest.approx(eps / 4, rel=1e-12)
-        assert s0 == pytest.approx(0.1161, abs=1e-4)
+        f10, f11, f12 = (float(np.prod(np.arange(1.0, k + 1)))
+                         for k in (10, 11, 12))
+        tail_s1 = 2.0 * (1.0 / (2**23 * f11 * f12) + 1.0 / (2**22 * f10 * f12))
+        series = _small_s_series(d2_potential_atom)
+        assert tail * series.s0**10 == pytest.approx(eps / 4, rel=1e-12)
+        assert tail_s1 * series.s1**22 == pytest.approx(eps / 4, rel=1e-12)
+        assert series.s0 == pytest.approx(0.1161, abs=1e-4)
+        assert series.s1 == pytest.approx(1.739, abs=1e-3)
         assert _small_s_series(d3_mixed).s0 == pytest.approx(0.0523, abs=1e-4)
+        assert _small_s_series(d3_mixed).s1 == pytest.approx(0.745, abs=1e-3)
         for model in (d2_potential_atom, d2_mixed, d3_mixed):
             series = _small_s_series(model)
-            # the s^2 terms are -beta/2, from the exact second moments
+            # the s^2 terms are -beta/2, from the exact second moments, in
+            # t below s0 and in u = t unit^2 from there
             fc = flow_constants(model)
-            assert series.coef_l[1] == pytest.approx(-fc.beta_l / 2, rel=1e-14)
-            assert series.coef_n[1] == pytest.approx(-fc.beta_n / 2, rel=1e-14)
-            # just below s0 the truncated series is as good as quadrature
-            s = np.array([series.s0 * (1.0 - 1e-9)])
-            for got, want in zip(series(s), _scalars_exact(model, s)):
-                assert abs(got[0] - want[0]) <= 4 * eps
+            for band in (series.low, series.mid):
+                for coef, beta in ((band.coef_l, fc.beta_l),
+                                   (band.coef_n, fc.beta_n)):
+                    assert coef[1] == pytest.approx(-beta / 2 / band.scale,
+                                                    rel=1e-14)
+            # just below either bound its series is as good as quadrature
+            for band, end in ((series.low, series.s0),
+                              (series.mid, series.s1)):
+                s = np.array([end * (1.0 - 1e-9)])
+                for got, want in zip(band.values(s * s),
+                                     _scalars_exact(model, s)):
+                    assert abs(got[0] - want[0]) <= 4 * eps
 
     def test_profile_blocks_build_safely_under_threads(self):
         # worker threads share a model's profile and build its blocks on
@@ -244,23 +261,25 @@ class TestKernelRoute:
         assert np.isnan(b_l[1:]).all() and np.isnan(b_n[1:]).all()
 
     def test_series_past_64_when_s0_is(self):
-        # support 1e-3 puts s0 near 116: every s below it takes the
-        # series, also past 64, and quadrature serves only s >= s0
+        # support 1e-3 puts s0 near 116 and s1 near 1739: every s below
+        # s1 takes the series, also past 64, of degree 4 below s0, and
+        # quadrature serves only s >= s1
         model = make_model(2, 0.0, 1.0, 0.0,
                            m_p=SpectralMeasure(atoms=((1e-3, 1.0),)))
         series = _small_s_series(model)
-        assert series.s0 > 100.0
-        s = np.array([0.0, 10.0, 70.0, 100.0, 1e4, np.nan])
+        assert 100.0 < series.s0 < 500.0 < series.s1 < 1e4
+        s = np.array([0.0, 10.0, 70.0, 100.0, 500.0, 1e4, np.nan])
         b_l, b_n = covariance_scalars(model, s)
-        want = series(s[:4])
-        assert np.array_equal(b_l[:4], want[0])
-        assert np.array_equal(b_n[:4], want[1])
-        far = _scalars_exact(model, s[4:])
-        assert np.array_equal(b_l[4:], far[0], equal_nan=True)
-        assert np.array_equal(b_n[4:], far[1], equal_nan=True)
+        want = np.concatenate([series.low.values(s[:4] ** 2),
+                               series.mid.values(s[4:5] ** 2)], axis=1)
+        assert np.array_equal(b_l[:5], want[0])
+        assert np.array_equal(b_n[:5], want[1])
+        far = _scalars_exact(model, s[5:])
+        assert np.array_equal(b_l[5:], far[0], equal_nan=True)
+        assert np.array_equal(b_n[5:], far[1], equal_nan=True)
 
     def test_batch_outside_profile_builds_no_block(self, d3_mixed):
-        # a batch with no entry in [s0, 64] leaves a fresh profile
+        # a batch with no entry in [s1, 64] leaves a fresh profile
         # unbuilt, and each entry's value is what it takes in a batch
         # that reads the profile
         s0 = _small_s_series(d3_mixed).s0
@@ -417,35 +436,151 @@ class TestTensor:
                 assert abs(b_n[0] - b_n_mp) <= 2e-16
         # at 0, coef is its limit and the tensor is exactly I
         coef, b_n = tensor_scalars(model, list(np.zeros((model.d, 1))))
-        assert coef[0] == _small_s_series(model).coef_t[0] and b_n[0] == 1.0
+        assert coef[0] == _small_s_series(model).low.coef_t[0]
+        assert b_n[0] == 1.0
 
-    @pytest.mark.parametrize("name", ["d2_mixed", "d3_mixed"])
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
+                                      "d3_mixed"])
     def test_each_entry_takes_its_own_route(self, name, request):
-        # one batch mixes 0, series, profile, beyond-64, inf and NaN
-        # entries; each entry of either function is bitwise what it gives
-        # alone, and a batch with no entry in [s0, 64] builds no profile
-        # block
+        # one batch spans every band: 0, the degree-4 series below s0, the
+        # degree-10 series on [s0, s1), the profile on [s1, 64], quadrature
+        # beyond, inf and NaN; each entry of either function is bitwise
+        # what it gives alone and what it gives in the batch reversed, and
+        # a batch with no entry in [s1, 64] builds no profile block
         model = request.getfixturevalue(name)
-        s0 = _small_s_series(model).s0
-        s = np.array([0.0, 1e-7, 0.3 * s0, 0.999 * s0, 2.0 * s0, 7.5, 64.0,
+        series = _small_s_series(model)
+        s0, s1 = series.s0, series.s1
+        s = np.array([0.0, 1e-7, 0.3 * s0, 0.999 * s0, s0, 1.5 * s0,
+                      0.5 * (s0 + s1), 0.999 * s1, s1, 2.0 * s1, 7.5, 64.0,
                       64.5, 150.0, np.inf, np.nan])
         rng = np.random.default_rng(31)
         dirs = rng.normal(size=(s.size, model.d))
         x = dirs / np.linalg.norm(dirs, axis=1)[:, None] * s[:, None]
         x[0] = 0.0
         x[-2:] = s[-2:, None]
+        t = np.sum(x * x, axis=1)
+        # every band holds an entry, in either function's key
+        bands = [(s < s0), (s < s1), (s <= 64.0)]
+        assert set(np.sum(bands, axis=0)) == {0, 1, 2, 3}
+        assert set((t < series.t0) + (t < series.t1).astype(int)) == {0, 1, 2}
         got = covariance_scalars(model, s), tensor_scalars(model, list(x.T))
+        back = (covariance_scalars(model, s[::-1]),
+                tensor_scalars(model, list(x[::-1].T)))
         for k in range(s.size):
             alone = (covariance_scalars(model, s[k:k + 1]),
                      tensor_scalars(model, list(x[k:k + 1].T)))
-            for batch, one in zip(got, alone):
-                for g, w in zip(batch, one):
+            for batch, rev, one in zip(got, back, alone):
+                for g, r, w in zip(batch, rev, one):
                     assert np.array_equal(g[k:k + 1], w, equal_nan=True)
-        outside = [0, 1, 2, 3, 7, 8, 9, 10]
+                    assert np.array_equal(r[s.size - 1 - k:s.size - k], w,
+                                          equal_nan=True)
+        outside = [0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15]
         _scalar_profile.cache_clear()
         covariance_scalars(model, s[outside])
         tensor_scalars(model, list(x[outside].T))
         assert not _scalar_profile(model)._built.any()
+
+    def test_mid_band_takes_no_root(self, d2_potential_atom, monkeypatch):
+        # unit-atom separations all in [s0, s1), the bulk of a squeeze
+        # step's kernel rows, are all series: tensor_scalars hands none of
+        # them to covariance_scalars, and neither function makes a profile
+        model = d2_potential_atom
+        series = _small_s_series(model)
+        calls = []
+        scalars = covariance.covariance_scalars
+
+        def counted(model, s):
+            calls.append(np.size(s))
+            return scalars(model, s)
+
+        monkeypatch.setattr(covariance, "covariance_scalars", counted)
+        rng = np.random.default_rng(5)
+        s = rng.uniform(series.s0, series.s1, size=(64, 64))
+        s[0, :2] = series.s0, series.s1 * (1.0 - 1e-15)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=s.shape)
+        _scalar_profile.cache_clear()
+        coef, b_n = tensor_scalars(model, [s * np.cos(angle),
+                                           s * np.sin(angle)])
+        assert calls == []
+        counted(model, s.ravel())
+        assert _scalar_profile.cache_info().currsize == 0
+        assert np.isfinite(coef).all() and np.isfinite(b_n).all()
+
+
+class TestMomentSeries:
+    @pytest.mark.parametrize("name", ["d2_potential_atom", "d2_mixed",
+                                      "d3_mixed"])
+    def test_series_against_mpmath(self, name, request):
+        # (B_L, B_N) of covariance_scalars and (coef, B_N) of
+        # tensor_scalars on [0, s1), both bands and their seam, against
+        # 30-digit values: the scalars to 2 eps absolute, coef to 2 eps
+        # over max(s^2, s0^2), the error of B_L - B_N divided by s^2 (near
+        # 0 coef's relative accuracy is test_coef_near_zero_to_full_precision's)
+        eps = np.finfo(float).eps
+        model = request.getfixturevalue(name)
+        series = _small_s_series(model)
+        s = np.concatenate([np.linspace(0.0, series.s1, 8)[1:-1],
+                            series.s0 * (1.0 + np.array([-1e-12, 0.0])),
+                            [0.5 * series.s0, series.s1 * (1.0 - 1e-12)]])
+        x = np.zeros((model.d, s.size))
+        x[-1] = s
+        b_l, b_n = covariance_scalars(model, s)
+        coef, b_n_t = tensor_scalars(model, list(x))
+        for k, sk in enumerate(s):
+            want_l, want_n = _mp_scalars(model, float(sk), dps=30)
+            with mp.workdps(30):
+                want_coef = (want_l - want_n) / mp.mpf(float(sk)) ** 2
+                assert abs(b_l[k] - want_l) <= 2 * eps
+                assert abs(b_n[k] - want_n) <= 2 * eps
+                assert abs(b_n_t[k] - want_n) <= 2 * eps
+                assert (abs(coef[k] - want_coef) * max(sk * sk, series.t0)
+                        <= 2 * eps)
+
+    def test_mid_band_empty_for_a_faint_component(self):
+        # with mu1 = 1e-30 the degree-4 tail reaches eps/4 further out
+        # than the degree-10 one: s1 is s0, the mid band serves nothing,
+        # and every s below s0 still takes the degree-4 series
+        model = make_model(2, 1.0 - 1e-30, 1e-30, 0.0,
+                           m_p=SpectralMeasure(atoms=((1.0, 1.0),)))
+        series = _small_s_series(model)
+        assert series.s1 == series.s0 > 100.0
+        s = np.array([0.0, 1.0, 50.0, 0.999 * series.s0, series.s0, 200.0])
+        b_l, b_n = covariance_scalars(model, s)
+        want = series.low.values(s[:4] ** 2)
+        assert np.array_equal(b_l[:4], want[0])
+        assert np.array_equal(b_n[:4], want[1])
+        e_l, e_n = _scalars_exact(model, s)
+        assert np.array_equal(b_l[4:], e_l[4:])
+        assert np.array_equal(b_n[4:], e_n[4:])
+
+    def test_support_near_1e30(self):
+        # a measure with support near 1e30 is accepted, and its moments of
+        # order up to 20 overflow in the units of s: the degree-10 band
+        # takes them in units of a power of two near 1e30, so every
+        # coefficient, s0 and s1 stay finite, and the series matches
+        # quadrature on [0, s1)
+        eps = np.finfo(float).eps
+        model = make_model(
+            2, 0.0, 0.6, 0.4,
+            m_p=SpectralMeasure(atoms=((1e30, 1.0),),
+                                density_pieces=((3e29, 8e29, 2.0),)),
+            m_s=SpectralMeasure(atoms=((7e29, 1.0),)))
+        series = _small_s_series(model)
+        for band in (series.low, series.mid):
+            assert np.isfinite(band.coef_l + band.coef_n + band.coef_t).all()
+        assert 0.0 < series.s0 < series.s1 < 1e-29
+        assert np.isfinite([series.t0, series.t1]).all()
+        s = np.concatenate([np.linspace(0.0, series.s1, 12)[1:-1],
+                            [series.s0, series.s1 * (1.0 - 1e-12)]])
+        x = np.zeros((2, s.size))
+        x[0] = s
+        b_l, b_n = covariance_scalars(model, s)
+        coef, b_n_t = tensor_scalars(model, list(x))
+        e_l, e_n = _scalars_exact(model, s)
+        assert np.max(np.abs(b_l - e_l)) <= 4 * eps
+        assert np.max(np.abs(b_n - e_n)) <= 4 * eps
+        assert np.max(np.abs(b_n_t - e_n)) <= 4 * eps
+        assert np.max(np.abs(coef * (s * s) - (e_l - e_n))) <= 4 * eps
 
 
 def _mp_scalars(model, s: float, dps: int = 50):

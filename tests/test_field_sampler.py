@@ -76,8 +76,9 @@ class TestBuildSampler:
         # whatever the order of the pivots, each row served is bitwise the
         # matching row of the tensor_field blocks b(x_i - x_j): coincident
         # tracers included, the block at j = i is the identity, and the
-        # separations take all three kernel routes (series below s0,
-        # profile on [s0, 64], quadrature beyond). The pivots alternate
+        # separations take all four kernel bands (the degree-4 series
+        # below s0, the degree-10 series on [s0, s1), the profile on
+        # [s1, 64], quadrature beyond). The pivots alternate
         # between hold hits (every path pivots on its last point again)
         # and misses (one path moves), and only a miss evaluates scalars,
         # one tensor_scalars call on all its nb * n separations
@@ -95,15 +96,18 @@ class TestBuildSampler:
         nb, n = 3, 7
         for model in (d2_mixed, d3_mixed, d4_mixed):
             d = model.d
-            s0 = covariance._small_s_series(model).s0
+            series = covariance._small_s_series(model)
+            s0, s1 = series.s0, series.s1
             pts = np.concatenate([0.1 * s0 * rng.normal(size=(nb, 3, d)),
-                                  rng.normal(size=(nb, 2, d)),
+                                  0.2 * s1 * rng.normal(size=(nb, 1, d)),
+                                  rng.normal(size=(nb, 1, d)),
                                   100.0 + 60.0 * rng.normal(size=(nb, 2, d))],
                                  axis=1)
             pts[1, 2] = pts[1, 0]
             sep = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1)
             assert ((0.0 < sep) & (sep < s0)).any()
-            assert ((s0 <= sep) & (sep <= 64.0)).any() and (sep > 64.0).any()
+            assert ((s0 <= sep) & (sep < s1)).any()
+            assert ((s1 <= sep) & (sep <= 64.0)).any() and (sep > 64.0).any()
             blocks = tensor_field(model,
                                   pts[:, :, None, :] - pts[:, None, :, :])
             assert np.array_equal(blocks[1, 0, 2], np.eye(d))

@@ -296,7 +296,7 @@ class TestSqueezeIdentity:
         covariance._scalar_profile.cache_clear()
         before = [squeeze_functional(d3_mixed, rho, 64)[0]
                   for rho in (0.4, 2.5, 30.0)]
-        # every block of the profile on [s0, 64]
+        # every block of the profile on [s1, 64]
         covariance.covariance_scalars(d3_mixed, np.linspace(0.1, 64.0, 20001))
         assert covariance._scalar_profile(d3_mixed)._built.all()
         after = [squeeze_functional(d3_mixed, rho, 64)[0]
