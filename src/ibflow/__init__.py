@@ -10,8 +10,8 @@ import os as _os
 
 # One BLAS thread per process unless the caller set the count: a step's
 # matrices are tiny, and a second BLAS thread burns a core without
-# shortening the run; --jobs is the only parallelism. BLAS reads these
-# when numpy is first imported, which has to come after this.
+# shortening the run. BLAS reads these when numpy is first imported,
+# which has to come after this.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 

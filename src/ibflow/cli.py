@@ -623,7 +623,7 @@ def _emit(cfg: RunConfig, out_dir: Path, out: Measured,
 # ---------------------------------------------------------------------------
 # per-command runners
 
-def _run_covariance(cfg: RunConfig, jobs: int) -> Measured:
+def _run_covariance(cfg: RunConfig) -> Measured:
     model = cfg.model
     s = np.linspace(0.0, cfg.params["s_max"], cfg.params["n_points"])
     b_l, b_n = covariance.covariance_scalars(model, s)
@@ -646,7 +646,7 @@ def _run_covariance(cfg: RunConfig, jobs: int) -> Measured:
                     rows, aggregate, summary)
 
 
-def _run_check_condition(cfg: RunConfig, jobs: int) -> Measured:
+def _run_check_condition(cfg: RunConfig) -> Measured:
     rep = rkhs.check_condition(cfg.model, cfg.params["rho"], cfg.params["tol"])
     zeros = np.asarray(rep.zero_locations_checked)
     rows = []
@@ -668,7 +668,7 @@ def _run_check_condition(cfg: RunConfig, jobs: int) -> Measured:
                     summary)
 
 
-def _run_verify_identity(cfg: RunConfig, jobs: int) -> Measured:
+def _run_verify_identity(cfg: RunConfig) -> Measured:
     rows = []
     worst = 0.0
     for rho in cfg.params["rhos"]:
@@ -685,11 +685,11 @@ def _run_verify_identity(cfg: RunConfig, jobs: int) -> Measured:
     return Measured(["rho", "lhs", "rhs", "rel_gap"], rows, aggregate, summary)
 
 
-def _run_lyapunov(cfg: RunConfig, jobs: int) -> Measured:
+def _run_lyapunov(cfg: RunConfig) -> Measured:
     res = flow_engine.lyapunov_estimate(
         cfg.model, T=cfg.params["T"], dt=cfg.params["dt"],
         n_pairs=cfg.params["n_pairs"], renorm_eps=cfg.params["renorm_eps"],
-        seed=cfg.seed, jobs=jobs)
+        seed=cfg.seed)
     fc = covariance.flow_constants(cfg.model)
     ag = {**res.aggregate, "analytic_lambda": fc.lam, "beta_l": fc.beta_l,
           "beta_n": fc.beta_n}
@@ -700,14 +700,14 @@ def _run_lyapunov(cfg: RunConfig, jobs: int) -> Measured:
                     summary)
 
 
-def _run_squeeze(cfg: RunConfig, jobs: int) -> Measured:
+def _run_squeeze(cfg: RunConfig) -> Measured:
     mode = cfg.command
     p = cfg.params
     rep = flow_engine.squeeze_experiment(
         cfg.model, R=p["R"], delta=p["delta"], T1=p["T1"], T2=p["T2"],
         n_boundary=p["n_boundary"], dt=p["dt"], n_paths=p["n_paths"],
         drift=cfg.drift, seed=cfg.seed, snapshot_stride=p["stride"],
-        mode=mode, jobs=jobs)
+        mode=mode)
     ag = rep.aggregate
     summary = (f"{mode}: success {ag['success_count']}/{ag['n_paths']} "
                f"= {ag['success_frequency']:.3f} "
@@ -729,12 +729,12 @@ def _series_measured(res: ExperimentResult, summary: str) -> Measured:
                     paths)
 
 
-def _run_track_control(cfg: RunConfig, jobs: int) -> Measured:
+def _run_track_control(cfg: RunConfig) -> Measured:
     p = cfg.params
     res = flow_engine.tracking_experiment(
         cfg.model, drift_radial_rkhs(cfg.model, p["rho"], scale=1.0),
         p["cs"], p["x0"], T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
-        seed=cfg.seed, snapshot_stride=p["stride"], jobs=jobs)
+        seed=cfg.seed, snapshot_stride=p["stride"])
     sups = res.series["sup_deviation"]
     rows = ((c, i, dev) for j, c in enumerate(p["cs"])
             for i, dev in enumerate(sups[:, j].tolist()))
@@ -744,12 +744,11 @@ def _run_track_control(cfg: RunConfig, jobs: int) -> Measured:
                     summary)
 
 
-def _run_length_decay(cfg: RunConfig, jobs: int) -> Measured:
+def _run_length_decay(cfg: RunConfig) -> Measured:
     p = cfg.params
     rep = flow_engine.length_decay_experiment(
         cfg.model, p["positions"], T=p["T"], dt=p["dt"], n_paths=p["n_paths"],
-        seed=cfg.seed, snapshot_stride=p["stride"], closed=p["closed"],
-        jobs=jobs)
+        seed=cfg.seed, snapshot_stride=p["stride"], closed=p["closed"])
     ag = rep.aggregate
     summary = (f"length-decay: shrink fraction {ag['shrink_fraction']:.2f}, "
                f"terminal rate mean {ag['terminal_rate_mean']:.4f}")
@@ -770,22 +769,20 @@ _RUNNERS = {
 
 def run_command(command: str, cfg: RunConfig, jobs: int = 1,
                 out_dir: str | None = None, quiet: bool = False):
-    """Execute one subcommand; returns (exit_code, written paths)."""
+    """Execute one subcommand; returns (exit_code, written paths).
+
+    Paths run serially, so jobs may only be 1; the keyword stays for the
+    benchmark harness, which passes it."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     target = Path(out_dir if out_dir is not None else cfg.output_dir)
     target.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    out = _RUNNERS[command](cfg, jobs)
+    out = _RUNNERS[command](cfg)
     files = _emit(cfg, target, out, time.perf_counter() - t0)
     if not quiet:
         print(out.summary)
     return EXIT_OK, files
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -796,8 +793,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} command")
         cmd.add_argument("--config", required=True, help="path to JSON config")
-        cmd.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker pool size (default 1)")
         cmd.add_argument("--out", default=None,
                          help="output directory (overrides config)")
         cmd.add_argument("--quiet", action="store_true",
@@ -819,8 +814,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        code, _ = run_command(args.command, cfg, jobs=args.jobs,
-                              out_dir=args.out, quiet=args.quiet)
+        code, _ = run_command(args.command, cfg, out_dir=args.out,
+                              quiet=args.quiet)
     except _RUNTIME_ERRORS as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -12,7 +12,6 @@ identity.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -488,7 +487,6 @@ class ScalarProfile:
         self.table = PiecewiseTable(np.empty((6, 2, pieces)), lo, h,
                                     _PROFILE_HI)
         self._built = np.zeros(-(-pieces // _BLOCK), dtype=bool)
-        self._lock = threading.Lock()
 
     def _build(self, block: int) -> None:
         table = self.table
@@ -508,11 +506,10 @@ class ScalarProfile:
         piece = self.table.piece(s)
         span = slice(piece.min() // _BLOCK, piece.max() // _BLOCK + 1)
         if not self._built[span].all():
-            with self._lock:
-                for block in range(span.start, span.stop):
-                    if not self._built[block]:
-                        self._build(block)
-                        self._built[block] = True
+            for block in range(span.start, span.stop):
+                if not self._built[block]:
+                    self._build(block)
+                    self._built[block] = True
         return self.table(s, piece)
 
 

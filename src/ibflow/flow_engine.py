@@ -6,14 +6,13 @@ is factored again every step because the points move). Weak order one is all the
 frequency and exponent estimates need. Paths are embarrassingly
 parallel: path i draws from its own generator, seeded by
 SeedSequence([seed, i]), so reports are bitwise reproducible for a given
-config and seed regardless of scheduling.
+config and seed, however the paths are cut into chunks.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +35,13 @@ _DIAM_BYTES = 1 << 19  # one block of the diameter's squared distances
 class PairCollapseError(RuntimeError):
     """A tracked pair shrank below the numeric floor."""
 
-    def __init__(self, pair_index: int, separation: float):
+    def __init__(self, pair_index: int, step: int, separation: float):
         self.pair_index = pair_index
+        self.step = step
         self.separation = separation
         super().__init__(
-            f"pair {pair_index} collapsed to separation {separation:.3e} "
-            f"(floor {_COLLAPSE_FLOOR})")
+            f"pair {pair_index} collapsed at step {step} to separation "
+            f"{separation:.3e} (floor {_COLLAPSE_FLOOR})")
 
 
 # numerics below: the per-path (rank_min, rank_max, dropped_trace_max)
@@ -241,15 +241,14 @@ def _chunk_paths(m: int, n_paths: int) -> int:
     """Paths per chunk for m coordinates a path: as many as keep the
     chunk's (B, m, m) factor within _CHUNK_BYTES, but from
     _CHUNK_PATHS_MIN up to _CHUNK_PATHS_MAX, and no more than n_paths.
-    --jobs splits only runs that take several chunks. A path's results
-    do not depend on its chunk, so they do not depend on this choice
-    either."""
+    A path's results do not depend on its chunk, so they do not depend
+    on this choice either."""
     fit = max(_CHUNK_PATHS_MIN, _CHUNK_BYTES // (8 * m * m))
     return max(1, min(fit, _CHUNK_PATHS_MAX, n_paths))
 
 
 def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
-               n_paths: int, jobs: int, observe, start=None, **step):
+               n_paths: int, observe, start=None, **step):
     """Step paths 0..n_paths-1 from 0 to T by _simulate, a _chunk_paths
     chunk at a time.
 
@@ -282,13 +281,7 @@ def _run_paths(model: IbfModel, x0, T: float, dt: float, seed: int,
 
     size = _chunk_paths(x0.size, n_paths)
     spans = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    if jobs <= 1 or len(spans) <= 1:
-        results = [chunk(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(chunk, lo, hi) for lo, hi in spans]
-            results = [f.result() for f in futs]
-    times, values, numerics = zip(*results)
+    times, values, numerics = zip(*[chunk(lo, hi) for lo, hi in spans])
     return (np.array(times[0]),
             {key: np.vstack([v[key] for v in values]) for key in values[0]},
             tuple(np.concatenate(part) for part in zip(*numerics)))
@@ -345,7 +338,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
                        T2: float, n_boundary: int, dt: float, n_paths: int,
                        drift: Callable | None = None, seed: int = 0,
                        snapshot_stride: int = DEFAULT_STRIDE,
-                       mode: str = "squeeze", jobs: int = 1) -> ExperimentResult:
+                       mode: str = "squeeze") -> ExperimentResult:
     """Monte-Carlo frequency of uniform ball squeezing (or expansion).
 
     squeeze: tracers on the sphere of radius R+delta must stay strictly
@@ -390,7 +383,7 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
         return {"diam": _diam_batch(x), "contained": flags}
 
     times, rec, numerics = _run_paths(model, tracers, T2, dt, seed, n_paths,
-                                      jobs, observe, drift=drift,
+                                      observe, drift=drift,
                                       stride=snapshot_stride)
     diams, flags = rec["diam"], rec["contained"]
 
@@ -421,8 +414,8 @@ def squeeze_experiment(model: IbfModel, R: float, delta: float, T1: float,
 
 
 def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
-                      renorm_eps: float = 1e-4, seed: int = 0,
-                      jobs: int = 1) -> ExperimentResult:
+                      renorm_eps: float = 1e-4,
+                      seed: int = 0) -> ExperimentResult:
     """Top Lyapunov exponent from pair separations under shared noise.
 
     Each pair (x, x + eps u) evolves in one two-point cloud; the log
@@ -448,7 +441,9 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
         r = np.linalg.norm(sep, axis=1)
         if np.any(r < _COLLAPSE_FLOOR):
             i = int(np.argmin(r))
-            raise PairCollapseError(lo + i, float(r[i]))
+            # k steps are taken; name the last, 0-based like
+            # CovarianceFactorError's step
+            raise PairCollapseError(lo + i, k - 1, float(r[i]))
         out_of_band = (r < 0.1 * renorm_eps) | (r > 10.0 * renorm_eps)
         if np.any(out_of_band):
             log_growth[out_of_band] += np.log(r[out_of_band] / renorm_eps)
@@ -462,7 +457,7 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
         return {"estimate": log_growth / T}
 
     times, rec, numerics = _run_paths(model, np.zeros((2, d)), T, dt, seed,
-                                      n_pairs, jobs, renormalize, start=start,
+                                      n_pairs, renormalize, start=start,
                                       stride=1)
     est, se = _mean_se(rec["estimate"][:, 0])
     aggregate = {"estimate": est, "standard_error": se,
@@ -472,8 +467,8 @@ def lyapunov_estimate(model: IbfModel, T: float, dt: float, n_pairs: int,
 
 def tracking_experiment(model: IbfModel, drift: Callable, cs, x0,
                         T: float, dt: float, n_paths: int, seed: int = 0,
-                        snapshot_stride: int = DEFAULT_STRIDE,
-                        jobs: int = 1) -> ExperimentResult:
+                        snapshot_stride: int = DEFAULT_STRIDE
+                        ) -> ExperimentResult:
     """Sup deviation between the rescaled tilted flow and the drift ODE.
 
     For each c in cs, simulates Y <- Y + V(Y) dt + c^{-1/2} dM from the
@@ -499,7 +494,7 @@ def tracking_experiment(model: IbfModel, drift: Callable, cs, x0,
     sups, runs = [], []
     for c in cs:
         times, rec, numerics = _run_paths(
-            model, pts, T, dt, seed, n_paths, jobs, observe, drift=drift,
+            model, pts, T, dt, seed, n_paths, observe, drift=drift,
             stride=snapshot_stride, noise_scale=1.0 / math.sqrt(c))
         sups.append(rec["dev"].max(axis=1))
         runs.append(numerics)
@@ -521,8 +516,7 @@ def tracking_experiment(model: IbfModel, drift: Callable, cs, x0,
 def length_decay_experiment(model: IbfModel, curve, T: float,
                             dt: float, n_paths: int, seed: int = 0,
                             snapshot_stride: int = DEFAULT_STRIDE,
-                            closed: bool = False,
-                            jobs: int = 1) -> ExperimentResult:
+                            closed: bool = False) -> ExperimentResult:
     """Evolution of polyline length and diameter under the flow.
 
     The curve is the (N, d) vertices, in order. Reports per-path series
@@ -550,7 +544,7 @@ def length_decay_experiment(model: IbfModel, curve, T: float,
                 f"exceeds polyline length {ln[i]:.17g}")
         return {"diam": dia, "length": ln}
 
-    times, rec, numerics = _run_paths(model, pts, T, dt, seed, n_paths, jobs,
+    times, rec, numerics = _run_paths(model, pts, T, dt, seed, n_paths,
                                       observe, stride=snapshot_stride)
     diams, lens = rec["diam"], rec["length"]
 

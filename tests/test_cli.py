@@ -835,44 +835,6 @@ class TestReportContract:
                 == (tmp_path / "b" / f"{command}.csv").read_bytes())
 
 
-_JOBS_CASES = {
-    "squeeze": (dict(SQUEEZE_PARAMS, T1=0.01, T2=0.02, dt=0.01, n_paths=65,
-                     n_boundary=8, stride=1),
-                {"kind": "radial_rkhs", "rho": 1.0, "scale": 8.0}),
-    "expand": (dict(SQUEEZE_PARAMS, T1=0.01, T2=0.03, dt=0.01, n_paths=66,
-                    n_boundary=8), None),
-    "lyapunov": ({"T": 0.03, "dt": 0.01, "n_pairs": 66}, None),
-    "track-control": ({"rho": 1.0, "cs": [4.0, 16.0], "T": 0.02, "dt": 0.01,
-                       "n_paths": 65, "x0": [[0.5, 0.0], [0.0, 0.4]],
-                       "stride": 1}, None),
-    "length-decay": ({"T": 0.02, "dt": 0.01, "n_paths": 67, "stride": 1,
-                      "curve": {"kind": "circle", "radius": 0.3,
-                                "n_vertices": 6}}, None),
-}
-
-
-class TestJobsInvariance:
-    @pytest.mark.parametrize("command", sorted(_JOBS_CASES))
-    def test_outputs_do_not_depend_on_jobs(self, tmp_path, command):
-        # two chunks of paths, run by one worker and by two: every CSV byte
-        # and every report field but wall_clock are the same
-        params, drift = _JOBS_CASES[command]
-        doc = atom_config(command=command, params=params)
-        if drift is not None:
-            doc["model"]["drift"] = drift
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        outputs = []
-        for jobs in (1, 2):
-            out = tmp_path / f"j{jobs}"
-            assert main([command, "--config", str(path), "--out", str(out),
-                         "--jobs", str(jobs), "--quiet"]) == EXIT_OK
-            report = json.loads((out / f"{command}_report.json").read_text())
-            del report["wall_clock"]
-            outputs.append(((out / f"{command}.csv").read_bytes(), report))
-        assert outputs[0] == outputs[1]
-
-
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -943,7 +905,7 @@ class TestMainExitCodes:
         assert capsys.readouterr().out == ""
 
     def test_numeric_failure_exit_3(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, jobs):
+        def boom(cfg):
             raise CovarianceFactorError(3, 17, "is not finite")
 
         monkeypatch.setitem(cli._RUNNERS, "covariance", boom)
@@ -952,12 +914,16 @@ class TestMainExitCodes:
         assert main(["covariance", "--config", str(path)]) == EXIT_NUMERIC
         assert "path 3, step 17" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("chunks", [1, 2])
     def test_overflowing_step_exit_3_names_path_and_step(self, tmp_path,
-                                                         capsys, jobs):
+                                                         monkeypatch, capsys,
+                                                         chunks):
         # a drift this steep carries every tracer past the largest double
         # in the first step; the second step's covariance rows are then
-        # not finite, and the run stops at the first path
+        # not finite, and the run stops at the first path, whether the 66
+        # paths run as one chunk or as two
+        monkeypatch.setattr(flow_engine, "_CHUNK_PATHS_MAX", 66 // chunks)
+        assert flow_engine._chunk_paths(16, 66) == 66 // chunks
         doc = atom_config(command="squeeze",
                           params=dict(SQUEEZE_PARAMS, T1=1.0, T2=2.0, dt=1.0,
                                       n_paths=66, n_boundary=8),
@@ -968,7 +934,7 @@ class TestMainExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main(["squeeze", "--config", str(path), "--out",
-                         str(tmp_path), "--jobs", str(jobs)])
+                         str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert ("CovarianceFactorError: path 0, step 1: increment covariance "
                 "is not finite") in capsys.readouterr().err
@@ -1015,23 +981,43 @@ class TestMainExitCodes:
         assert code == EXIT_NUMERIC
         assert "RuntimeError: rho 1.5: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+    @staticmethod
+    def _assert_jobs_refused(tmp_path, capsys, jobs):
+        # paths run serially; there is no worker pool to size, so --jobs
+        # is an unknown option whatever its value
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(atom_config(params={"s_max": 2.0})))
+        path.write_text(json.dumps(atom_config(command="squeeze",
+                                               params=SQUEEZE_PARAMS)))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["covariance", "--config", str(path), "--out", str(out),
+            main(["squeeze", "--config", str(path), "--out", str(out),
                   "--jobs", jobs])
         assert exc.value.code == EXIT_CONFIG
-        assert "--jobs: must be >= 1" in capsys.readouterr().err
+        assert (f"unrecognized arguments: --jobs {jobs}"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        self._assert_jobs_refused(tmp_path, capsys, jobs)
+
+    def test_jobs_option_is_refused_exit_2(self, tmp_path, capsys):
+        self._assert_jobs_refused(tmp_path, capsys, "2")
+
+    def test_run_command_refuses_jobs_above_one(self, tmp_path):
+        cfg = parse_config(atom_config(params={"s_max": 2.0}))
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            run_command("covariance", cfg, jobs=2, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_pair_collapse_exit_3_names_global_pair(self, tmp_path,
                                                      monkeypatch, capsys):
-        # one Euler step of 70 pairs: with seed 6 the closest pair lies in
-        # the second chunk (pairs 64-69), so a floor between the two
-        # chunks' closest separations stops that pair alone
+        # one Euler step of 70 pairs in chunks of at most 64: with seed 6
+        # the closest pair lies in the second chunk (pairs 64-69), so a
+        # floor between the two chunks' closest separations stops that
+        # pair alone, in step 0
+        monkeypatch.setattr(flow_engine, "_CHUNK_PATHS_MAX", 64)
+        assert flow_engine._chunk_paths(4, 70) == 64
         doc = atom_config(command="lyapunov",
                           params={"T": 0.01, "dt": 0.01, "n_pairs": 70},
                           seed=6)
@@ -1043,16 +1029,16 @@ class TestMainExitCodes:
         pair = 64 + int(np.argmin(r[64:]))
         monkeypatch.setattr(flow_engine, "_COLLAPSE_FLOOR",
                             (r[64:].min() + r[:64].min()) / 2)
-        for jobs in (1, 2):
-            with pytest.raises(flow_engine.PairCollapseError) as exc:
-                flow_engine.lyapunov_estimate(model, T=0.01, dt=0.01,
-                                              n_pairs=70, seed=6, jobs=jobs)
-            assert exc.value.pair_index == pair
+        with pytest.raises(flow_engine.PairCollapseError) as exc:
+            flow_engine.lyapunov_estimate(model, T=0.01, dt=0.01, n_pairs=70,
+                                          seed=6)
+        assert (exc.value.pair_index, exc.value.step) == (pair, 0)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["lyapunov", "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_NUMERIC
-        assert f"pair {pair} collapsed" in capsys.readouterr().err
+        assert (f"PairCollapseError: pair {pair} collapsed at step 0 "
+                "to separation") in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc", [ValueError("argument must be finite"),
                                      np.linalg.LinAlgError("singular"),
@@ -1062,7 +1048,7 @@ class TestMainExitCodes:
                                             capsys, exc):
         # a ValueError raised while running is a runtime failure, not a
         # config error
-        def boom(cfg, jobs):
+        def boom(cfg):
             raise exc
 
         monkeypatch.setitem(cli._RUNNERS, "covariance", boom)

@@ -1,7 +1,5 @@
 """Covariance scalars, tensor assembly, flow constants, positivity."""
 
-import sys
-import threading
 import tracemalloc
 
 import mpmath as mp
@@ -215,41 +213,6 @@ class TestKernelRoute:
                 for got, want in zip(band.values(s * s),
                                      _scalars_exact(model, s)):
                     assert abs(got[0] - want[0]) <= 4 * eps
-
-    def test_profile_blocks_build_safely_under_threads(self):
-        # worker threads share a model's profile and build its blocks on
-        # first use; a reader must never see a block half built
-        model = make_model(2, 0.0, 0.7, 0.3,
-                           m_p=SpectralMeasure(atoms=((1.7, 1.0),)),
-                           m_s=SpectralMeasure(atoms=((0.9, 1.0),)))
-        # threads in pairs on narrow ranges, so one of a pair can come
-        # for a block while the other is building it
-        grids = [np.linspace(1.0 + 2.0 * (k // 2), 1.3 + 2.0 * (k // 2), 2001)
-                 for k in range(16)]
-        results = [None] * len(grids)
-
-        def work(k):
-            results[k] = covariance_scalars(model, grids[k])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                _scalar_profile.cache_clear()
-                threads = [threading.Thread(target=work, args=(k,))
-                           for k in range(len(grids))]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                    assert not t.is_alive()
-                _scalar_profile.cache_clear()  # a fresh profile, one thread
-                for grid, got in zip(grids, results):
-                    want = covariance_scalars(model, grid)
-                    assert np.array_equal(got[0], want[0])
-                    assert np.array_equal(got[1], want[1])
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_trivial_model_is_all_series(self, trivial_model):
         assert _small_s_series(trivial_model).s0 == np.inf

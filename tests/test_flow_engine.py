@@ -1,7 +1,6 @@
 """Flow integration, observables, and the experiment harness."""
 
 import math
-import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
@@ -272,20 +271,6 @@ class TestLyapunov:
         c = lyapunov_estimate(d2_potential_atom, T=0.5, dt=1e-2, n_pairs=6, seed=4)
         assert not np.array_equal(a.series["estimate"], c.series["estimate"])
 
-    def test_jobs_do_not_change_results(self, d2_potential_atom):
-        # the chunks' threads add into disjoint slices of one array; more
-        # threads than cores, switching often, must lose no update
-        a = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2, n_pairs=130,
-                              seed=3, jobs=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            b = lyapunov_estimate(d2_potential_atom, T=0.2, dt=1e-2,
-                                  n_pairs=130, seed=3, jobs=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert same_result(a, b)
-
     def test_renormalization_resets_partner(self, d2_potential_atom,
                                             monkeypatch):
         # a pair that left [eps/10, 10 eps] adds log(r / eps) and has its
@@ -298,7 +283,7 @@ class TestLyapunov:
         x[:, 1] = x[:, 0] + sep
         start = x.copy()
 
-        def run_paths(model, x0, T, dt, seed, n_pairs, jobs, observe, **step):
+        def run_paths(model, x0, T, dt, seed, n_pairs, observe, **step):
             assert observe(0.5 * T, 1, x, 0) is None
             rates = observe(T, 2, x, 0)["estimate"]
             return (np.array([T]), {"estimate": rates[:, None]},
@@ -418,12 +403,11 @@ class TestStreams:
     @pytest.mark.parametrize("shape", ["shell", "circle"])
     def test_chunk_size_keeps_every_bit(self, d2_potential_atom, monkeypatch,
                                         shape):
-        # chunks of 1, 7, 64, 69 and all 70 paths, from byte budgets that
-        # fit that many (B, m, m) factors with the 64-path floor lifted (69
-        # and 70 one byte apart, either side of the boundary), and two
-        # chunks of 35 on --jobs 2's threads and in turn at --jobs 0 batch
-        # the paths differently, so the row source's held scalars are hit
-        # and missed at different pivots; every series and rank numeric
+        # chunks of 1, 7, 35, 64, 69 and all 70 paths, from byte budgets
+        # that fit that many (B, m, m) factors with the 64-path floor
+        # lifted (69 and 70 one byte apart, either side of the boundary),
+        # batch the paths differently, so the row source's held scalars are
+        # hit and missed at different pivots; every series and rank numeric
         # must keep every bit. The circle runs to T = 1, where its paths
         # reach ranks 7, 8 and 9 as they spread (at T = 0.2 all 70 stay at
         # rank 7)
@@ -431,32 +415,29 @@ class TestStreams:
         full = 8 * m * m
         monkeypatch.setattr(flow_engine, "_CHUNK_PATHS_MIN", 1)
 
-        def run(budget, jobs=1):
+        def run(budget):
             monkeypatch.setattr(flow_engine, "_CHUNK_BYTES", budget)
             if shape == "shell":
                 return squeeze_experiment(
                     d2_potential_atom, R=1.0, delta=0.1, T1=0.01, T2=0.02,
-                    n_boundary=64, dt=2e-3, n_paths=70, seed=3, jobs=jobs)
+                    n_boundary=64, dt=2e-3, n_paths=70, seed=3)
             return length_decay_experiment(
                 d2_potential_atom, TINY_CIRCLE, T=1.0, dt=1e-2, n_paths=70,
-                seed=3, closed=True, jobs=jobs)
+                seed=3, closed=True)
 
         whole = run(70 * full)
         assert flow_engine._chunk_paths(m, 70) == 70
         assert len(set(whole.numerics[1].tolist())) > 1  # ranks differ by path
-        for budget, chunk in ((full, 1), (7 * full, 7), (64 * full, 64),
-                              (70 * full - 1, 69)):
+        for budget, chunk in ((full, 1), (7 * full, 7), (35 * full, 35),
+                              (64 * full, 64), (70 * full - 1, 69)):
             assert same_result(run(budget), whole)
             assert flow_engine._chunk_paths(m, 70) == chunk
-        for jobs in (2, 0):
-            assert same_result(run(35 * full, jobs), whole)
-        assert flow_engine._chunk_paths(m, 70) == 35
 
     def test_chunk_paths_by_bytes(self):
         # 64 paths' (64, 128, 128) factor is the 8 MiB budget: one
         # coordinate fewer a path fits 65 paths, and from m = 128 on every
         # chunk keeps the 64-path floor; small m takes every path up to the
-        # cap, and --jobs does not split a run that fits one chunk
+        # cap
         assert flow_engine._CHUNK_BYTES == 64 * 8 * 128 * 128
         assert flow_engine._chunk_paths(127, 10 ** 6) == 65
         assert flow_engine._chunk_paths(128, 10 ** 6) == 64
@@ -580,7 +561,7 @@ class TestTracking:
         v, x0 = radial(d2_potential_atom), np.array([[0.5, 0.0], [0.0, 0.7]])
         cs = [4.0, 16.0, 64.0]
         alone = [tracking_experiment(d2_potential_atom, v, [c], x0, T=0.2,
-                                     dt=1e-2, n_paths=3, seed=5, jobs=1)
+                                     dt=1e-2, n_paths=3, seed=5)
                  for c in cs]
         calls = []
         real = flow_engine.ode_flow
