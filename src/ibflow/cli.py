@@ -669,11 +669,12 @@ def _run_check_condition(cfg: RunConfig) -> Measured:
 
 
 def _run_verify_identity(cfg: RunConfig) -> Measured:
+    rhos = cfg.params["rhos"]
+    lefts, rights = rkhs.squeeze_functional(cfg.model, rhos,
+                                            cfg.params["resolution"])
     rows = []
     worst = 0.0
-    for rho in cfg.params["rhos"]:
-        lhs, rhs = rkhs.squeeze_functional(cfg.model, rho,
-                                           cfg.params["resolution"])
+    for rho, lhs, rhs in zip(rhos, lefts.tolist(), rights.tolist()):
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise RuntimeError(f"rho {rho!r}: the identity's sides "
                                f"{lhs!r} and {rhs!r} are not both finite")

@@ -161,26 +161,67 @@ def _component_scalars(d: int, measure: SpectralMeasure, potential: bool,
                        ) -> list[np.ndarray]:
     """[B_L, B_N] of one component on a flat array of separations, with
     [dB_L/ds, dB_N/ds, d2B_L/ds2, d2B_N/ds2] appended when derivatives is
-    set, evaluated over at most _QUAD_PAIRS (separation, node) pairs at a
-    time."""
-    locs, wts = _nodes(measure)
-    step = max(1, _QUAD_PAIRS // locs.size)
-    parts = [_quadrature(d, locs, wts, potential, s[lo:lo + step], derivatives)
-             for lo in range(0, max(s.size, 1), step)]
-    return [np.concatenate(col) for col in zip(*parts)]
+    set: a quadrature pass of that component alone."""
+    return _quadrature_pass(d, ((measure, potential),), s, derivatives)[0][0]
 
 
-def _quadrature(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
-                s: np.ndarray, derivatives: bool) -> list[np.ndarray]:
-    """_component_scalars on one chunk of separations, from one Bessel pass
-    over the consecutive orders the component needs. With
-    R_nu(z) = J_nu(z) / z^nu and m = d/2, the derivatives use
-    R_nu' = -z R_(nu+1) and R_nu'' = (2 nu + 1) R_(nu+1) - R_nu; the
-    potential L kernel g = R_m - z^2 R_(m+1) has
-    g'' = (z^2 - 3) R_(m+1) + (2 - 2m) z^2 R_(m+2). With z = s r,
-    d/ds = r d/dz and d2/ds2 = r^2 d2/dz2.
+def _quadrature_pass(d: int, parts, s: np.ndarray, derivatives: bool = False,
+                     kept: int = 0):
+    """_component_scalars of every (measure, potential) part on the flat
+    separations s, over at most _QUAD_PAIRS (separation, node) pairs at a
+    time, counted over all the parts' nodes, each chunk from one Bessel
+    call (_quadrature). Also returns the first part's R rows at its lowest
+    order over its nodes for the last kept separations, a (kept, nodes)
+    array."""
+    nodes = [_nodes(measure) + (potential,) for measure, potential in parts]
+    step = max(1, _QUAD_PAIRS // sum(locs.size for locs, _, _ in nodes))
+    first_kept = s.size - kept
+    sums, rows = [], []
+    for lo in range(0, max(s.size, 1), step):
+        chunk, lowest = _quadrature(d, nodes, s[lo:lo + step], derivatives)
+        sums.append(chunk)
+        if lo + step >= first_kept:
+            rows.append(lowest[max(first_kept - lo, 0):].copy())
+    scalars = [[np.concatenate(col) for col in zip(*part)]
+               for part in zip(*sums)]
+    return scalars, np.concatenate(rows)
+
+
+def _quadrature(d: int, nodes, s: np.ndarray, derivatives: bool):
+    """_quadrature_pass on one chunk of separations: one Bessel call over
+    every part's arguments z = s r, side by side, at the union of the
+    consecutive orders the parts need. With m = d/2, a potential part
+    reads R at m, m + 1 (and m + 2), a solenoidal one at m - 1, m (and
+    m + 1). A ratio does not depend on what shares its call or on the
+    first order asked for, so each part's values are those of a call of
+    its own. Returns each part's sums and the first part's rows at its
+    lowest order."""
+    mid = d / 2.0
+    lowest = [mid if potential else mid - 1.0 for _, _, potential in nodes]
+    first = min(lowest)
+    count = int(max(lowest) - first) + (3 if derivatives else 2)
+    bounds = np.cumsum([0] + [locs.size for locs, _, _ in nodes])
+    z_all = np.empty((s.size, bounds[-1]))
+    for (locs, _, _), lo, hi in zip(nodes, bounds, bounds[1:]):
+        np.multiply(s[:, None], locs[None, :], out=z_all[:, lo:hi])
+    jr_all = bessel_j_ratio(first, z_all, count)
+    sums = [_part_sums(d, locs, wts, potential, z_all[:, lo:hi],
+                       jr_all[int(low - first):, :, lo:hi], derivatives)
+            for (locs, wts, potential), low, lo, hi
+            in zip(nodes, lowest, bounds, bounds[1:])]
+    return sums, jr_all[int(lowest[0] - first), :, :bounds[1]]
+
+
+def _part_sums(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
+               z: np.ndarray, jr: np.ndarray,
+               derivatives: bool) -> list[np.ndarray]:
+    """One component's sums over its nodes, from z = s r and its ratios jr
+    (rows from its lowest order up). With R_nu(z) = J_nu(z) / z^nu and
+    m = d/2, the derivatives use R_nu' = -z R_(nu+1) and
+    R_nu'' = (2 nu + 1) R_(nu+1) - R_nu; the potential L kernel
+    g = R_m - z^2 R_(m+1) has g'' = (z^2 - 3) R_(m+1) + (2 - 2m) z^2 R_(m+2).
+    With z = s r, d/ds = r d/dz and d2/ds2 = r^2 d2/dz2.
     """
-    z = s[:, None] * locs[None, :]
     c = _c_norm(d)
 
     def against_measure(vals, weights=wts):
@@ -188,11 +229,6 @@ def _quadrature(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
         # so single and batched evaluations agree bitwise
         return (vals * weights).sum(axis=-1)
 
-    mid = d / 2.0
-    # R at mid, mid + 1 (and mid + 2) for the potential part, at
-    # mid - 1, mid (and mid + 1) for the solenoidal part
-    jr = bessel_j_ratio(mid if potential else mid - 1.0, z,
-                        3 if derivatives else 2)
     if potential:
         out = [c * against_measure(jr[0] - z * z * jr[1]),
                c * against_measure(jr[0])]
@@ -222,23 +258,38 @@ def _quadrature(d: int, locs: np.ndarray, wts: np.ndarray, potential: bool,
 
 
 def _scalars_exact(model: IbfModel, flat: np.ndarray,
-                   derivatives: bool = False) -> list[np.ndarray]:
+                   derivatives: bool = False, radii=None) -> list[np.ndarray]:
     """[B_L, B_N] by quadrature, then [dB_L/ds, dB_N/ds, d2B_L/ds2,
     d2B_N/ds2] if derivatives is set; a non-finite separation has no
-    covariance and gives NaN."""
+    covariance and gives NaN. Both components come from one quadrature
+    pass, each chunk's Bessel ratios from one call. With radii (a flat
+    array of finite radii > 0; the model needs mu1 > 0), the radii join
+    the pass as further separations, and last comes R_(d/2)(r k) at each
+    radius r and potential node k, a (radii, nodes) array, from which the
+    squeeze identity takes its right side (rkhs.squeeze_functional)."""
     finite = flat < math.inf
     out = [np.full(flat.shape, model.mu0, dtype=float) for _ in range(2)]
     out += [np.zeros(flat.shape) for _ in range(4 if derivatives else 0)]
-    for mu, m, potential in ((model.mu1, model.m_p, True),
-                             (model.mu2, model.m_s, False)):
-        if mu > 0.0:
-            for acc, part in zip(out, _component_scalars(
-                    model.d, m, potential, np.where(finite, flat, 0.0),
-                    derivatives)):
-                acc += mu * part
+    parts = [(mu, m, potential) for mu, m, potential in
+             ((model.mu1, model.m_p, True), (model.mu2, model.m_s, False))
+             if mu > 0.0]
+    if radii is not None and model.mu1 == 0.0:
+        raise ModelError("R_(d/2) rows need a potential part (mu1 > 0)")
+    rows = None
+    if parts:
+        s = np.where(finite, flat, 0.0)
+        if radii is not None:
+            s = np.concatenate([s, radii])
+        sums, rows = _quadrature_pass(
+            model.d, [(m, potential) for _, m, potential in parts], s,
+            derivatives, s.size - flat.size)
+        for (mu, _, _), part in zip(parts, sums):
+            for acc, vals in zip(out, part):
+                acc += mu * vals[:flat.size]
     out[0] = np.where(flat == 0.0, 1.0, out[0])
     out[1] = np.where(flat == 0.0, 1.0, out[1])
-    return [np.where(finite, acc, np.nan) for acc in out]
+    out = [np.where(finite, acc, np.nan) for acc in out]
+    return out if radii is None else out + [rows]
 
 
 # ---------------------------------------------------------------------------

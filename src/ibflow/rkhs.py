@@ -20,7 +20,11 @@ kernel b(x) = B_N I + (B_L - B_N) x x^T / s^2 gives
 and t has density proportional to (1 - t^2)^((d-3)/2) on [-1, 1].
 squeeze_functional sums that against the n-point Gauss rule of this
 weight (_t_rule), which converges spectrally in every d because B_L
-and B_N are even entire functions of s.
+and B_N are even entire functions of s. For any number of radii, one
+quadrature pass gives both sides: B_L and B_N at every radius's n
+separations, and the potential rows J_{d/2}(rho k) / (rho k)^{d/2} at
+the separation rho, from which -G(rho) is formed as inward_profile
+forms it.
 """
 
 from __future__ import annotations
@@ -147,8 +151,7 @@ def inward_profile(model: IbfModel, rho: float,
       G(r) = -mu1 2^(d-2) Gamma(d/2)^2 int (rho k) J~(rho k) (r k) J~(r k) dm_p(k),
 
     J~(z) = J_{d/2}(z) / z^{d/2}: at r = rho it is minus
-    squeeze_functional's rhs, from the Bessel ratios at rho k that the
-    weights take, evaluated once. The slope uses
+    squeeze_functional's rhs. The slope uses
     d/dz [z J~_nu(z)] = J~_nu(z) - z^2 J~_(nu+1)(z). Runs over at most
     _QUAD_PAIRS (radius, node) pairs at a time, each radius's sum
     row-wise, so a radius's value does not depend on the batch.
@@ -161,22 +164,24 @@ def inward_profile(model: IbfModel, rho: float,
     nu = model.d / 2.0
     locs, wts = _nodes(model.m_p)
     at_rho = rho * locs
-    jr_rho = bessel_j_ratio(nu, at_rho, 2)
-    w = (-model.mu1 * 2.0 ** (model.d - 2) * math.gamma(nu) ** 2
-         * wts * at_rho * jr_rho[0])
+    w = _inward_weights(model, wts, at_rho, bessel_j_ratio(nu, at_rho))
     r = np.asarray(r, dtype=float)
     g, dg = np.empty_like(r), np.empty_like(r)
     step = max(1, _QUAD_PAIRS // locs.size)
     for lo in range(0, r.size, step):
-        radii = r[lo:lo + step, None]
-        z = radii * locs
-        # at r = rho, the identity's right side, z is rho * locs, whose
-        # ratios w already took
-        jr, jr_up = (jr_rho if (radii == rho).all()
-                     else bessel_j_ratio(nu, z, 2))
+        z = r[lo:lo + step, None] * locs
+        jr, jr_up = bessel_j_ratio(nu, z, 2)
         g[lo:lo + step] = (z * jr * w).sum(axis=-1)
         dg[lo:lo + step] = ((jr - z * z * jr_up) * (w * locs)).sum(axis=-1)
     return g, dg
+
+
+def _inward_weights(model: IbfModel, wts: np.ndarray, z: np.ndarray,
+                    jr: np.ndarray) -> np.ndarray:
+    """G's weights on m_p's nodes k, G(r) = sum_k (r k) J~(r k) w_k, from
+    z = rho k and jr = J~(z): w_k = -mu1 2^(d-2) Gamma(d/2)^2 wts_k z jr."""
+    return (-model.mu1 * 2.0 ** (model.d - 2) * math.gamma(model.d / 2.0) ** 2
+            * wts * z * jr)
 
 
 @lru_cache(maxsize=32)
@@ -201,29 +206,43 @@ def _t_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w / w.sum()
 
 
-def squeeze_functional(model: IbfModel, rho: float,
-                       n: int) -> tuple[float, float]:
-    """Both sides of the squeeze identity.
+def squeeze_functional(model: IbfModel, rho, n: int):
+    """Both sides of the squeeze identity at the radius rho, as two
+    floats, or at each radius of a sequence rho, as two arrays.
 
     lhs: the double sphere average of <b(rho theta - rho phi) theta, phi>
     as the n-point t-rule sum of B_N(s) t - (B_L(s) - B_N(s)) (1 - t) / 2,
-    s = rho sqrt(2(1 - t)), with B_L and B_N from one quadrature pass of
-    the n separations over the measures' own nodes (_scalars_exact,
-    looked up on the covariance module), so no kernel profile is built;
-    rhs: mu1 * 2^(d-2) * Gamma(d/2)^2 * integral of the squared scaled
-    Bessel kernel against the potential measure, which is -G(rho) of
-    inward_profile (0 when mu1 = 0). They agree up to quadrature error,
-    and are zero exactly when the support condition fails.
+    s = rho sqrt(2(1 - t)); rhs: mu1 * 2^(d-2) * Gamma(d/2)^2 * integral
+    of the squared scaled Bessel kernel against the potential measure,
+    which is -G(rho) of inward_profile (0 when mu1 = 0). Every radius's
+    n separations and the radius itself go to one quadrature pass over
+    the measures' own nodes (_scalars_exact, looked up on the covariance
+    module): B_L and B_N at the separations give the lhs, and the
+    potential rows J~(rho k) at the separation rho the rhs, so no kernel
+    profile is built. A radius gets the same bits alone or in a sequence.
+    The sides agree up to quadrature error, and are zero exactly when
+    the support condition fails.
     """
-    if rho <= 0.0:
+    radii = np.asarray(rho, dtype=float)
+    flat = radii.ravel()
+    if not np.all(flat > 0.0):
         raise ValueError("rho must be > 0")
     if n < 1:
         raise ValueError("the t-rule needs n >= 1 nodes")
     t, w = _t_rule(model.d, n)
-    s = rho * np.sqrt(2.0 * (1.0 - t))
-    b_l, b_n = covariance._scalars_exact(model, s)
-    lhs = float(w @ (b_n * t - 0.5 * (b_l - b_n) * (1.0 - t)))
+    s = (flat[:, None] * np.sqrt(2.0 * (1.0 - t))).ravel()
     if model.mu1 == 0.0:
-        return lhs, 0.0  # no potential part, which inward_profile refuses
-    g, _ = inward_profile(model, rho, [rho])
-    return lhs, -float(g[0])
+        # no potential part, so no right side
+        b_l, b_n = covariance._scalars_exact(model, s)
+        rhs = np.zeros(flat.size)
+    else:
+        b_l, b_n, jr = covariance._scalars_exact(model, s, radii=flat)
+        locs, wts = _nodes(model.m_p)
+        z = flat[:, None] * locs
+        rhs = -(z * jr * _inward_weights(model, wts, z, jr)).sum(axis=-1)
+    b_l, b_n = b_l.reshape(-1, n), b_n.reshape(-1, n)
+    terms = b_n * t - 0.5 * (b_l - b_n) * (1.0 - t)
+    lhs = np.array([w @ row for row in terms])
+    if radii.ndim == 0:
+        return float(lhs[0]), float(rhs[0])
+    return lhs.reshape(radii.shape), rhs.reshape(radii.shape)

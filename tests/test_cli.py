@@ -636,6 +636,25 @@ class TestRunCommands:
         assert code == EXIT_OK
         assert covariance._scalar_profile.cache_info().currsize == 0
 
+    def test_verify_identity_rows_equal_one_radius_runs(self, tmp_path):
+        # all radii share one quadrature pass; each row is still the bytes
+        # of a run of that radius alone
+        rhos = [0.4, 2.5, 1.1]
+        doc = {"model": dict(_MIXED_D2, d=3), "command": "verify-identity",
+               "params": {"rhos": rhos, "resolution": 48}, "seed": 1}
+        lines = []
+        for params in [rhos] + [[rho] for rho in rhos]:
+            doc["params"]["rhos"] = params
+            code, _ = run_command("verify-identity", parse_config(doc),
+                                  out_dir=tmp_path, quiet=True)
+            assert code == EXIT_OK
+            lines.append((tmp_path / "verify-identity.csv").read_bytes()
+                         .splitlines(keepends=True))
+        together, alone = lines[0], lines[1:]
+        assert len(together) == 4
+        assert together[1:] == [rows[1] for rows in alone]
+        assert all(rows[0] == together[0] for rows in alone)
+
     def test_lyapunov_report_carries_analytics(self, tmp_path):
         doc = atom_config(command="lyapunov",
                           params={"T": 0.5, "dt": 0.01, "n_pairs": 4})
@@ -967,9 +986,10 @@ class TestMainExitCodes:
         # aggregate: the run stops and names the rho instead
         real = rkhs.squeeze_functional
 
-        def nan_at_1_5(model, rho, n):
-            lhs, rhs = real(model, rho, n)
-            return (math.nan, rhs) if rho == 1.5 else (lhs, rhs)
+        def nan_at_1_5(model, rhos, n):
+            lhs, rhs = real(model, rhos, n)
+            lhs[np.asarray(rhos) == 1.5] = math.nan
+            return lhs, rhs
 
         monkeypatch.setattr(rkhs, "squeeze_functional", nan_at_1_5)
         doc = atom_config(command="verify-identity",

@@ -10,6 +10,7 @@ from ibflow import (IbfModel, ModelError, SpectralMeasure, b_scalar,
                     covariance_scalars, flow_constants, make_model)
 
 from ibflow import covariance
+from ibflow.bessel import bessel_j_ratio
 from ibflow.covariance import (_component_scalars, _nodes, _scalar_profile,
                                _scalars_exact, _small_s_series, tensor_scalars)
 
@@ -285,6 +286,48 @@ class TestQuadratureChunks:
                                            derivatives=True)
                 for got, want in zip(parts, whole, strict=True):
                     assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_one_pass_equals_the_components_bitwise(self, monkeypatch,
+                                                    derivatives):
+        # both measures share each chunk's Bessel call, at the union of
+        # their orders, and chunks count the pairs of both; the result is
+        # mu0 + mu1 P + mu2 S summed in that order from each component
+        # alone, whatever the chunk, and the radii's rows are R_(d/2) at
+        # radius times potential node, as from a call of their own
+        model = make_model(3, 0.1, 0.6, 0.3, m_p=_pieces(3),
+                           m_s=_pieces(2, lo=1.0, width=0.7))
+        s = np.linspace(0.0, 70.0, 300)
+        radii = np.array([0.4, 2.5, 30.0])
+        monkeypatch.setattr(covariance, "_QUAD_PAIRS", 1 << 40)
+        want = [np.full(s.shape, model.mu0) for _ in range(2)]
+        want += [np.zeros(s.shape) for _ in range(4 if derivatives else 0)]
+        for mu, measure, potential in ((model.mu1, model.m_p, True),
+                                       (model.mu2, model.m_s, False)):
+            for acc, part in zip(want, _component_scalars(
+                    3, measure, potential, s, derivatives)):
+                acc += mu * part
+        want[0][0] = want[1][0] = 1.0
+        locs = _nodes(model.m_p)[0]
+        rows = bessel_j_ratio(1.5, radii[:, None] * locs)
+        pair_count = locs.size + _nodes(model.m_s)[0].size
+        for chunk in (None, 1000, 301, 299, 37, 1):
+            if chunk is not None:
+                monkeypatch.setattr(covariance, "_QUAD_PAIRS",
+                                    chunk * pair_count)
+            got = _scalars_exact(model, s, derivatives)
+            *with_radii, got_rows = _scalars_exact(model, s, derivatives,
+                                                   radii=radii)
+            for vals in (got, with_radii):
+                assert len(vals) == len(want)
+                for g, w in zip(vals, want):
+                    assert np.array_equal(g, w), chunk
+            assert np.array_equal(got_rows, rows), chunk
+
+    def test_radii_rows_need_a_potential_part(self, d2_solenoidal_atom):
+        with pytest.raises(ModelError, match="mu1 > 0"):
+            _scalars_exact(d2_solenoidal_atom, np.array([1.0]),
+                           radii=np.array([1.0]))
 
     def test_memory_bounded_by_chunk(self):
         # 10 density pieces: 321 nodes, so 4096 separations are 1.3e6

@@ -1,6 +1,7 @@
 """Condition checks, the t-rule, inward field, squeeze identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ibflow import (ModelError, SpectralMeasure, check_condition,
                     inward_profile, make_model, squeeze_functional)
-from ibflow import covariance
+from ibflow import covariance, rkhs
 from ibflow.rkhs import _t_rule
 
 from conftest import (J1_AT_1, J1_FIRST_ZERO, mean_inward_field,
@@ -254,24 +255,75 @@ class TestSqueezeIdentity:
         assert checked == 8
 
     def test_one_kernel_call_on_the_module(self, monkeypatch):
-        # the n separations s_k = rho sqrt(2(1 - t_k)) go to one quadrature
-        # call, looked up on the covariance module, and no kernel profile
-        # (so no profile block) is made
-        seen = []
+        # every radius's n separations s_k = rho sqrt(2(1 - t_k)) and the
+        # radii themselves go to one quadrature call, looked up on the
+        # covariance module; its one chunk is one Bessel call for both
+        # components and both sides, and no kernel profile (so no profile
+        # block) is made
+        seen, bessel_calls = [], []
         inner = covariance._scalars_exact
+        inner_bessel = covariance.bessel_j_ratio
 
-        def counting(model, s, *args):
-            seen.append(np.size(s))
-            return inner(model, s, *args)
+        def counting(model, s, *args, **kwargs):
+            seen.append((np.size(s), np.size(kwargs["radii"])))
+            return inner(model, s, *args, **kwargs)
+
+        def counting_bessel(*args):
+            bessel_calls.append(np.size(args[1]))
+            return inner_bessel(*args)
 
         covariance._scalar_profile.cache_clear()
         monkeypatch.setattr(covariance, "_scalars_exact", counting)
+        monkeypatch.setattr(covariance, "bessel_j_ratio", counting_bessel)
+        monkeypatch.setattr(rkhs, "bessel_j_ratio", counting_bessel)
         model = make_model(5, 0.1, 0.6, 0.3,
                            m_p=SpectralMeasure(atoms=((1.3, 1.0),)),
                            m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
-        squeeze_functional(model, 1.1, 64)
-        assert seen == [64]
+        squeeze_functional(model, [1.1, 0.4, 2.5], 64)
+        assert seen == [(192, 3)]
+        assert bessel_calls == [(192 + 3) * 2]
         assert covariance._scalar_profile.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_radii_together_equal_each_alone(self, d, n):
+        # a radius's sides are the same bits in one pass with other radii
+        # as alone, and the rhs is -G(rho) of inward_profile to the bit
+        pieces = dict(atoms=((1.3, 1.0),), density_pieces=((0.5, 2.5, 0.4),))
+        solenoidal = SpectralMeasure(atoms=((2.0, 1.0),),
+                                     density_pieces=((0.4, 1.1, 0.6),))
+        radii = [0.4, 1.1, 2.5, 30.0, 1.1]
+        for model in (make_model(d, 0.1, 0.6, 0.3,
+                                 m_p=SpectralMeasure(**pieces), m_s=solenoidal),
+                      make_model(d, 0.0, 1.0, 0.0,
+                                 m_p=SpectralMeasure(**pieces)),
+                      make_model(d, 0.2, 0.0, 0.8, m_s=solenoidal)):
+            lhs, rhs = squeeze_functional(model, radii, n)
+            assert lhs.shape == rhs.shape == (len(radii),)
+            for k, rho in enumerate(radii):
+                alone = squeeze_functional(model, rho, n)
+                assert all(isinstance(side, float) for side in alone)
+                assert (lhs[k], rhs[k]) == alone, (model, rho)
+                if model.mu1 > 0.0:
+                    g, _ = inward_profile(model, rho, [rho])
+                    assert rhs[k] == -g[0]
+
+    def test_many_radii_memory_bounded_by_chunk(self):
+        # 10 density pieces: 322 nodes over both measures, so 64 radii of
+        # 64 separations are 1.4e6 pairs, about 120 MiB of quadrature at
+        # once
+        m_p = SpectralMeasure(atoms=((1.3, 1.0),), density_pieces=tuple(
+            (0.5 + 0.4 * k, 0.9 + 0.4 * k, 1.0 / (k + 1)) for k in range(10)))
+        model = make_model(3, 0.1, 0.6, 0.3, m_p=m_p,
+                           m_s=SpectralMeasure(atoms=((2.0, 1.0),)))
+        radii = np.linspace(0.5, 30.0, 64)
+        tracemalloc.start()
+        try:
+            squeeze_functional(model, radii, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     @pytest.mark.parametrize("rho", [0.4, 2.5, 30.0])
