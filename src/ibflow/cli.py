@@ -35,8 +35,6 @@ from .field_sampler import (RADIAL_SPAN, drift_custom_table, drift_linear,
 from .flow_engine import ExperimentResult
 from .spectral import MeasureError, SpectralMeasure
 
-COMMANDS = ("covariance", "check-condition", "verify-identity", "lyapunov",
-            "squeeze", "expand", "track-control", "length-decay")
 # the commands that apply model.drift; every other one rejects it
 DRIFT_COMMANDS = ("squeeze", "expand")
 
@@ -69,6 +67,11 @@ MAX_POINTS = 2 ** 16
 # eigen-decomposition of a dense n x n Jacobi matrix, about 0.2 s at this
 # bound, and n = 64 already resolves rho * support_max <= 50 to about 1e-12
 MAX_RULE_NODES = 2 ** 10
+# verify-identity separations len(rhos) x resolution: the one quadrature
+# pass over them holds about 65 bytes a separation besides its chunk of
+# covariance._QUAD_PAIRS (separation, node) pairs, so a run at this bound
+# peaks near 67 MiB (tracemalloc, d = 3 mixed model; 99 MiB at 2^20)
+MAX_SEPARATIONS = 2 ** 19
 
 # Failures a run reports (numeric breakdowns, invalid values met while
 # computing, a run too large for memory, output that cannot be written);
@@ -108,7 +111,7 @@ def _no_extras(mapping: dict, allowed: set[str], path: str):
 
 
 def _as_number(value, path: str, *, minimum=None, maximum=None,
-               exclusive_min=None) -> float:
+               exclusive_min=None, exclusive_max=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number, got {reprlib.repr(value)}")
     val = float(value)
@@ -120,7 +123,23 @@ def _as_number(value, path: str, *, minimum=None, maximum=None,
         raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
     if maximum is not None and val > maximum:
         raise ConfigError(f"{path}: must be <= {maximum}, got {value!r}")
+    if exclusive_max is not None and not val < exclusive_max:
+        raise ConfigError(f"{path}: must be < {exclusive_max}, got {value!r}")
     return val
+
+
+def _as_numbers(value, path: str, *, distinct=False, **bounds) -> list[float]:
+    """A non-empty list of numbers within bounds, checked in order; with
+    distinct (track-control's cs), one equal to an earlier one is refused."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{path}: must be a non-empty list")
+    out, seen = [], set()
+    for i, v in enumerate(value):
+        out.append(_as_number(v, f"{path}[{i}]", **bounds))
+        if distinct and out[-1] in seen:
+            raise ConfigError(f"{path}[{i}]: repeats c = {v!r}")
+        seen.add(out[-1])
+    return out
 
 
 def _as_int(value, path: str, *, minimum=None, maximum=None) -> int:
@@ -249,11 +268,11 @@ def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
     drift = None
     try:
         if kind == "linear":
-            matrix = _parse_vectors(_need(spec, "matrix", path), d,
-                                    f"{path}.matrix")
+            matrix = _parse_vectors(_need(spec, "matrix", path),
+                                    f"{path}.matrix", d)
             if matrix.shape[0] != d:
                 raise ConfigError(f"{path}.matrix: must be {d} x {d}")
-            echo["matrix"] = matrix
+            echo["matrix"] = matrix.tolist()
             drift = drift_linear(matrix)
         elif kind == "radial_rkhs":
             rho = _as_number(_need(spec, "rho", path), f"{path}.rho",
@@ -266,17 +285,17 @@ def drift_from_config(spec, model: IbfModel, path: str = "model.drift"
             axes = _need(spec, "axes", path)
             if not (isinstance(axes, list) and len(axes) == d):
                 raise ConfigError(f"{path}.axes: must be a list of {d} axes")
-            echo["axes"] = [_numeric_array(a, f"{path}.axes[{k}]", 1)
+            echo["axes"] = [_numeric_array(a, f"{path}.axes[{k}]", 1).tolist()
                             for k, a in enumerate(axes)]
             echo["values"] = _numeric_array(_need(spec, "values", path),
-                                            f"{path}.values", d + 1)
+                                            f"{path}.values", d + 1).tolist()
             drift = drift_custom_table(echo["axes"], echo["values"])
     except ModelError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return drift, _jsonable(echo)
+    return drift, echo
 
 
-def _parse_vectors(value, d: int, path: str) -> np.ndarray:
+def _parse_vectors(value, path: str, d: int) -> np.ndarray:
     if not (isinstance(value, list) and value):
         raise ConfigError(f"{path}: must be a non-empty list of {d}-vectors")
     if len(value) > MAX_COORDS // d:
@@ -290,179 +309,157 @@ def _parse_vectors(value, d: int, path: str) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _cap_series(out: dict, key: str, path: str, per_path: int) -> None:
-    """params.<key> paths recording per_path values each: at most
-    MAX_SERIES values in all."""
-    if out[key] * per_path > MAX_SERIES:
-        raise ConfigError(f"{path}.{key}: {out[key]} x {per_path} recorded "
-                          f"values is more than {MAX_SERIES}")
-
-
 def _snapshots(span: float, dt: float, stride: int) -> int:
     """Snapshots an observer sees over span: the start, every stride-th
     Euler step and the last one."""
     return 1 + -(-flow_engine.step_count(span, dt) // stride)
 
 
-def _as_step(p: dict, span: float, path: str) -> float:
+def _as_step(value, path: str, span: float) -> float:
     """params.dt: in (0, span], and at most MAX_STEPS steps over span."""
-    dt = _as_number(_need(p, "dt", path), f"{path}.dt", exclusive_min=0.0,
-                    maximum=span)
+    dt = _as_number(value, path, exclusive_min=0.0, maximum=span)
     if span / dt > MAX_STEPS:
-        raise ConfigError(f"{path}.dt: {span!r}/{dt!r} asks for more than "
+        raise ConfigError(f"{path}: {span!r}/{dt!r} asks for more than "
                           f"{MAX_STEPS} steps")
     return dt
 
 
-def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
-    path = "params"
-    if not isinstance(params, dict):
+def _as_curve(value, path: str, d: int) -> tuple[np.ndarray, bool]:
+    """params.curve as its vertices and whether it is closed: a circle in
+    the first two axes, or the points given."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{path}: must be an object")
-    p = dict(params)
+    kind = value.get("kind")
+    if kind == "circle":
+        _no_extras(value, {"kind", "radius", "n_vertices", "center"}, path)
+        radius = _as_number(_need(value, "radius", path), f"{path}.radius",
+                            exclusive_min=0.0)
+        n_vertices = _as_int(_need(value, "n_vertices", path),
+                             f"{path}.n_vertices", minimum=3,
+                             maximum=MAX_COORDS // d)
+        center = _parse_vectors([value.get("center", [0.0] * d)],
+                                f"{path}.center", d)[0]
+        ring = np.zeros((n_vertices, d))
+        ring[:, :2] = flow_engine.boundary_shell(2, 1.0, n_vertices)
+        positions, closed = center + radius * ring, True
+    elif kind == "points":
+        _no_extras(value, {"kind", "positions", "closed"}, path)
+        positions = _parse_vectors(_need(value, "positions", path),
+                                   f"{path}.positions", d)
+        closed = value.get("closed", False)
+        if not isinstance(closed, bool):
+            raise ConfigError(f"{path}.closed: must be a boolean")
+    else:
+        raise ConfigError(f"{path}.kind: must be 'circle' or 'points'")
+    if positions.shape[0] < 2:
+        raise ConfigError(f"{path}: needs at least two vertices")
+    with np.errstate(over="ignore"):  # an overflow reads as inf
+        length = flow_engine.curve_length(positions, closed)
+    if not 0.0 < length < math.inf:
+        raise ConfigError(f"{path}.positions: the curve's length "
+                          f"{length!r} must be positive and finite")
+    return positions, closed
+
+
+def _validate_params(command: str, params: dict, model: IbfModel) -> dict:
+    if not isinstance(params, dict):
+        raise ConfigError("params: must be an object")
     out: dict = {}
+
+    def read(key, parse=_as_number, default=None, **bounds):
+        """params.<key>, or its default (None: the field is required),
+        parsed within bounds, stored in out and returned."""
+        value = (_need(params, key, "params") if default is None
+                 else params.get(key, default))
+        out[key] = parse(value, f"params.{key}", **bounds)
+        return out[key]
+
+    def cap(key, span, extra):
+        """At most MAX_SERIES recorded values: out[key] paths of extra
+        values each, plus the snapshots over span (None: no params.stride)."""
+        per_path = extra
+        if span is not None:
+            stride = read("stride", _as_int, flow_engine.DEFAULT_STRIDE,
+                          minimum=1)
+            per_path += _snapshots(span, out["dt"], stride)
+        if out[key] * per_path > MAX_SERIES:
+            raise ConfigError(f"params.{key}: {out[key]} x {per_path} "
+                              f"recorded values is more than {MAX_SERIES}")
+
     if command == "covariance":
-        _no_extras(p, {"s_max", "n_points"}, path)
-        out["s_max"] = _as_number(_need(p, "s_max", path), f"{path}.s_max",
-                                  exclusive_min=0.0)
-        _check_kernel_spans(model, {f"{path}.s_max": out["s_max"]})
-        out["n_points"] = _as_int(p.get("n_points", 201), f"{path}.n_points",
-                                  minimum=2, maximum=MAX_POINTS)
+        _no_extras(params, {"s_max", "n_points"}, "params")
+        s_max = read("s_max", exclusive_min=0.0)
+        _check_kernel_spans(model, {"params.s_max": s_max})
+        read("n_points", _as_int, 201, minimum=2, maximum=MAX_POINTS)
     elif command == "check-condition":
-        _no_extras(p, {"rho", "tol"}, path)
-        out["rho"] = _as_number(_need(p, "rho", path), f"{path}.rho",
-                                exclusive_min=0.0)
-        out["tol"] = _as_number(p.get("tol", 1e-8), f"{path}.tol",
-                                exclusive_min=0.0)
-        if (model.mu1 > 0.0 and rkhs.zero_search_bound(
-                model, out["rho"], out["tol"]) > rkhs.ZERO_SEARCH_MAX):
+        _no_extras(params, {"rho", "tol"}, "params")
+        rho = read("rho", exclusive_min=0.0)
+        tol = read("tol", _as_number, 1e-8, exclusive_min=0.0)
+        if (model.mu1 > 0.0 and rkhs.zero_search_bound(model, rho, tol)
+                > rkhs.ZERO_SEARCH_MAX):
             raise ConfigError(
-                f"{path}.rho: the zero search would run past "
+                "params.rho: the zero search would run past "
                 f"{rkhs.ZERO_SEARCH_MAX} (rho * support_max of m_p, widened "
                 f"by tol)")
     elif command == "verify-identity":
-        _no_extras(p, {"rhos", "resolution"}, path)
-        rhos = _need(p, "rhos", path)
-        if not (isinstance(rhos, list) and rhos):
-            raise ConfigError(f"{path}.rhos: must be a non-empty list")
-        out["rhos"] = [_as_number(r, f"{path}.rhos[{i}]", exclusive_min=0.0)
-                       for i, r in enumerate(rhos)]
+        _no_extras(params, {"rhos", "resolution"}, "params")
+        rhos = read("rhos", _as_numbers, exclusive_min=0.0)
         # the rule's separations reach the sphere's diameter, 2 rho
-        _check_kernel_spans(model, {f"{path}.rhos[{i}]": 2.0 * rho
-                                    for i, rho in enumerate(out["rhos"])})
-        out["resolution"] = _as_int(p.get("resolution", 64),
-                                    f"{path}.resolution", minimum=1,
-                                    maximum=MAX_RULE_NODES)
+        _check_kernel_spans(model, {f"params.rhos[{i}]": 2.0 * rho
+                                    for i, rho in enumerate(rhos)})
+        n = read("resolution", _as_int, 64, minimum=1, maximum=MAX_RULE_NODES)
+        if len(rhos) * n > MAX_SEPARATIONS:
+            raise ConfigError(f"params.rhos: {len(rhos)} x {n} separations "
+                              f"is more than {MAX_SEPARATIONS}")
     elif command == "lyapunov":
         if model.is_trivial:
             raise ConfigError(
                 "model: lyapunov needs mu1 or mu2 > 0; the trivial model "
                 "(mu0 = 1) has no flow constants to compare against")
-        _no_extras(p, {"T", "dt", "n_pairs", "renorm_eps"}, path)
-        out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
-        out["dt"] = _as_step(p, out["T"], path)
-        out["n_pairs"] = _as_int(_need(p, "n_pairs", path), f"{path}.n_pairs",
-                                 minimum=2)
-        eps = p.get("renorm_eps", 1e-4)
-        out["renorm_eps"] = _as_number(eps, f"{path}.renorm_eps",
-                                       exclusive_min=1e-8)
-        if not out["renorm_eps"] < 1e-2:  # lyapunov_estimate's open interval
-            raise ConfigError(f"{path}.renorm_eps: must be < 0.01, got {eps!r}")
-        _cap_series(out, "n_pairs", path, 1)
+        _no_extras(params, {"T", "dt", "n_pairs", "renorm_eps"}, "params")
+        T = read("T", exclusive_min=0.0)
+        read("dt", _as_step, span=T)
+        read("n_pairs", _as_int, minimum=2)
+        # lyapunov_estimate's open interval
+        read("renorm_eps", _as_number, 1e-4, exclusive_min=1e-8,
+             exclusive_max=1e-2)
+        cap("n_pairs", None, 1)
     elif command in ("squeeze", "expand"):
-        _no_extras(p, {"R", "delta", "T1", "T2", "dt", "n_paths",
-                       "n_boundary", "stride"}, path)
-        out["R"] = _as_number(_need(p, "R", path), f"{path}.R", exclusive_min=0.0)
-        out["delta"] = _as_number(_need(p, "delta", path), f"{path}.delta",
-                                  exclusive_min=0.0)
-        if out["delta"] >= out["R"]:
-            raise ConfigError(f"{path}.delta: must be < R")
-        out["T1"] = _as_number(_need(p, "T1", path), f"{path}.T1",
-                               exclusive_min=0.0)
-        out["T2"] = _as_number(_need(p, "T2", path), f"{path}.T2",
-                               exclusive_min=out["T1"])
-        out["dt"] = _as_step(p, out["T2"], path)
-        out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
-                                 minimum=1)
-        out["n_boundary"] = _as_int(p.get("n_boundary", 64),
-                                    f"{path}.n_boundary", minimum=8,
-                                    maximum=MAX_COORDS // model.d)
-        out["stride"] = _as_int(p.get("stride", flow_engine.DEFAULT_STRIDE),
-                                f"{path}.stride", minimum=1)
-        _cap_series(out, "n_paths", path,
-                    _snapshots(out["T2"], out["dt"], out["stride"]))
+        _no_extras(params, {"R", "delta", "T1", "T2", "dt", "n_paths",
+                            "n_boundary", "stride"}, "params")
+        R = read("R", exclusive_min=0.0)
+        delta = read("delta", exclusive_min=0.0)
+        if delta >= R:
+            raise ConfigError("params.delta: must be < R")
+        T1 = read("T1", exclusive_min=0.0)
+        T2 = read("T2", exclusive_min=T1)
+        read("dt", _as_step, span=T2)
+        read("n_paths", _as_int, minimum=1)
+        read("n_boundary", _as_int, 64, minimum=8, maximum=MAX_COORDS // model.d)
+        cap("n_paths", T2, 0)
     elif command == "track-control":
         if model.mu1 == 0.0:
             raise ConfigError(
                 "model.mu1: track-control follows the mean inward field, "
                 "which is zero without a potential part (mu1 = 0)")
-        _no_extras(p, {"rho", "cs", "T", "dt", "n_paths", "x0", "stride"}, path)
-        out["rho"] = _as_number(_need(p, "rho", path), f"{path}.rho",
-                                exclusive_min=0.0)
-        _check_kernel_spans(model, {f"{path}.rho": RADIAL_SPAN * out["rho"]})
-        cs = _need(p, "cs", path)
-        if not (isinstance(cs, list) and cs):
-            raise ConfigError(f"{path}.cs: must be a non-empty list")
-        out["cs"] = []
-        for i, c in enumerate(cs):
-            out["cs"].append(_as_number(c, f"{path}.cs[{i}]", minimum=1.0))
-            if out["cs"][-1] in out["cs"][:-1]:
-                raise ConfigError(f"{path}.cs[{i}]: repeats c = {c!r}")
-        out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
-        out["dt"] = _as_step(p, out["T"], path)
-        out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
-                                 minimum=2)
-        out["x0"] = _parse_vectors(_need(p, "x0", path), model.d, f"{path}.x0")
-        out["stride"] = _as_int(p.get("stride", flow_engine.DEFAULT_STRIDE),
-                                f"{path}.stride", minimum=1)
-        _cap_series(out, "n_paths", path,
-                    _snapshots(out["T"], out["dt"], out["stride"])
-                    + len(out["cs"]))
+        _no_extras(params, {"rho", "cs", "T", "dt", "n_paths", "x0", "stride"},
+                   "params")
+        rho = read("rho", exclusive_min=0.0)
+        _check_kernel_spans(model, {"params.rho": RADIAL_SPAN * rho})
+        cs = read("cs", _as_numbers, distinct=True, minimum=1.0)
+        T = read("T", exclusive_min=0.0)
+        read("dt", _as_step, span=T)
+        read("n_paths", _as_int, minimum=2)
+        read("x0", _parse_vectors, d=model.d)
+        cap("n_paths", T, len(cs))
     elif command == "length-decay":
-        _no_extras(p, {"T", "dt", "n_paths", "curve", "stride"}, path)
-        out["T"] = _as_number(_need(p, "T", path), f"{path}.T", exclusive_min=0.0)
-        out["dt"] = _as_step(p, out["T"], path)
-        out["n_paths"] = _as_int(_need(p, "n_paths", path), f"{path}.n_paths",
-                                 minimum=1)
-        curve = _need(p, "curve", path)
-        if not isinstance(curve, dict):
-            raise ConfigError(f"{path}.curve: must be an object")
-        kind = curve.get("kind")
-        if kind == "circle":
-            _no_extras(curve, {"kind", "radius", "n_vertices", "center"},
-                       f"{path}.curve")
-            radius = _as_number(_need(curve, "radius", f"{path}.curve"),
-                                f"{path}.curve.radius", exclusive_min=0.0)
-            n_vertices = _as_int(_need(curve, "n_vertices", f"{path}.curve"),
-                                 f"{path}.curve.n_vertices", minimum=3,
-                                 maximum=MAX_COORDS // model.d)
-            center = curve.get("center", [0.0] * model.d)
-            center = _parse_vectors([center], model.d, f"{path}.curve.center")[0]
-            ring = np.zeros((n_vertices, model.d))
-            ring[:, :2] = flow_engine.boundary_shell(2, 1.0, n_vertices)
-            out["positions"] = center + radius * ring
-            out["closed"] = True
-        elif kind == "points":
-            _no_extras(curve, {"kind", "positions", "closed"}, f"{path}.curve")
-            out["positions"] = _parse_vectors(
-                _need(curve, "positions", f"{path}.curve"), model.d,
-                f"{path}.curve.positions")
-            closed = curve.get("closed", False)
-            if not isinstance(closed, bool):
-                raise ConfigError(f"{path}.curve.closed: must be a boolean")
-            out["closed"] = closed
-        else:
-            raise ConfigError(f"{path}.curve.kind: must be 'circle' or 'points'")
-        if out["positions"].shape[0] < 2:
-            raise ConfigError(f"{path}.curve: needs at least two vertices")
-        with np.errstate(over="ignore"):  # an overflow reads as inf
-            length = flow_engine.curve_length(out["positions"], out["closed"])
-        if not 0.0 < length < math.inf:
-            raise ConfigError(f"{path}.curve.positions: the curve's length "
-                              f"{length!r} must be positive and finite")
-        out["stride"] = _as_int(p.get("stride", flow_engine.DEFAULT_STRIDE),
-                                f"{path}.stride", minimum=1)
-        _cap_series(out, "n_paths", path,
-                    _snapshots(out["T"], out["dt"], out["stride"]))
+        _no_extras(params, {"T", "dt", "n_paths", "curve", "stride"}, "params")
+        T = read("T", exclusive_min=0.0)
+        read("dt", _as_step, span=T)
+        read("n_paths", _as_int, minimum=1)
+        out["positions"], out["closed"] = _as_curve(
+            _need(params, "curve", "params"), "params.curve", model.d)
+        cap("n_paths", T, 0)
     return out
 
 
@@ -482,13 +479,15 @@ def _model_config(model: IbfModel) -> dict:
 
 def _echo_params(command: str, params: dict) -> dict:
     """Validated params back in config form, so a report re-parses."""
+    if command == "track-control":
+        return dict(params, x0=params["x0"].tolist())
     if command != "length-decay":
-        return _jsonable(params)
+        return dict(params)
     out = {k: params[k] for k in ("T", "dt", "n_paths", "stride")}
     out["curve"] = {"kind": "points",
                     "positions": params["positions"].tolist(),
                     "closed": params["closed"]}
-    return _jsonable(out)
+    return out
 
 
 def parse_config(text, command: str | None = None) -> RunConfig:
@@ -551,22 +550,6 @@ def parse_config(text, command: str | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # emission
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -587,7 +570,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_report(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2,
+                               default=lambda o: o.tolist()) + "\n")
 
 
 @dataclass
@@ -766,6 +750,7 @@ _RUNNERS = {
     "track-control": _run_track_control,
     "length-decay": _run_length_decay,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_command(command: str, cfg: RunConfig, jobs: int = 1,
@@ -811,7 +796,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text, command=args.command)
-    except (ConfigError, MeasureError, ModelError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, MeasureError, ModelError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

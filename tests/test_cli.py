@@ -37,6 +37,20 @@ def atom_config(command="covariance", params=None, seed=7, **model_extra):
 
 # length-decay's params before its curve
 _DECAY = {"T": 0.1, "dt": 0.05, "n_paths": 2}
+_LYAPUNOV = {"T": 0.1, "dt": 0.05, "n_pairs": 2}
+_TRACK = {"rho": 1.0, "cs": [4.0], "T": 0.1, "dt": 0.05, "n_paths": 2,
+          "x0": [[0.5, 0.0]]}
+# model fields: a pure translation, and a flow with no potential part
+_TRIVIAL = {"mu0": 1.0, "mu1": 0.0, "mu2": 0.0, "m_p": None,
+            "allow_trivial": True}
+_SOLENOIDAL = {"mu1": 0.0, "mu2": 1.0, "m_p": None,
+               "m_s": {"atoms": [[1.0, 1.0]], "density": []}}
+
+
+def _points(*positions, **curve):
+    """length-decay params with a points curve."""
+    return dict(_DECAY, curve=dict(kind="points", positions=list(positions),
+                                   **curve))
 
 
 def _config(command="covariance", params=None, model_fields=(), drop=None,
@@ -148,6 +162,98 @@ class TestParseConfig:
         (_config("lyapunov", {"T": 0.1, "dt": 0.05, "n_pairs": 2,
                               "renorm_eps": 0.01}),
          "params.renorm_eps: must be < 0.01, got 0.01"),
+        (_config("lyapunov", dict(_LYAPUNOV, renorm_eps=1e-8)),
+         "params.renorm_eps: must be > 1e-08, got 1e-08"),
+        (_config("squeeze", dict(SQUEEZE_PARAMS, delta=1.0)),
+         "params.delta: must be < R"),
+        (_config("check-condition", {"rho": 250.0}),
+         "params.rho: the zero search would run past 200.0 (rho * "
+         "support_max of m_p, widened by tol)"),
+        (_config("lyapunov", dict(_LYAPUNOV, T=1e12, dt=0.5)),
+         "params.dt: 1000000000000.0/0.5 asks for more than 10000000 steps"),
+        (_config("track-control", dict(_TRACK, rho=1e160)),
+         "params.rho: the kernel argument 1.2e+161 x 1.0 (the largest node) "
+         "overflows squared"),
+        (_config("track-control", dict(_TRACK, cs=[4.0, 4, 16.0])),
+         "params.cs[1]: repeats c = 4"),
+        (_config("track-control", dict(_TRACK, cs=[4.0, 0.5])),
+         "params.cs[1]: must be >= 1.0, got 0.5"),
+        (_config("track-control", dict(_TRACK, cs=[])),
+         "params.cs: must be a non-empty list"),
+        (_config("track-control", dict(_TRACK, x0=[])),
+         "params.x0: must be a non-empty list of 2-vectors"),
+        (_config("track-control", dict(_TRACK, x0=[[0.5]])),
+         "params.x0[0]: must be a vector of length 2"),
+        (_config("track-control", dict(_TRACK, x0=[[0.5, 0.0]] * 257)),
+         "params.x0: must hold <= 256 vectors"),
+        (_config("length-decay", _points([0, 0], [1, 0], closed="yes")),
+         "params.curve.closed: must be a boolean"),
+        (_config("length-decay", _points([0.3, 0.1], [0.3, 0.1])),
+         "params.curve.positions: the curve's length 0.0 must be positive "
+         "and finite"),
+        (_config("length-decay", _points([1e308, 0.0], [-1e308, 0.0])),
+         "params.curve.positions: the curve's length inf must be positive "
+         "and finite"),
+        (_config("length-decay", dict(_DECAY, curve={
+            "kind": "circle", "radius": 1.0, "n_vertices": 4,
+            "center": [0.0]})),
+         "params.curve.center[0]: must be a vector of length 2"),
+        (_config("length-decay", dict(_DECAY, curve={
+            "kind": "circle", "n_vertices": 4})),
+         "params.curve.radius: required field is missing"),
+        (_config("squeeze", dict(SQUEEZE_PARAMS, n_paths=200000, T2=0.2,
+                                 dt=0.1, stride=1)),
+         "params.n_paths: 200000 x 3 recorded values is more than 524288"),
+        (_config("track-control", dict(_TRACK, n_paths=200000, T=0.2,
+                                       dt=0.1, stride=1)),
+         "params.n_paths: 200000 x 4 recorded values is more than 524288"),
+        (_config("lyapunov", dict(_LYAPUNOV, n_pairs=2 ** 19 + 1)),
+         "params.n_pairs: 524289 x 1 recorded values is more than 524288"),
+        (_config("squeeze", dict(SQUEEZE_PARAMS, stride=0)),
+         "params.stride: must be >= 1, got 0"),
+        (_config("verify-identity", {"rhos": [0.5, -1.0]}),
+         "params.rhos[1]: must be > 0.0, got -1.0"),
+        (_config("verify-identity", {"rhos": [0.5, "a"]}),
+         "params.rhos[1]: must be a number, got 'a'"),
+        (_config("lyapunov", _LYAPUNOV, model_fields=_TRIVIAL),
+         "model: lyapunov needs mu1 or mu2 > 0; the trivial model (mu0 = 1) "
+         "has no flow constants to compare against"),
+        (_config("track-control", _TRACK, model_fields=_SOLENOIDAL),
+         "model.mu1: track-control follows the mean inward field, which is "
+         "zero without a potential part (mu1 = 0)"),
+        # two faults, one message: the field checked first is reported
+        (_config("covariance", {"s_max": 1e308, "n_points": 1}),
+         "params.s_max: the kernel argument 1e+308 x 1.0 (the largest node) "
+         "overflows squared"),
+        (_config("covariance", {"s_max": -1},
+                 model_fields={"drift": {"kind": "none"}}),
+         "model.drift: covariance applies no drift (only squeeze and expand "
+         "do); remove the field"),
+        (_config("check-condition", {"rho": 250.0, "tol": -1}),
+         "params.tol: must be > 0.0, got -1"),
+        (_config("verify-identity", {"rhos": [0.5, -1.0], "resolution": 0}),
+         "params.rhos[1]: must be > 0.0, got -1.0"),
+        (_config("lyapunov", dict(_LYAPUNOV, bogus=1), model_fields=_TRIVIAL),
+         "model: lyapunov needs mu1 or mu2 > 0; the trivial model (mu0 = 1) "
+         "has no flow constants to compare against"),
+        (_config("lyapunov", dict(_LYAPUNOV, renorm_eps=0.01,
+                                  n_pairs=10 ** 6)),
+         "params.renorm_eps: must be < 0.01, got 0.01"),
+        (_config("squeeze", dict(SQUEEZE_PARAMS, T1=-1, delta=2.0)),
+         "params.delta: must be < R"),
+        (_config("expand", dict(SQUEEZE_PARAMS, T2=0.05, dt=-1)),
+         "params.T2: must be > 0.1, got 0.05"),
+        (_config("track-control", dict(_TRACK, bogus=1),
+                 model_fields=_SOLENOIDAL),
+         "model.mu1: track-control follows the mean inward field, which is "
+         "zero without a potential part (mu1 = 0)"),
+        (_config("track-control", dict(_TRACK, cs=[4.0, 4.0, 0.5])),
+         "params.cs[1]: repeats c = 4.0"),
+        (_config("length-decay", dict(_points([0, 0]), stride=0)),
+         "params.curve: needs at least two vertices"),
+        (_config("length-decay", dict(_points([0, 0], [1, 0], closed=1),
+                                      n_paths=0)),
+         "params.n_paths: must be >= 1, got 0"),
     ])
     def test_rejection_message(self, doc, message):
         with pytest.raises(ConfigError) as err:
@@ -346,6 +452,9 @@ class TestParseConfig:
         ("lyapunov:n_pairs", cli.MAX_SERIES, True),
         ("covariance:n_points", cli.MAX_POINTS, True),
         ("verify-identity:resolution", cli.MAX_RULE_NODES, True),
+        # rhos is a list: n radii of 64 separations each (the default
+        # resolution)
+        ("verify-identity:rhos", cli.MAX_SEPARATIONS // 64, True),
     ])
     def test_run_size_capped(self, tmp_path, capsys, field, limit, cheap):
         # what a run allocates in proportion to these fields is bounded
@@ -372,7 +481,7 @@ class TestParseConfig:
         def doc_with(n):
             doc = {"model": copy.deepcopy(model), "command": command,
                    "params": dict(params), "seed": 1}
-            doc["params"][name] = n
+            doc["params"][name] = [1.0] * n if name == "rhos" else n
             return doc
 
         where = f"params.{name}"
