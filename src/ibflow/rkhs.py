@@ -19,19 +19,18 @@ kernel b(x) = B_N I + (B_L - B_N) x x^T / s^2 gives
 
 and t has density proportional to (1 - t^2)^((d-3)/2) on [-1, 1].
 squeeze_functional sums that against the n-point Gauss rule of this
-weight (_t_rule), which converges spectrally in every d because B_L
-and B_N are even entire functions of s. For any number of radii, one
-quadrature pass gives both sides: B_L and B_N at every radius's n
-separations, and the potential rows J_{d/2}(rho k) / (rho k)^{d/2} at
-the separation rho, from which -G(rho) is formed as inward_profile
-forms it.
+weight (spectral.gauss_rule, the rule density pieces take at d = 3),
+which converges spectrally in every d because B_L and B_N are even
+entire functions of s. For any number of radii, one quadrature pass
+gives both sides: B_L and B_N at every radius's n separations, and
+the potential rows J_{d/2}(rho k) / (rho k)^{d/2} at the separation
+rho, from which -G(rho) is formed as inward_profile forms it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -184,28 +183,6 @@ def _inward_weights(model: IbfModel, wts: np.ndarray, z: np.ndarray,
             * wts * z * jr)
 
 
-@lru_cache(maxsize=32)
-def _t_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss rule of t = theta.phi: nodes and weights for the
-    probability weight proportional to (1 - t^2)^((d-3)/2) on [-1, 1]
-    (Gauss-Jacobi, alpha = beta = (d-3)/2). The nodes are the eigenvalues
-    of the Jacobi matrix of the monic recurrence, whose coefficients are
-    b_k^2 = k(k + d - 3) / ((2k + d - 4)(2k + d - 2)), or 1/2 at k = 1 and
-    1/4 after in d = 2 (Chebyshev); the weights are the squared first
-    components of its eigenvectors (Golub & Welsch 1969), rescaled to
-    sum to 1 to rounding."""
-    k = np.arange(1.0, n)
-    if d == 2:
-        b2 = np.full(n - 1, 0.25)
-        b2[:1] = 0.5
-    else:
-        b2 = k * (k + d - 3) / ((2 * k + d - 4) * (2 * k + d - 2))
-    off = np.sqrt(b2)
-    t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = vecs[0] ** 2
-    return t, w / w.sum()
-
-
 def squeeze_functional(model: IbfModel, rho, n: int):
     """Both sides of the squeeze identity at the radius rho, as two
     floats, or at each radius of a sequence rho, as two arrays.
@@ -229,7 +206,7 @@ def squeeze_functional(model: IbfModel, rho, n: int):
         raise ValueError("rho must be > 0")
     if n < 1:
         raise ValueError("the t-rule needs n >= 1 nodes")
-    t, w = _t_rule(model.d, n)
+    t, w = spectral.gauss_rule(model.d, n)
     s = (flat[:, None] * np.sqrt(2.0 * (1.0 - t))).ravel()
     if model.mu1 == 0.0:
         # no potential part, so no right side

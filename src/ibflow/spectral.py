@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 MAX_MOMENT = 8
-# Gauss-Legendre nodes per density piece
+# Gauss-Legendre nodes per density piece: gauss_rule(3, QUAD_POINTS)
 QUAD_POINTS = 32
 
 
@@ -95,28 +94,44 @@ def scaled_moment(m: SpectralMeasure, k: int, unit: float) -> float:
     return float(total)
 
 
-@lru_cache(maxsize=None)
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], built once per n (about
-    0.8 ms at n = 32) and read-only."""
-    rule = leggauss(n)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+@lru_cache(maxsize=32)
+def gauss_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of the probability weight proportional to
+    (1 - t^2)^((d-3)/2) on [-1, 1], the law of t = theta.phi for
+    independent uniform unit vectors in R^d (Gauss-Jacobi,
+    alpha = beta = (d-3)/2; d = 3 is Gauss-Legendre, d = 2 Chebyshev).
+    The nodes are the eigenvalues of the Jacobi matrix of the monic
+    recurrence, whose coefficients are
+    b_k^2 = k(k + d - 3) / ((2k + d - 4)(2k + d - 2)), or 1/2 at k = 1 and
+    1/4 after in d = 2; the weights are the squared first components of
+    its eigenvectors (Golub & Welsch 1969), rescaled to sum to 1 to
+    rounding. Built once per (d, n); the arrays are read-only."""
+    k = np.arange(1.0, n)
+    if d == 2:
+        b2 = np.full(n - 1, 0.25)
+        b2[:1] = 0.5
+    else:
+        b2 = k * (k + d - 3) / ((2 * k + d - 4) * (2 * k + d - 2))
+    off = np.sqrt(b2)
+    t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    w /= w.sum()
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def quadrature_nodes(m: SpectralMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Node/weight pairs integrating the measure: atoms exactly,
-    QUAD_POINTS Gauss-Legendre nodes per density piece (spectrally
-    accurate for smooth f)."""
+    """Node/weight pairs integrating the measure: atoms exactly, and the
+    QUAD_POINTS-point Gauss-Legendre rule gauss_rule(3, QUAD_POINTS)
+    mapped onto each density piece (spectrally accurate for smooth f)."""
     locs = [s for s, _ in m.atoms]
     wts = [w for _, w in m.atoms]
     if m.density_pieces:
-        t, v = _legendre(QUAD_POINTS)
+        t, v = gauss_rule(3, QUAD_POINTS)
         for lo, hi, h in m.density_pieces:
             mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
             locs.extend(mid + rad * t)
-            wts.extend(h * rad * v)
+            wts.extend(h * (hi - lo) * v)
     return np.asarray(locs, dtype=float), np.asarray(wts, dtype=float)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -997,6 +998,37 @@ class TestBlasThreads:
                          unset=_THREAD_VARS, **preset)
             csvs.append((out / "squeeze.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+
+def test_run_loads_no_numpy_extras(tmp_path):
+    # ibflow loads nothing from numpy beyond what `import numpy` loads,
+    # save numpy.random for the sampling commands: a verify-identity run
+    # with a density piece needs neither numpy.polynomial (about 0.9 MiB
+    # resident) nor numpy.random (about 6 MiB). numpy < 2 loads both on
+    # import, so only a module `import numpy` left unloaded is checked
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"model": dict(_MIXED_D2, d=3), "command": "verify-identity",
+         "params": {"rhos": [0.7, 2.2], "resolution": 48}, "seed": 1}))
+    out = tmp_path / "out"
+    script = textwrap.dedent(f"""
+        import json, sys
+        import numpy
+        unloaded = [m for m in ("numpy.polynomial", "numpy.random")
+                    if m not in sys.modules]
+        from ibflow import cli
+        code = cli.main(["verify-identity", "--config", {str(path)!r},
+                         "--out", {str(out)!r}, "--quiet"])
+        print(json.dumps([code, unloaded,
+                          [m for m in unloaded if m in sys.modules]]))
+    """)
+    code, unloaded, loaded = json.loads(
+        fresh_python(["-c", script]).splitlines()[-1])
+    assert code == EXIT_OK
+    assert (out / "verify-identity.csv").exists()
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert unloaded == ["numpy.polynomial", "numpy.random"]
+    assert loaded == []
 
 
 class TestMainExitCodes:

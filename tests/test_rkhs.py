@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
 from ibflow import (ModelError, SpectralMeasure, check_condition,
                     inward_profile, make_model, squeeze_functional)
 from ibflow import covariance, rkhs
-from ibflow.rkhs import _t_rule
+from ibflow.spectral import gauss_rule
 
 from conftest import (J1_AT_1, J1_FIRST_ZERO, mean_inward_field,
                       random_model, series_j_oracle, sphere_average_field,
@@ -88,7 +89,7 @@ class TestTRule:
     def test_moments(self, d, n):
         # for independent uniform theta, phi: E[t^2] = 1/d and
         # E[t^4] = 3/(d(d+2)), exact for n >= 3 nodes
-        t, w = _t_rule(d, n)
+        t, w = gauss_rule(d, n)
         assert abs(w.sum() - 1.0) <= 1e-15
         assert abs(w @ t**2 - 1.0 / d) <= 1e-15
         assert abs(w @ t**4 - 3.0 / (d * (d + 2))) <= 1e-15
@@ -96,7 +97,7 @@ class TestTRule:
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_d3_is_gauss_legendre(self, n):
         # t is uniform on [-1, 1] in d = 3
-        t, w = _t_rule(3, n)
+        t, w = gauss_rule(3, n)
         u, v = leggauss(n)
         assert np.max(np.abs(t - u)) <= 1e-15
         assert np.max(np.abs(w - v / 2)) <= 4e-15
@@ -105,10 +106,22 @@ class TestTRule:
     def test_d2_is_chebyshev(self, n):
         # weight (1 - t^2)^(-1/2): the recurrence's b_1^2 = 1/2, where the
         # general formula reads 0/0, is what makes this rule Chebyshev's
-        t, w = _t_rule(2, n)
+        t, w = gauss_rule(2, n)
         nodes = np.cos((2 * np.arange(n, 0, -1) - 1) * np.pi / (2 * n))
         assert np.max(np.abs(t - nodes)) <= 1e-15
         assert np.max(np.abs(w - 1.0 / n)) <= 4e-15
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_is_gauss_jacobi(self, d, n):
+        # scipy's Gauss-Jacobi rule, alpha = beta = (d-3)/2, as probability
+        # weights; absolute bounds, since the tiny end weights of n = 64
+        # differ relatively by far more than rounding
+        a = (d - 3) / 2
+        nodes, weights = roots_jacobi(n, a, a)
+        t, w = gauss_rule(d, n)
+        assert np.max(np.abs(t - nodes)) <= 1e-15
+        assert np.max(np.abs(w - weights / weights.sum())) <= 4e-15
 
     def test_needs_a_node(self, d2_mixed):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -337,7 +350,7 @@ class TestSqueezeIdentity:
                            m_p=SpectralMeasure(atoms=((1.0, 1.0),),
                                                density_pieces=((0.5, 1.5, 0.4),)),
                            m_s=SpectralMeasure(atoms=((2.0, 0.7),)))
-        t, w = _t_rule(d, 64)
+        t, w = gauss_rule(d, 64)
         s = rho * np.sqrt(2.0 * (1.0 - t))
         b_l, b_n = covariance.covariance_scalars(model, s)
         terms = w * (b_n * t - 0.5 * (b_l - b_n) * (1.0 - t))

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from ibflow import (MeasureError, SpectralMeasure, moment,
                     normalize_potential, normalize_solenoidal, total_mass)
@@ -63,22 +62,25 @@ class TestIntegrate:
         m = SpectralMeasure(density_pieces=((1.0, 2.0, 1.0),))
         assert integrate(m, lambda s: s**3) == pytest.approx(3.75, abs=1e-12)
 
-    def test_legendre_rule_built_once(self, monkeypatch):
-        # every measure with a density piece reads one cached rule, the
-        # same bits as a fresh one
-        built = []
-        monkeypatch.setattr(spectral, "leggauss",
-                            lambda n: built.append(n) or leggauss(n))
-        spectral._legendre.cache_clear()
-        t, v = leggauss(spectral.QUAD_POINTS)
+    def test_legendre_rule_built_once(self):
+        # gauss_rule is built once per (d, n) into read-only arrays, and
+        # every density piece reads the d = 3 rule mapped onto the piece
+        spectral.gauss_rule.cache_clear()
+        t, w = spectral.gauss_rule(3, spectral.QUAD_POINTS)
         for lo, hi, h in ((0.5, 1.5, 1.0), (1.0, 4.0, 0.3)):
             locs, wts = quadrature_nodes(
                 SpectralMeasure(atoms=((2.0, 1.0),),
                                 density_pieces=((lo, hi, h),)))
             rad = 0.5 * (hi - lo)
             assert np.array_equal(locs[1:], 0.5 * (hi + lo) + rad * t)
-            assert np.array_equal(wts[1:], h * rad * v)
-        assert built == [spectral.QUAD_POINTS]
+            assert np.array_equal(wts[1:], h * (hi - lo) * w)
+        other = spectral.gauss_rule(5, 7)
+        assert spectral.gauss_rule(5, 7) is other
+        assert spectral.gauss_rule(3, spectral.QUAD_POINTS)[0] is t
+        assert spectral.gauss_rule.cache_info().misses == 2
+        for arr in (t, w) + other:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestNormalization:
